@@ -388,8 +388,10 @@ def analytics_cmd(riskfree, bonds, cds, sovereign, config_path, as_of, compoundi
                                   snap.riskfree, params, rec, variant=variant,
                                   convergence_fraction=st.convergence_fraction,
                                   grid_step=st.grid_step)
-        rows.append([inst.identifier, _fmt(inst.tenor), _bp(sbar),
-                     _bp(dec.carry), _bp(dec.rolldown), _bp(dec.rv), _bp(dec.total)])
+        # total as the sum of the printed parts, so the row adds up exactly
+        parts = [_bp(dec.carry), _bp(dec.rolldown), _bp(dec.rv)]
+        total = f"{sum(float(x) for x in parts):.6f}"
+        rows.append([inst.identifier, _fmt(inst.tenor), _bp(sbar), *parts, total])
     _write(st.out / "analytics.csv",
            ["id", "tenor_years", "par_adjusted_spread_bp", "carry_bp",
             "rolldown_bp", "rv_bp", "total_bp"], rows)
@@ -494,7 +496,10 @@ def _history_one(st: Settings, d: Path, date: dt.date, mode: str,
 
     schedule = RecoverySchedule()
     for rating, params in curves.items():
-        rec = 0.4 if rating is None else schedule.recovery_for_rating(rating)
+        if st.recovery_mode == "fixed":
+            rec = st.recovery_fixed  # the recovery the fit used
+        else:
+            rec = 0.4 if rating is None else schedule.recovery_for_rating(rating)
         label = "" if rating is None else f".{ANCHOR_NAMES[(3, 9, 15).index(rating)]}"
         for t in points:
             k = vl.kernels(snap.riskfree, params, t, st.grid_step)

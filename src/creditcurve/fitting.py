@@ -10,12 +10,15 @@ objective is a weighted sum of a robust penalty rho(dP) with
 rho(x) = sqrt(1 + x^2) - 1, which grows like x^2/2 near zero and like
 |x| for outliers; plain squared loss is available as an option.
 
-The optimizer is a derivative-free simplex (Nelder-Mead) over
-transformed coordinates: logs for the positive hazard parameters,
-a logistic map into the box for the shape parameter and the sovereign
-coefficient, and positive increments between rating anchors so that
-fitted grids can never cross.  Multistart with a seeded generator keeps
-results reproducible bit for bit.
+The optimizer is trust-region robust least squares: the trust-region
+reflective method of Branch, Coleman & Li (1999) as implemented by
+``scipy.optimize.least_squares``, run on the residual vector dP with a
+loss that folds in the weights, so that half its sum is the objective.
+It works over transformed coordinates: logs for the positive hazard
+parameters, a logistic map into the box for the shape parameter and the
+sovereign coefficient, and positive increments between rating anchors so
+that fitted grids can never cross.  Multistart with a seeded generator
+keeps results reproducible bit for bit; the lowest objective wins.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import least_squares
 
 from .ratecurve import RiskfreeCurve
 from .survival import ANCHOR_RATINGS, C_BOUNDS, RatingGrid, RecoverySchedule, SurvivalParams
@@ -54,6 +57,14 @@ Instrument = BondSpec | CdsSpec
 # single rating and the other anchors must be pinned by a monotone prior
 PRIOR_ANCHOR_RATIO = 4.0
 
+EPS = float(np.finfo(float).eps)
+# solver stopping rule on the sup-norm of the objective's gradient
+GTOL = 1e-8
+# converged fits have a gradient sup-norm below this, relative to 1 + objective
+STATIONARY_GRAD = 1e-4
+# residual (points) reported for a candidate whose curve cannot be evaluated
+FALLBACK_DP = 1e6
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -64,9 +75,9 @@ class FitConfig:
     multistart_count: int = 5
     seed: int = 0
     grid_step: float = DEFAULT_GRID_STEP
-    xtol: float = 1e-10
-    ftol: float = 1e-16
-    max_iter: int = 20000
+    xtol: float = 1e-10                   # relative step size at which a start stops
+    ftol: float = 1e-16                   # relative objective change (machine eps at least)
+    max_iter: int = 20000                 # solver evaluations per start, Jacobian excluded
     em_mode: str = "off"                  # off | fit | fixed
     em_alpha_fixed: float = 0.5
     em_rating_scaling: bool = False       # alpha(r) = alpha * min(1, r/9)
@@ -108,7 +119,8 @@ def robust_loss(x: float) -> float:
 def _rho_vec(loss: str):
     if loss == "squared":
         return lambda x: x * x
-    return lambda x: np.sqrt(1.0 + x * x) - 1.0
+    # sqrt(1 + x^2) - 1 without the cancellation near zero
+    return lambda x: x * x / (1.0 + np.sqrt(1.0 + x * x))
 
 
 # -- residuals --------------------------------------------------------
@@ -238,23 +250,28 @@ class _MarketSide:
         dp_cds = 100.0 * (self.upfronts[idx] + (self.coupons[idx] - s_model) * pi)
         return np.where(self.is_bond[idx], dp_bond, dp_cds)
 
-    def loss(self, params_by_group: dict, alpha: float) -> float:
-        tot = 0.0
-        for key, idx in self.groups.items():
-            kg = self.cache.kernel_grid(params_by_group[key])
-            dp = self._dp(kg, key, alpha)
-            tot += float(self.weights[idx] @ self._rho(dp))
-        return tot
-
-    def residuals(self, params_by_group: dict, alpha: float) -> tuple[float, ...]:
+    def dp(self, params_by_group: dict, alpha: float) -> np.ndarray:
+        """Price residuals in points, in instrument order."""
         out = np.empty(len(self.instruments))
         for key, idx in self.groups.items():
             kg = self.cache.kernel_grid(params_by_group[key])
             out[idx] = self._dp(kg, key, alpha)
-        return tuple(float(x) for x in out)
+        return out
+
+    def objective(self, dp: np.ndarray) -> float:
+        return float(self.weights @ self._rho(dp))
+
+    def solver_loss(self, z: np.ndarray) -> np.ndarray:
+        """rho(z) with its first two derivatives for ``least_squares``,
+        where z = dP^2; half their sum is the weighted objective."""
+        w = self.weights
+        if self.config.loss == "squared":
+            return np.stack([2.0 * w * z, 2.0 * w, np.zeros_like(z)])
+        root = np.sqrt(1.0 + z)
+        return np.stack([2.0 * w * z / (1.0 + root), w / root, -0.5 * w / root ** 3])
 
 
-# -- Nelder-Mead driver ------------------------------------------------
+# -- trust-region least-squares solver ----------------------------------
 
 
 def _logistic(u: float) -> float:
@@ -269,69 +286,64 @@ def _softplus(u: float) -> float:
     return math.log1p(math.exp(-abs(u))) + max(u, 0.0)
 
 
-class _DescentLog:
-    """Objective wrapper recording accepted improvements (eval#, f)."""
+class _CountedResiduals:
+    """Residual vector of transformed coordinates for the solver.
 
-    def __init__(self, objective):
-        self._objective = objective
+    Counts every call, finite-difference Jacobian columns included, and
+    records each improvement of the objective as (eval#, f).  A point
+    whose parameters overflow or whose residuals are not finite gets
+    the constant FALLBACK_DP instead, and is counted as a fallback.
+    """
+
+    def __init__(self, side: _MarketSide, unpack, params_by_group):
+        self.side = side
+        self.unpack = unpack
+        self.params_by_group = params_by_group
         self.evals = 0
+        self.fallback_evals = 0
         self.best = math.inf
         self.improvements: list[tuple[int, float]] = []
 
-    def __call__(self, x: np.ndarray) -> float:
-        f = self._objective(x)
+    def __call__(self, u: np.ndarray) -> np.ndarray:
         self.evals += 1
+        try:
+            params, alpha = self.unpack(u)
+            dp = self.side.dp(self.params_by_group(params), alpha)
+        except (OverflowError, ValueError):
+            dp = None
+        if dp is None or not np.all(np.isfinite(dp)):
+            self.fallback_evals += 1
+            dp = np.full(len(self.side.instruments), FALLBACK_DP)
+        f = self.side.objective(dp)
         if f < self.best:
             self.best = f
             self.improvements.append((self.evals, f))
-        return f
+        return dp
 
 
-def _run_nm(objective, x0: np.ndarray, widen: float,
-            xatol: float, fatol: float, maxiter: int):
-    simplex = np.tile(x0, (len(x0) + 1, 1))
-    for i in range(len(x0)):
-        simplex[i + 1, i] += widen
-    return minimize(objective, x0, method="Nelder-Mead",
-                    options=dict(initial_simplex=simplex, xatol=xatol,
-                                 fatol=fatol, maxiter=maxiter,
-                                 maxfev=3 * maxiter))
-
-
-def _nelder_mead(objective, starts: list[np.ndarray], config: FitConfig):
-    """Multistart simplex: a coarse pass over every start, then shrinking
-    restarts that polish the winner to the configured tolerances.
-    Returns (x, fun, info)."""
-    log = _DescentLog(objective)
-    n = len(starts[0])
-    total_iter = 0
-
-    best_x, best_fun = None, math.inf
+def _least_squares(residuals: _CountedResiduals, starts: list[np.ndarray],
+                   config: FitConfig):
+    """Multistart trust-region reflective least squares on the residual
+    vector under the weighted loss; the lowest objective wins.
+    Returns (x, objective, dp, info)."""
+    runs = []
     for x0 in starts:
-        res = _run_nm(log, x0, widen=0.5, xatol=1e-6, fatol=1e-10,
-                      maxiter=min(config.max_iter, 250 * n))
-        total_iter += res.nit
-        if res.fun < best_fun:
-            best_x, best_fun = res.x, res.fun
+        res = least_squares(residuals, x0, method="trf", loss=residuals.side.solver_loss,
+                            ftol=max(config.ftol, EPS), xtol=config.xtol, gtol=GTOL,
+                            max_nfev=config.max_iter)
+        runs.append((residuals.side.objective(res.fun), res))
+    objectives = tuple(f for f, _ in runs)
+    fun, best = runs[objectives.index(min(objectives))]
 
-    # converged means stationary: the final polish either met the simplex
-    # tolerances or could no longer improve the objective meaningfully
-    converged = False
-    for widen in (0.1, 0.01):
-        f_before = best_fun
-        res = _run_nm(log, best_x, widen=widen, xatol=config.xtol,
-                      fatol=config.ftol,
-                      maxiter=min(config.max_iter, 900 * n))
-        total_iter += res.nit
-        if res.fun <= best_fun:
-            best_x, best_fun = res.x, res.fun
-        converged = bool(res.success) or (
-            f_before - res.fun <= max(config.ftol, abs(res.fun) * 1e-9))
-
-    info = dict(iterations=total_iter, evaluations=log.evals,
-                converged=converged, n_starts=len(starts),
-                descent=tuple(log.improvements))
-    return best_x, best_fun, info
+    # converged means stationary: the solver met a tolerance and the
+    # objective's gradient in the fitted coordinates is flat
+    grad_norm = float(np.linalg.norm(best.grad, ord=np.inf))
+    converged = best.status > 0 and grad_norm <= STATIONARY_GRAD * (1.0 + fun)
+    info = dict(evaluations=residuals.evals, fallback_evals=residuals.fallback_evals,
+                converged=bool(converged), status=int(best.status),
+                grad_norm=grad_norm, objective_per_start=objectives,
+                n_starts=len(starts), descent=tuple(residuals.improvements))
+    return best.x, fun, best.fun, info
 
 
 def _jittered_starts(x0: np.ndarray, config: FitConfig, scale: float = 0.8) -> list[np.ndarray]:
@@ -383,26 +395,21 @@ def fit_single_name(instruments: Sequence[Instrument], curve: RiskfreeCurve,
             config.em_alpha_fixed if side.em_on else 0.0)
         return SurvivalParams(a, b, c), alpha
 
-    def objective(u: np.ndarray) -> float:
-        try:
-            params, alpha = unpack(u)
-        except (OverflowError, ValueError):
-            return 1e12
-        return side.loss({None: params}, alpha)
-
     x0 = [math.log(0.01)] if tie_ab else [math.log(0.01), math.log(0.05)]
     if fix_c is None:
         x0.append(0.0)
     if side.fit_alpha:
         x0.append(0.0)
-    x, fun, info = _nelder_mead(objective, _jittered_starts(np.array(x0), config), config)
+    residuals = _CountedResiduals(side, unpack, lambda params: {None: params})
+    x, fun, dp, info = _least_squares(residuals, _jittered_starts(np.array(x0), config),
+                                      config)
     params, alpha = unpack(x)
 
     info.update(underdetermined=underdetermined, tie_ab=tie_ab,
                 fix_c=fix_c, seed=config.seed)
     return FitResult(params=params, alpha=alpha if side.em_on else None,
-                     residuals=side.residuals({None: params}, alpha),
-                     objective=float(fun), diagnostics=info)
+                     residuals=tuple(float(r) for r in dp),
+                     objective=fun, diagnostics=info)
 
 
 # -- rating-grid fit ---------------------------------------------------
@@ -472,24 +479,20 @@ def fit_rating_grid(instruments: Sequence[Instrument], curve: RiskfreeCurve,
             config.em_alpha_fixed if side.em_on else 0.0)
         return RatingGrid(anchors_a=(a1, a2, a3), anchors_b=(b1, b2, b3), c=c), alpha
 
-    def objective(u: np.ndarray) -> float:
-        try:
-            grid, alpha = unpack(u)
-        except (OverflowError, ValueError):
-            return 1e12
-        params_by_group = {r: grid.params_for_rating(r) for r in side.groups}
-        return side.loss(params_by_group, alpha)
+    def by_rating(grid: RatingGrid) -> dict:
+        return {r: grid.params_for_rating(r) for r in side.groups}
 
     x0 = [math.log(0.003), -1.0, -1.0, math.log(0.02), -1.0, -1.0]
     if fix_c is None:
         x0.append(0.0)
     if side.fit_alpha:
         x0.append(0.0)
-    x, fun, info = _nelder_mead(objective, _jittered_starts(np.array(x0), config, 0.6), config)
+    residuals = _CountedResiduals(side, unpack, by_rating)
+    x, fun, dp, info = _least_squares(
+        residuals, _jittered_starts(np.array(x0), config, 0.6), config)
     grid, alpha = unpack(x)
 
-    params_by_group = {r: grid.params_for_rating(r) for r in side.groups}
     info.update(underdetermined=False, fix_c=fix_c, seed=config.seed)
     return FitResult(params=grid, alpha=alpha if side.em_on else None,
-                     residuals=side.residuals(params_by_group, alpha),
-                     objective=float(fun), diagnostics=info)
+                     residuals=tuple(float(r) for r in dp),
+                     objective=fun, diagnostics=info)

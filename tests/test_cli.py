@@ -1,12 +1,15 @@
+import datetime as dt
 import math
+import shutil
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import creditcurve as cc
-from creditcurve.cli import main
+from creditcurve.cli import ANCHOR_NAMES, main
 from creditcurve.survival import RatingGrid, RecoverySchedule, SurvivalParams
+from creditcurve.universe import load_universe
 from creditcurve.valuation import BondSpec, bond_model_price, kernels
 
 RISKFREE = "tenor_years,zero_rate\n1,0.015\n10,0.015\n30,0.015\n"
@@ -295,6 +298,37 @@ def test_history_skips_failing_date(tmp_path, runner):
     assert "skipped" in result.output
     rows = [line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:]]
     assert len({d for d, s, v in rows}) == 1
+
+
+@pytest.mark.parametrize("mode", ["single-name", "rating-grid"])
+def test_history_spreads_at_fitted_fixed_recovery(tmp_path, runner, colom_dir, mode):
+    # the spread series must be par CDS spreads of the fitted curve at the
+    # recovery the fit used, not at a hard-coded or scheduled one
+    day = tmp_path / "snaps" / "2016-04-08"
+    day.mkdir(parents=True)
+    for name in ("riskfree.csv", "bonds.csv"):
+        shutil.copy(colom_dir / name, day / name)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "history", "--snapshots", str(tmp_path / "snaps"), "--mode", mode,
+        "--recovery", "fixed:0.0", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    hist = {s: float(v) for d, s, v in
+            (line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:])}
+    if mode == "single-name":
+        curves = {"": SurvivalParams(hist["param.a"], hist["param.b"], hist["param.c"])}
+    else:
+        grid = RatingGrid(anchors_a=tuple(hist[f"param.a_{n}"] for n in ANCHOR_NAMES),
+                          anchors_b=tuple(hist[f"param.b_{n}"] for n in ANCHOR_NAMES),
+                          c=hist["param.c"])
+        curves = {f".{n}": grid.params_for_rating(r)
+                  for n, r in zip(ANCHOR_NAMES, (3, 9, 15))}
+    riskfree = load_universe(day / "riskfree.csv", day / "bonds.csv",
+                             as_of=dt.date(2016, 4, 8)).riskfree
+    for label, params in curves.items():
+        for t in (5, 10):
+            want = cc.par_cds_spread(kernels(riskfree, params, t), 0.0) * 1e4
+            assert hist[f"spread_{t}y{label}_bp"] == pytest.approx(want, abs=1e-4)
 
 
 def test_spread_sample_data_runs(tmp_path, runner, colom_dir):

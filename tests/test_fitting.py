@@ -1,11 +1,17 @@
+import dataclasses
+import datetime as dt
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import creditcurve as cc
+from creditcurve import cli
+from creditcurve import fitting as ft
 from creditcurve.fitting import (
     FitConfig,
     fit_rating_grid,
@@ -15,6 +21,7 @@ from creditcurve.fitting import (
     robust_loss,
 )
 from creditcurve.survival import RatingGrid, RecoverySchedule, SurvivalParams
+from creditcurve.universe import load_universe
 from creditcurve.valuation import BondSpec, CdsSpec, bond_model_price, kernels
 
 CURVE = cc.RiskfreeCurve.flat(0.02)
@@ -173,6 +180,91 @@ def test_fit_with_noise_robust_vs_squared_differ():
     squared = fit_single_name(bonds, CURVE, 0.4, FitConfig(fix_c=0.1, loss="squared"))
     # the squared loss chases the outlier much harder
     assert abs(squared.residuals[3]) < abs(robust.residuals[3])
+
+
+# -- trust-region least-squares solver ------------------------------------
+
+
+COLOM = Path(__file__).resolve().parent.parent / "sample_data" / "colom_2016-04-08"
+# the colom snapshot's fit at recovery 0.5 under the former Nelder-Mead solver
+COLOM_NM_OBJECTIVE = 0.6552070017456335
+
+
+def colom_fit():
+    snap = load_universe(COLOM / "riskfree.csv", COLOM / "bonds.csv",
+                         as_of=dt.date(2016, 4, 8))
+    return fit_single_name(snap.bonds, snap.riskfree, 0.5, FitConfig())
+
+
+@pytest.fixture(scope="module")
+def colom_half():
+    return colom_fit()
+
+
+def test_colom_objective_matches_nelder_mead(colom_half):
+    assert colom_half.diagnostics["converged"]
+    assert colom_half.objective == pytest.approx(COLOM_NM_OBJECTIVE, abs=1e-8)
+
+
+def test_objective_per_start(colom_half):
+    per_start = colom_half.diagnostics["objective_per_start"]
+    assert len(per_start) == FitConfig().multistart_count
+    assert min(per_start) == colom_half.objective
+
+
+def test_fit_bit_identical_diagnostics(colom_half):
+    again = colom_fit()
+    assert again.params == colom_half.params
+    assert again.diagnostics == colom_half.diagnostics
+
+
+def test_no_fallback_evaluations_on_colom_and_grid(colom_half):
+    assert colom_half.diagnostics["fallback_evals"] == 0
+    grid = fit_rating_grid(make_grid_universe(), CURVE, SCHED, FitConfig())
+    assert grid.diagnostics["fallback_evals"] == 0
+
+
+def test_evaluations_count_every_residual_call(monkeypatch):
+    calls = []
+    dp = ft._MarketSide.dp
+
+    def counted(self, *args):
+        calls.append(1)
+        return dp(self, *args)
+
+    monkeypatch.setattr(ft._MarketSide, "dp", counted)
+    res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig(fix_c=0.1))
+    # finite-difference Jacobian columns included
+    assert res.diagnostics["evaluations"] == len(calls)
+
+
+def test_fallback_evaluations_are_counted():
+    side = ft._MarketSide(make_bonds(), CURVE, 0.4, FitConfig())
+
+    def unpack(u):
+        if u[0] > 0:
+            raise OverflowError
+        return TRUE, 0.0
+
+    residuals = ft._CountedResiduals(side, unpack, lambda params: {None: params})
+    assert np.all(residuals(np.array([1.0])) == ft.FALLBACK_DP)
+    assert np.all(np.abs(residuals(np.array([-1.0]))) < 1e-10)
+    assert (residuals.evals, residuals.fallback_evals) == (2, 1)
+
+
+def test_max_iter_too_small_is_not_converged(tmp_path, monkeypatch):
+    res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig(max_iter=3))
+    assert not res.diagnostics["converged"]
+    assert res.diagnostics["status"] == 0
+
+    fit_config = cli.Settings.fit_config
+    monkeypatch.setattr(cli.Settings, "fit_config",
+                        lambda self: dataclasses.replace(fit_config(self), max_iter=3))
+    result = CliRunner().invoke(cli.main, [
+        "fit", "--riskfree", str(COLOM / "riskfree.csv"), "--bonds", str(COLOM / "bonds.csv"),
+        "--config", str(COLOM / "config.txt"), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 3
+    assert "did not converge" in result.output
 
 
 def test_fitconfig_validation():
