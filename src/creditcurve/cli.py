@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input error, 3 non-convergence.
 
 from __future__ import annotations
 
+import contextlib
 import datetime as dt
 import sys
 from pathlib import Path
@@ -20,13 +21,14 @@ import click
 from . import analytics as an
 from . import fitting as ft
 from . import valuation as vl
-from .survival import RatingGrid, RecoverySchedule, SurvivalParams
+from .survival import ANCHOR_RATINGS, RecoverySchedule, SurvivalParams
 from .universe import UniverseError, UniverseSnapshot, load_config, load_universe
 
 EXIT_INPUT = 2
 EXIT_NOCONV = 3
 
 ANCHOR_NAMES = ("AA", "BBB", "B")
+FILES = ("riskfree", "bonds", "cds", "sovereign")
 
 
 def _fmt(x: float) -> str:
@@ -38,14 +40,16 @@ def _bp(x: float) -> str:
 
 
 class Settings:
-    """Flag values merged over the optional run-config file."""
+    """Flag values merged over the optional run-config file.
 
-    def __init__(self, config_path: str | None, overrides: dict):
-        base = load_config(config_path) if config_path else {}
-        merged = dict(base)
-        for key, val in overrides.items():
-            if val is not None:
-                merged[key] = val
+    Grid fits default to the rating recovery schedule, every other verb
+    to a fixed 0.4.  The fit options are validated here, so a bad value
+    is an input error before any work starts.
+    """
+
+    def __init__(self, config_path: str | None, overrides: dict, grid: bool = False):
+        merged = load_config(config_path) if config_path else {}
+        merged.update((key, val) for key, val in overrides.items() if val is not None)
         self.as_of = dt.date.fromisoformat(str(merged["as_of"])) if "as_of" in merged else None
         self.compounding = int(merged.get("compounding", 0))
         self.grid_step = float(merged.get("grid_step", vl.DEFAULT_GRID_STEP))
@@ -59,8 +63,7 @@ class Settings:
         self.out = Path(merged.get("out", "out"))
         self.compounding_m = int(merged.get("yield_compounding", 2))
 
-        self.recovery_specified = "recovery" in merged
-        rec = str(merged.get("recovery", "fixed:0.4"))
+        rec = str(merged.get("recovery", "schedule" if grid else "fixed:0.4"))
         if rec == "schedule":
             self.recovery_mode, self.recovery_fixed = "schedule", 0.4
         elif rec == "fixed":
@@ -79,6 +82,7 @@ class Settings:
             self.em_mode, self.em_alpha_fixed = "fixed", float(em.split(":", 1)[1])
         else:
             raise UniverseError(f"--em-alpha must be 'fit', 'fixed:v' or 'off', got {em!r}")
+        self.fit_config()
 
     def fit_config(self) -> ft.FitConfig:
         return ft.FitConfig(
@@ -87,10 +91,12 @@ class Settings:
             seed=self.seed, grid_step=self.grid_step,
             em_mode=self.em_mode, em_alpha_fixed=self.em_alpha_fixed)
 
-    def load(self, riskfree, bonds, cds, sovereign) -> UniverseSnapshot:
+    def load(self, riskfree, bonds=None, cds=None, sovereign=None,
+             as_of: dt.date | None = None) -> UniverseSnapshot:
+        """The snapshot, each instrument carrying the recovery it is valued at."""
         return load_universe(
             riskfree_path=riskfree, bonds_path=bonds, cds_path=cds,
-            sovereign_path=sovereign, as_of=self.as_of,
+            sovereign_path=sovereign, as_of=as_of or self.as_of,
             compounding=self.compounding,
             recovery_mode=self.recovery_mode,
             recovery_fixed=self.recovery_fixed)
@@ -131,11 +137,6 @@ def _fit_opts(fn):
     return fn
 
 
-def _settings(config_path, **kw) -> Settings:
-    overrides = {k: v for k, v in kw.items() if v is not None}
-    return Settings(config_path, overrides)
-
-
 @click.group()
 def main() -> None:
     """Survival-curve credit analytics."""
@@ -146,6 +147,50 @@ def _fail(msg: str, code: int) -> None:
     sys.exit(code)
 
 
+class _Refused(ArithmeticError):
+    """A fit that is not to be reported; ``code`` is the verb's exit code."""
+
+    def __init__(self, msg: str, code: int):
+        super().__init__(msg)
+        self.code = code
+
+
+@contextlib.contextmanager
+def _exits():
+    """Input errors exit 2 with their message; a refused fit exits with its code."""
+    try:
+        yield
+    except (UniverseError, ValueError) as exc:
+        _fail(str(exc), EXIT_INPUT)
+    except _Refused as exc:
+        _fail(str(exc), exc.code)
+
+
+def _load(kw: dict, grid: bool = False) -> tuple[Settings, UniverseSnapshot]:
+    """Settings and snapshot from a verb's flags; call under :func:`_exits`."""
+    files = [kw.pop(name) for name in FILES]
+    st = Settings(kw.pop("config_path"), kw, grid)
+    return st, st.load(*files)
+
+
+def _fit(st: Settings, snap: UniverseSnapshot, grid: bool,
+         allow_underdetermined: bool = True, emit: bool = False) -> ft.FitResult:
+    """The fit step: a rating-grid or single-name fit, written out if
+    ``emit``; an underdetermined fit (unless allowed) or one that did not
+    converge is refused."""
+    fit_fn = ft.fit_rating_grid if grid else ft.fit_single_name
+    result = fit_fn(snap.instruments, snap.riskfree, None, st.fit_config())
+    if emit:
+        _emit_fit(st, snap, result)
+    if result.diagnostics["underdetermined"] and not allow_underdetermined:
+        raise _Refused("fit underdetermined; pass --allow-underdetermined to accept",
+                       EXIT_INPUT)
+    if not result.diagnostics["converged"]:
+        raise _Refused(f"fit did not converge (objective {result.objective:.6g})",
+                       EXIT_NOCONV)
+    return result
+
+
 # -- value -------------------------------------------------------------
 
 
@@ -154,29 +199,21 @@ def _fail(msg: str, code: int) -> None:
 @click.option("--a", "a", type=float, required=True, help="short-end hazard")
 @click.option("--b", "b", type=float, required=True, help="long-end hazard")
 @click.option("--c", "c", type=float, required=True, help="shape parameter")
-def value(riskfree, bonds, cds, sovereign, config_path, as_of, compounding,
-          recovery, grid_step, out, a, b, c):
+def value(a, b, c, **kw):
     """Model prices for the instruments off an explicit hazard curve."""
-    try:
-        st = _settings(config_path, as_of=as_of, compounding=compounding,
-                       recovery=recovery, grid_step=grid_step, out=out)
-        snap = st.load(riskfree, bonds, cds, sovereign)
+    with _exits():
+        st, snap = _load(kw)
         params = SurvivalParams(a=a, b=b, c=c)
-    except (UniverseError, ValueError) as exc:
-        _fail(str(exc), EXIT_INPUT)
     rows = []
-    for inst in snap.bonds:
-        k = vl.kernels(snap.riskfree, params, inst.tenor, st.grid_step)
-        model = vl.bond_model_price(inst, k)
-        rows.append([inst.identifier, _fmt(inst.tenor), _fmt(inst.price),
-                     _fmt(model), _fmt(model - inst.price)])
-    for inst in snap.cds:
-        k = vl.kernels(snap.riskfree, params, inst.tenor, st.grid_step)
-        rec = inst.model_recovery if inst.model_recovery is not None else inst.quoting_recovery
-        u_model = (vl.par_cds_spread(k, rec) - inst.coupon) * k.pi
-        u_mkt = vl.cds_upfront(inst, snap.riskfree, st.grid_step)
-        rows.append([inst.identifier, _fmt(inst.tenor), _fmt(100 * (1 - u_mkt)),
-                     _fmt(100 * (1 - u_model)), _fmt(100 * (u_mkt - u_model))])
+    for inst in snap.instruments:
+        if isinstance(inst, vl.BondSpec):
+            market = inst.price
+        else:
+            market = 100.0 * (1.0 - vl.cds_upfront(inst, snap.riskfree, st.grid_step))
+        # model - market for a bond, 100 * (u_mkt - u_model) for a CDS
+        delta = ft.price_residual(inst, params, snap.riskfree, None, st.grid_step)
+        rows.append([inst.identifier, _fmt(inst.tenor), _fmt(market),
+                     _fmt(market + delta), _fmt(delta)])
     _write(st.out / "value.csv",
            ["id", "tenor_years", "market_price_pts", "model_price_pts", "delta_pts"], rows)
     click.echo(f"wrote {st.out / 'value.csv'} ({len(rows)} instruments)")
@@ -189,46 +226,36 @@ def value(riskfree, bonds, cds, sovereign, config_path, as_of, compounding,
 @_common
 @click.option("--yield-compounding", "yield_compounding", type=int, default=None,
               help="compounding m for yield and Z-spread (default 2)")
-def spread(riskfree, bonds, cds, sovereign, config_path, as_of, compounding,
-           recovery, grid_step, out, yield_compounding):
+def spread(**kw):
     """Yield, Z-spread and par-adjusted spread per instrument.
 
-    The par-adjusted spread of a bond is computed on the flat-hazard
-    curve that exactly reprices it at the configured recovery; it then
-    equals that curve's par CDS spread.
+    The par-adjusted spread is computed on the flat-hazard curve that
+    exactly reprices the instrument at its recovery; it then equals that
+    curve's par CDS spread.
     """
-    try:
-        st = _settings(config_path, as_of=as_of, compounding=compounding,
-                       recovery=recovery, grid_step=grid_step, out=out,
-                       yield_compounding=yield_compounding)
-        snap = st.load(riskfree, bonds, cds, sovereign)
-    except (UniverseError, ValueError) as exc:
-        _fail(str(exc), EXIT_INPUT)
+    with _exits():
+        st, snap = _load(kw)
     rows = []
     base = SurvivalParams.flat(0.02)
     m = st.compounding_m
-    for inst in snap.bonds:
+    for inst in snap.instruments:
         try:
-            y = vl.yield_from_price(inst.coupon, inst.tenor, inst.price, m)
-            s_z = vl.z_spread(inst, snap.riskfree, m)
+            if isinstance(inst, vl.BondSpec):
+                quotes = [_fmt(inst.price),
+                          _bp(vl.yield_from_price(inst.coupon, inst.tenor, inst.price, m)),
+                          _bp(vl.z_spread(inst, snap.riskfree, m))]
+            else:
+                quotes = ["", "", ""]
             fitted = vl.exact_fit_to_instrument(inst, base, snap.riskfree,
                                                 grid_step=st.grid_step)
-            k = vl.kernels(snap.riskfree, fitted, inst.tenor, st.grid_step)
+        except ArithmeticError as exc:
+            _fail(f"{inst.identifier}: {exc}", EXIT_NOCONV)
+        k = vl.kernels(snap.riskfree, fitted, inst.tenor, st.grid_step)
+        if isinstance(inst, vl.BondSpec):
             sbar = vl.par_adjusted_spread_bond(inst, k)
-        except ArithmeticError as exc:
-            _fail(f"{inst.identifier}: {exc}", EXIT_NOCONV)
-        rows.append([inst.identifier, _fmt(inst.tenor), _fmt(inst.price),
-                     _bp(y), _bp(s_z), _bp(sbar), _fmt(fitted.a)])
-    for inst in snap.cds:
-        rec = inst.model_recovery if inst.model_recovery is not None else inst.quoting_recovery
-        try:
-            fitted = vl.exact_fit_to_instrument(inst, base, snap.riskfree,
-                                                recovery=rec, grid_step=st.grid_step)
-            k = vl.kernels(snap.riskfree, fitted, inst.tenor, st.grid_step)
+        else:
             sbar = vl.par_adjusted_spread_cds(inst, k, snap.riskfree, st.grid_step)
-        except ArithmeticError as exc:
-            _fail(f"{inst.identifier}: {exc}", EXIT_NOCONV)
-        rows.append([inst.identifier, _fmt(inst.tenor), "", "", "", _bp(sbar), _fmt(fitted.a)])
+        rows.append([inst.identifier, _fmt(inst.tenor), *quotes, _bp(sbar), _fmt(fitted.a)])
     _write(st.out / "spreads.csv",
            ["id", "tenor_years", "price_pts", "yield_bp", "z_spread_bp",
             "par_adjusted_spread_bp", "implied_flat_hazard"], rows)
@@ -238,110 +265,73 @@ def spread(riskfree, bonds, cds, sovereign, config_path, as_of, compounding,
 # -- fit / fit-grid ----------------------------------------------------
 
 
-def _emit_fit(st: Settings, snap: UniverseSnapshot, result: ft.FitResult,
-              recovery_arg, prefix: str = "") -> None:
-    params = result.params
-    rows = []
-    if isinstance(params, SurvivalParams):
-        rows += [["a", _fmt(params.a)], ["b", _fmt(params.b)], ["c", _fmt(params.c)]]
+def _param_rows(result: ft.FitResult) -> list[list[str]]:
+    """Fitted parameters as (name, value) rows, for fit_params.csv and history."""
+    p = result.params
+    if isinstance(p, SurvivalParams):
+        rows = [["a", _fmt(p.a)], ["b", _fmt(p.b)]]
     else:
-        for name, val in zip(ANCHOR_NAMES, params.anchors_a):
-            rows.append([f"a_{name}", _fmt(val)])
-        for name, val in zip(ANCHOR_NAMES, params.anchors_b):
-            rows.append([f"b_{name}", _fmt(val)])
-        rows.append(["c", _fmt(params.c)])
+        rows = [[f"a_{name}", _fmt(val)] for name, val in zip(ANCHOR_NAMES, p.anchors_a)]
+        rows += [[f"b_{name}", _fmt(val)] for name, val in zip(ANCHOR_NAMES, p.anchors_b)]
+    rows.append(["c", _fmt(p.c)])
     if result.alpha is not None:
         rows.append(["alpha", _fmt(result.alpha)])
-    rows.append(["objective", _fmt(result.objective)])
-    rows.append(["converged", str(result.diagnostics.get("converged", False)).lower()])
-    rows.append(["underdetermined", str(result.diagnostics.get("underdetermined", False)).lower()])
-    _write(st.out / f"{prefix}fit_params.csv", ["parameter", "value"], rows)
+    return rows
 
+
+def _emit_fit(st: Settings, snap: UniverseSnapshot, result: ft.FitResult) -> None:
+    diag = result.diagnostics
+    rows = _param_rows(result) + [
+        ["objective", _fmt(result.objective)],
+        ["converged", str(diag["converged"]).lower()],
+        ["underdetermined", str(diag["underdetermined"]).lower()]]
+    _write(st.out / "fit_params.csv", ["parameter", "value"], rows)
+
+    params = result.params
     report = []
     for inst, res in zip(snap.instruments, result.residuals):
         if isinstance(params, SurvivalParams):
             curve_params = params
         else:
             curve_params = params.params_for_rating(inst.effective_rating)
-        rec = ft._recovery_for(inst, recovery_arg)
         k = vl.kernels(snap.riskfree, curve_params, inst.tenor, st.grid_step)
-        s_model = vl.par_cds_spread(k, rec)
         if isinstance(inst, vl.BondSpec):
             sbar = vl.par_adjusted_spread_bond(inst, k)
         else:
             sbar = vl.par_adjusted_spread_cds(inst, k, snap.riskfree, st.grid_step)
-        flag = "cheap" if res > 0 else "rich"
         rating = inst.effective_rating
         report.append([inst.identifier, _fmt(inst.tenor),
                        "" if rating is None else str(rating),
-                       _bp(sbar), _bp(s_model), _fmt(res), flag])
-    _write(st.out / f"{prefix}fit_report.csv",
+                       _bp(sbar), _bp(vl.par_cds_spread(k, inst.recovery)), _fmt(res),
+                       "cheap" if res > 0 else "rich"])
+    _write(st.out / "fit_report.csv",
            ["id", "tenor_years", "rating", "par_adjusted_spread_bp",
             "model_spread_bp", "residual_pts", "flag"], report)
+
+
+def _fit_verb(grid: bool, allow_underdetermined: bool, kw: dict) -> None:
+    with _exits():
+        st, snap = _load(kw, grid)
+        result = _fit(st, snap, grid, allow_underdetermined, emit=True)
+    fitted = " ".join(f"{name}={val}" for name, val in _param_rows(result))
+    click.echo(f"fitted {fitted} objective={_fmt(result.objective)}")
+    click.echo(f"wrote {st.out / 'fit_params.csv'} and {st.out / 'fit_report.csv'}")
 
 
 @main.command()
 @_common
 @_fit_opts
-def fit(riskfree, bonds, cds, sovereign, config_path, as_of, compounding,
-        recovery, grid_step, out, fix_c, em_alpha, seed, multistart,
-        weight_mode, loss, allow_underdetermined):
+def fit(allow_underdetermined, **kw):
     """Single-name three-parameter fit."""
-    try:
-        st = _settings(config_path, as_of=as_of, compounding=compounding,
-                       recovery=recovery, grid_step=grid_step, out=out,
-                       fix_c=fix_c, em_alpha=em_alpha, seed=seed,
-                       multistart=multistart, weight_mode=weight_mode, loss=loss)
-        snap = st.load(riskfree, bonds, cds, sovereign)
-        result = ft.fit_single_name(snap.instruments, snap.riskfree, None, st.fit_config())
-    except (UniverseError, ValueError) as exc:
-        _fail(str(exc), EXIT_INPUT)
-    if result.diagnostics.get("underdetermined") and not allow_underdetermined:
-        _emit_fit(st, snap, result, None)
-        _fail("fit underdetermined (single tenor); pass --allow-underdetermined to accept",
-              EXIT_INPUT)
-    if not result.diagnostics.get("converged", False):
-        _emit_fit(st, snap, result, None)
-        _fail(f"fit did not converge (objective {result.objective:.6g})", EXIT_NOCONV)
-    _emit_fit(st, snap, result, None)
-    p = result.params
-    click.echo(f"fitted a={_fmt(p.a)} b={_fmt(p.b)} c={_fmt(p.c)} "
-               f"objective={_fmt(result.objective)}")
-    click.echo(f"wrote {st.out / 'fit_params.csv'} and {st.out / 'fit_report.csv'}")
+    _fit_verb(False, allow_underdetermined, kw)
 
 
 @main.command("fit-grid")
 @_common
 @_fit_opts
-def fit_grid(riskfree, bonds, cds, sovereign, config_path, as_of, compounding,
-             recovery, grid_step, out, fix_c, em_alpha, seed, multistart,
-             weight_mode, loss, allow_underdetermined):
+def fit_grid(allow_underdetermined, **kw):
     """Seven-parameter multi-rating fit (plus alpha in EM mode)."""
-    try:
-        st = _settings(config_path, as_of=as_of, compounding=compounding,
-                       recovery=recovery, grid_step=grid_step, out=out,
-                       fix_c=fix_c, em_alpha=em_alpha, seed=seed,
-                       multistart=multistart, weight_mode=weight_mode, loss=loss)
-        if not st.recovery_specified:
-            st.recovery_mode = "schedule"  # grid fits default to the rating schedule
-        snap = st.load(riskfree, bonds, cds, sovereign)
-        result = ft.fit_rating_grid(snap.instruments, snap.riskfree, None, st.fit_config())
-    except (UniverseError, ValueError) as exc:
-        _fail(str(exc), EXIT_INPUT)
-    if result.diagnostics.get("underdetermined") and not allow_underdetermined:
-        _emit_fit(st, snap, result, None)
-        _fail("rating-grid fit underdetermined; pass --allow-underdetermined to accept",
-              EXIT_INPUT)
-    if not result.diagnostics.get("converged", False):
-        _emit_fit(st, snap, result, None)
-        _fail(f"fit did not converge (objective {result.objective:.6g})", EXIT_NOCONV)
-    _emit_fit(st, snap, result, None)
-    g = result.params
-    if isinstance(g, RatingGrid):
-        click.echo(f"fitted anchors a={tuple(_fmt(x) for x in g.anchors_a)} "
-                   f"b={tuple(_fmt(x) for x in g.anchors_b)} c={_fmt(g.c)}"
-                   + (f" alpha={_fmt(result.alpha)}" if result.alpha is not None else ""))
-    click.echo(f"wrote {st.out / 'fit_params.csv'} and {st.out / 'fit_report.csv'}")
+    _fit_verb(True, allow_underdetermined, kw)
 
 
 # -- analytics ---------------------------------------------------------
@@ -354,29 +344,15 @@ def fit_grid(riskfree, bonds, cds, sovereign, config_path, as_of, compounding,
 @click.option("--convergence-fraction", type=float, default=None)
 @click.option("--variant", type=click.Choice(["standard", "model_carry"]),
               default="standard")
-def analytics_cmd(riskfree, bonds, cds, sovereign, config_path, as_of, compounding,
-                  recovery, grid_step, out, fix_c, em_alpha, seed, multistart,
-                  weight_mode, loss, allow_underdetermined, horizon,
-                  convergence_fraction, variant):
+def analytics_cmd(allow_underdetermined, variant, **kw):
     """Carry / rolldown / RV / total over a horizon, off a fitted curve."""
-    try:
-        st = _settings(config_path, as_of=as_of, compounding=compounding,
-                       recovery=recovery, grid_step=grid_step, out=out,
-                       fix_c=fix_c, em_alpha=em_alpha, seed=seed,
-                       multistart=multistart, weight_mode=weight_mode, loss=loss,
-                       horizon=horizon, convergence_fraction=convergence_fraction)
-        snap = st.load(riskfree, bonds, cds, sovereign)
-        result = ft.fit_single_name(snap.instruments, snap.riskfree, None, st.fit_config())
-    except (UniverseError, ValueError) as exc:
-        _fail(str(exc), EXIT_INPUT)
-    if not result.diagnostics.get("converged", False):
-        _fail(f"fit did not converge (objective {result.objective:.6g})", EXIT_NOCONV)
-    params = result.params
+    with _exits():
+        st, snap = _load(kw)
+        params = _fit(st, snap, False, allow_underdetermined).params
     rows = []
     for inst in snap.instruments:
         if st.horizon >= inst.tenor:
             continue
-        rec = ft._recovery_for(inst, None)
         k = vl.kernels(snap.riskfree, params, inst.tenor, st.grid_step)
         if isinstance(inst, vl.BondSpec):
             c_prime = inst.coupon - k.rhat
@@ -385,7 +361,7 @@ def analytics_cmd(riskfree, bonds, cds, sovereign, config_path, as_of, compoundi
             c_prime = inst.coupon
             sbar = vl.par_adjusted_spread_cds(inst, k, snap.riskfree, st.grid_step)
         dec = an.decompose_return(c_prime, sbar, inst.tenor, st.horizon,
-                                  snap.riskfree, params, rec, variant=variant,
+                                  snap.riskfree, params, inst.recovery, variant=variant,
                                   convergence_fraction=st.convergence_fraction,
                                   grid_step=st.grid_step)
         # total as the sum of the printed parts, so the row adds up exactly
@@ -418,16 +394,14 @@ def analytics_cmd(riskfree, bonds, cds, sovereign, config_path, as_of, compoundi
 @click.option("--seed", type=int, default=None)
 @click.option("--multistart", type=int, default=None)
 @click.option("--out", default=None)
-def history(snapshots, mode, tenor_points, config_path, recovery, compounding,
-            grid_step, fix_c, em_alpha, seed, multistart, out):
+def history(snapshots, mode, tenor_points, config_path, **kw):
     """Per-date fits over a snapshot series; long-format rows for plotting."""
-    try:
-        st = _settings(config_path, recovery=recovery, compounding=compounding,
-                       grid_step=grid_step, fix_c=fix_c, em_alpha=em_alpha,
-                       seed=seed, multistart=multistart, out=out)
+    grid = mode == "rating-grid"
+    with _exits():
+        st = Settings(config_path, kw, grid)
         points = [float(x) for x in tenor_points.split(",") if x.strip()]
-    except (UniverseError, ValueError) as exc:
-        _fail(str(exc), EXIT_INPUT)
+        if any(t <= 0 for t in points):
+            raise ValueError(f"--tenor-points must be positive, got {tenor_points!r}")
     root = Path(snapshots)
     if not root.is_dir():
         _fail(f"{snapshots} is not a directory", EXIT_INPUT)
@@ -444,7 +418,7 @@ def history(snapshots, mode, tenor_points, config_path, recovery, compounding,
             failures.append(f"{d.name}: not a YYYY-MM-DD directory")
             continue
         try:
-            rows.extend(_history_one(st, d, date, mode, points))
+            rows.extend(_history_one(st, d, date, grid, points))
         except (UniverseError, ValueError, ArithmeticError) as exc:
             failures.append(f"{d.name}: {exc}")
     _write(st.out / "history.csv", ["date", "series", "value"], rows)
@@ -456,51 +430,32 @@ def history(snapshots, mode, tenor_points, config_path, recovery, compounding,
         _fail("all dates failed", EXIT_NOCONV)
 
 
-def _history_one(st: Settings, d: Path, date: dt.date, mode: str,
+def _history_one(st: Settings, d: Path, date: dt.date, grid: bool,
                  points: list[float]) -> list[list[str]]:
-    bonds = d / "bonds.csv"
-    cds = d / "cds.csv"
-    sovereign = d / "sovereign.csv"
-    snap = load_universe(
-        riskfree_path=d / "riskfree.csv",
-        bonds_path=bonds if bonds.exists() else None,
-        cds_path=cds if cds.exists() else None,
-        sovereign_path=sovereign if sovereign.exists() else None,
-        as_of=date, compounding=st.compounding,
-        recovery_mode=st.recovery_mode, recovery_fixed=st.recovery_fixed)
-    config = st.fit_config()
-    rows: list[list[str]] = []
-    iso = date.isoformat()
-    if mode == "single-name":
-        result = ft.fit_single_name(snap.instruments, snap.riskfree, None, config)
-        if not result.diagnostics.get("converged", False):
-            raise ArithmeticError(f"fit did not converge (objective {result.objective:.6g})")
-        params = result.params
-        rows += [[iso, "param.a", _fmt(params.a)],
-                 [iso, "param.b", _fmt(params.b)],
-                 [iso, "param.c", _fmt(params.c)]]
-        curves = {None: params}
-    else:
-        result = ft.fit_rating_grid(snap.instruments, snap.riskfree, None, config)
-        if not result.diagnostics.get("converged", False):
-            raise ArithmeticError(f"fit did not converge (objective {result.objective:.6g})")
-        grid = result.params
-        for name, val in zip(ANCHOR_NAMES, grid.anchors_a):
-            rows.append([iso, f"param.a_{name}", _fmt(val)])
-        for name, val in zip(ANCHOR_NAMES, grid.anchors_b):
-            rows.append([iso, f"param.b_{name}", _fmt(val)])
-        rows.append([iso, "param.c", _fmt(grid.c)])
-        if result.alpha is not None:
-            rows.append([iso, "param.alpha", _fmt(result.alpha)])
-        curves = {r: grid.params_for_rating(r) for r in (3, 9, 15)}
+    def optional(name: str) -> Path | None:
+        return d / name if (d / name).exists() else None
 
-    schedule = RecoverySchedule()
-    for rating, params in curves.items():
-        if st.recovery_mode == "fixed":
-            rec = st.recovery_fixed  # the recovery the fit used
-        else:
-            rec = 0.4 if rating is None else schedule.recovery_for_rating(rating)
-        label = "" if rating is None else f".{ANCHOR_NAMES[(3, 9, 15).index(rating)]}"
+    snap = st.load(d / "riskfree.csv", optional("bonds.csv"), optional("cds.csv"),
+                   optional("sovereign.csv"), as_of=date)
+    # the spread series are valued at the recovery the fit used: the
+    # schedule's at each anchor rating, else the one all instruments carry
+    scheduled = grid and st.recovery_mode == "schedule"
+    recs = sorted({inst.recovery for inst in snap.instruments})
+    if not scheduled and len(recs) > 1:
+        raise ValueError(f"instruments carry recoveries {', '.join(map(_fmt, recs))}; "
+                         "the spread series need a single one")
+    result = _fit(st, snap, grid)
+
+    iso = date.isoformat()
+    rows = [[iso, f"param.{name}", val] for name, val in _param_rows(result)]
+    if grid:
+        schedule = RecoverySchedule()
+        curves = [(f".{name}", result.params.params_for_rating(r),
+                   schedule.recovery_for_rating(r) if scheduled else recs[0])
+                  for name, r in zip(ANCHOR_NAMES, ANCHOR_RATINGS)]
+    else:
+        curves = [("", result.params, recs[0])]
+    for label, params, rec in curves:
         for t in points:
             k = vl.kernels(snap.riskfree, params, t, st.grid_step)
             rows.append([iso, f"spread_{t:g}y{label}_bp", _bp(vl.par_cds_spread(k, rec))])

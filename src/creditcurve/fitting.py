@@ -126,40 +126,47 @@ def _rho_vec(loss: str):
 # -- residuals --------------------------------------------------------
 
 
-def _market_upfront(inst: Instrument, curve: RiskfreeCurve, grid_step: float) -> float | None:
-    if isinstance(inst, CdsSpec):
-        return cds_upfront(inst, curve, grid_step)
-    return None
+def _quotes(instruments: Sequence[Instrument], curve: RiskfreeCurve,
+            recovery: float | RecoverySchedule | None, grid_step: float) -> tuple:
+    """The residual's inputs that do not move with the curve, as arrays:
+    recoveries, coupons, bond prices, CDS market upfronts, bond mask."""
+    return (np.array([_recovery_for(i, recovery) for i in instruments]),
+            np.array([i.coupon for i in instruments]),
+            np.array([i.price if isinstance(i, BondSpec) else 0.0 for i in instruments]),
+            np.array([cds_upfront(i, curve, grid_step) if isinstance(i, CdsSpec) else 0.0
+                      for i in instruments]),
+            np.array([isinstance(i, BondSpec) for i in instruments]))
 
 
-def _residual_points(inst: Instrument, k, market_upfront: float | None,
-                     recovery: float, sov_spread: float, alpha: float) -> float:
-    s_model = (1.0 - recovery) * k.xi / k.pi + alpha * sov_spread
-    if isinstance(inst, BondSpec):
-        return 100.0 - inst.price + 100.0 * (inst.coupon - k.rhat - s_model) * k.pi
-    # CDS: rhat omitted; market side is the upfront
-    return 100.0 * (market_upfront + (inst.coupon - s_model) * k.pi)
+def _dp(pi, xi, rhat, s_extra, recs, coupons, prices, upfronts, is_bond) -> np.ndarray:
+    """dP in points from kernel arrays, with ``s_extra`` added to the
+    model par spread; for CDS rhat is omitted and the market side is
+    the upfront."""
+    s_model = (1.0 - recs) * xi / pi + s_extra
+    dp_bond = 100.0 - prices + 100.0 * (coupons - rhat - s_model) * pi
+    dp_cds = 100.0 * (upfronts + (coupons - s_model) * pi)
+    return np.where(is_bond, dp_bond, dp_cds)
 
 
 def price_residual(inst: Instrument, params: SurvivalParams, curve: RiskfreeCurve,
-                   recovery: float, grid_step: float = DEFAULT_GRID_STEP) -> float:
+                   recovery: float | RecoverySchedule | None,
+                   grid_step: float = DEFAULT_GRID_STEP) -> float:
     """Price deviation in points per 100; positive means the instrument
-    appears cheap relative to the candidate curve."""
-    k = kernels(curve, params, inst.tenor, grid_step)
-    u = _market_upfront(inst, curve, grid_step)
-    return _residual_points(inst, k, u, recovery, 0.0, 0.0)
+    appears cheap relative to the candidate curve.  ``recovery=None``
+    takes the instrument's own."""
+    return price_residual_em(inst, params, curve, recovery, 0.0, 0.0, grid_step)
 
 
 def price_residual_em(inst: Instrument, params: SurvivalParams, curve: RiskfreeCurve,
-                      recovery: float, sov_spread: float, alpha: float,
-                      grid_step: float = DEFAULT_GRID_STEP) -> float:
+                      recovery: float | RecoverySchedule | None, sov_spread: float,
+                      alpha: float, grid_step: float = DEFAULT_GRID_STEP) -> float:
     """Residual with the model spread widened by alpha times the
     sovereign par spread at the instrument's tenor; alpha in [0, 1]."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
     k = kernels(curve, params, inst.tenor, grid_step)
-    u = _market_upfront(inst, curve, grid_step)
-    return _residual_points(inst, k, u, recovery, sov_spread, alpha)
+    quotes = _quotes([inst], curve, recovery, grid_step)
+    return float(_dp(k.pi, k.xi, k.rhat, alpha * sov_spread, *quotes)[0])
 
 
 # -- weights and recovery resolution ------------------------------------
@@ -173,17 +180,12 @@ def _weights(instruments: Sequence[Instrument], mode: str) -> np.ndarray:
         if mode == "issue_size_duration":
             # tenor as a crude duration proxy; off by default
             w = w * np.array([inst.tenor for inst in instruments])
-    if np.any(w <= 0):
-        raise ValueError("instrument weights must be positive")
     return w / w.sum() * len(w)
 
 
 def _recovery_for(inst: Instrument, recovery: float | RecoverySchedule | None) -> float:
     if recovery is None:
-        # per-instrument recovery, as materialised by the universe loader
-        if isinstance(inst, BondSpec):
-            return inst.recovery
-        return inst.model_recovery if inst.model_recovery is not None else inst.quoting_recovery
+        return inst.recovery
     if isinstance(recovery, RecoverySchedule):
         r = inst.effective_rating
         if r is None:
@@ -202,7 +204,8 @@ class _MarketSide:
 
     Everything that does not depend on the candidate curve (market
     prices, SNAC upfronts, weights, recoveries, grid indices) is
-    computed once; per candidate only the survival values move.
+    computed once per rating group; per candidate only the survival
+    values move.
     """
 
     def __init__(self, instruments: Sequence[Instrument], curve: RiskfreeCurve,
@@ -211,15 +214,8 @@ class _MarketSide:
         self.instruments = list(instruments)
         self.config = config
         self.tenors = np.array([i.tenor for i in self.instruments])
-        self.recs = np.array([_recovery_for(i, recovery) for i in self.instruments])
         self.weights = _weights(self.instruments, config.weight_mode)
-        self.is_bond = np.array([isinstance(i, BondSpec) for i in self.instruments])
-        self.coupons = np.array([i.coupon for i in self.instruments])
-        self.prices = np.array(
-            [i.price if isinstance(i, BondSpec) else 0.0 for i in self.instruments])
-        self.upfronts = np.array(
-            [cds_upfront(i, curve, config.grid_step) if isinstance(i, CdsSpec) else 0.0
-             for i in self.instruments])
+        quotes = _quotes(self.instruments, curve, recovery, config.grid_step)
         self.em_on = config.em_mode != "off"
         if self.em_on and any(i.sovereign_spread is None for i in self.instruments):
             missing = [i.identifier for i in self.instruments if i.sovereign_spread is None]
@@ -240,22 +236,16 @@ class _MarketSide:
             self.groups = {None: np.arange(len(self.instruments))}
         self._readouts = {key: self.cache.readout(self.tenors[idx])
                           for key, idx in self.groups.items()}
-
-    def _dp(self, kg, key, alpha: float) -> np.ndarray:
-        idx = self.groups[key]
-        pi, xi, rhat, _ = kg.at_many(self._readouts[key])
-        s_model = (1.0 - self.recs[idx]) * xi / pi + alpha * self.sov[idx]
-        dp_bond = (100.0 - self.prices[idx]
-                   + 100.0 * (self.coupons[idx] - rhat - s_model) * pi)
-        dp_cds = 100.0 * (self.upfronts[idx] + (self.coupons[idx] - s_model) * pi)
-        return np.where(self.is_bond[idx], dp_bond, dp_cds)
+        self._quotes = {key: tuple(q[idx] for q in quotes)
+                        for key, idx in self.groups.items()}
 
     def dp(self, params_by_group: dict, alpha: float) -> np.ndarray:
         """Price residuals in points, in instrument order."""
         out = np.empty(len(self.instruments))
         for key, idx in self.groups.items():
             kg = self.cache.kernel_grid(params_by_group[key])
-            out[idx] = self._dp(kg, key, alpha)
+            pi, xi, rhat, _ = kg.at_many(self._readouts[key])
+            out[idx] = _dp(pi, xi, rhat, alpha * self.sov[idx], *self._quotes[key])
         return out
 
     def objective(self, dp: np.ndarray) -> float:

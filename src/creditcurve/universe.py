@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -96,9 +97,12 @@ def _need(row: dict[str, str], col: str, path: Path, lineno: int) -> str:
 
 def _float(val: str, col: str, path: Path, lineno: int) -> float:
     try:
-        return float(val)
-    except ValueError as exc:
-        raise UniverseError(f"{path}:{lineno}: column {col!r} is not a number: {val!r}") from exc
+        x = float(val)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise UniverseError(f"{path}:{lineno}: column {col!r} is not a finite number: {val!r}")
+    return x
 
 
 def load_riskfree_curve(path: str | Path, compounding: int = 0) -> RiskfreeCurve:
@@ -287,8 +291,12 @@ def load_universe(riskfree_path: str | Path,
 
 def load_config(path: str | Path) -> dict[str, str]:
     """Flat key=value run configuration; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise UniverseError(f"cannot read {path}: {exc}") from exc
     out: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -99,10 +99,10 @@ class DiscountGridCache:
     def readout(self, tenors: np.ndarray) -> "KernelReadout":
         """Precompute grid indices and discounts for a fixed tenor set."""
         tenors = np.asarray(tenors, dtype=float)
-        if np.any(tenors <= 0) or np.any(tenors > self.t[-1] + 1e-9):
+        if not (tenors.min() > 0.0 and tenors.max() <= self.t[-1] + 1e-9):
             raise ValueError("tenors must lie in (0, t_max]")
-        k = np.minimum(np.floor(tenors / self.h + 1e-9).astype(int),
-                       len(self.t) - 1)
+        # truncation is the floor here, as every tenor is positive
+        k = np.minimum((tenors / self.h + 1e-9).astype(int), len(self.t) - 1)
         return KernelReadout(k=k, dt=tenors - self.t[k], B_k=self.B[k],
                              B_T=np.asarray(self.curve.discount_factor(tenors)),
                              tenors=tenors)
@@ -111,9 +111,9 @@ class DiscountGridCache:
 class KernelGrid:
     """Cumulative kernels on a shared grid, for many tenors off one curve.
 
-    Builds the arrays once up to ``t_max``; :meth:`at` then reads off
-    the kernels for any tenor in (0, t_max] with the final short step
-    handled exactly as in the one-shot definition.
+    Builds the arrays once up to ``t_max``; :meth:`at_many` then reads
+    off the kernels for any tenors in (0, t_max] with the final short
+    step handled exactly as in the one-shot definition.
     """
 
     def __init__(self, curve: RiskfreeCurve, params: SurvivalParams,
@@ -121,57 +121,32 @@ class KernelGrid:
                  _cache: DiscountGridCache | None = None):
         if _cache is None:
             _cache = DiscountGridCache(curve, t_max, grid_step)
-        self.curve = curve
         self.params = params
-        self.h = _cache.h
-        t = _cache.t
-        B = _cache.B
-        Q = np.asarray(params.survival_probability(t))
+        self._cache = _cache
+        h, B = _cache.h, _cache.B
+        Q = np.asarray(params.survival_probability(_cache.t))
         BQ = B * Q
-        self._t = t
-        self._B = B
         self._Q = Q
         self._cum_pi = np.concatenate(
-            ([0.0], np.cumsum(self.h * (BQ[:-1] + BQ[1:]) / 2.0)))
+            ([0.0], np.cumsum(h * (BQ[:-1] + BQ[1:]) / 2.0)))
         self._cum_xi = np.concatenate(
             ([0.0], np.cumsum((B[:-1] + B[1:]) / 2.0 * (Q[:-1] - Q[1:]))))
         self._cum_rp = np.concatenate(
             ([0.0], np.cumsum((B[:-1] - B[1:]) * (Q[:-1] + Q[1:]) / 2.0)))
 
-    def at(self, tenor: float, B_T: float | None = None,
-           Q_T: float | None = None) -> RiskyKernels:
-        """Kernels at ``tenor``; B_T/Q_T may be passed in precomputed."""
-        if tenor <= 0.0:
-            raise ValueError("tenor must be > 0")
-        if tenor > self._t[-1] + 1e-9:
-            raise ValueError(f"tenor {tenor} beyond grid horizon {self._t[-1]}")
-        k = int(math.floor(tenor / self.h + 1e-9))
-        k = min(k, len(self._t) - 1)
-        pi = self._cum_pi[k]
-        xi = self._cum_xi[k]
-        rp = self._cum_rp[k]
-        dt = tenor - self._t[k]
-        if B_T is None:
-            B_T = self.curve.discount_factor(tenor)
-        if Q_T is None:
-            Q_T = self.params.survival_probability(tenor)
-        if dt > 1e-12:
-            B_k, Q_k = self._B[k], self._Q[k]
-            pi = pi + dt * (B_k * Q_k + B_T * Q_T) / 2.0
-            xi = xi + (B_k + B_T) / 2.0 * (Q_k - Q_T)
-            rp = rp + (B_k - B_T) * (Q_k + Q_T) / 2.0
-        return RiskyKernels(pi=float(pi), xi=float(xi), rhat=float(rp / pi),
-                            bq_T=float(B_T * Q_T), tenor=float(tenor))
+    def at(self, tenor: float) -> RiskyKernels:
+        """Kernels at one tenor in (0, t_max], read out as by :meth:`at_many`."""
+        pi, xi, rhat, bq_T = self.at_many(self._cache.readout([tenor]))
+        return RiskyKernels(pi=float(pi[0]), xi=float(xi[0]), rhat=float(rhat[0]),
+                            bq_T=float(bq_T[0]), tenor=float(tenor))
 
-    def at_many(self, ro: "KernelReadout",
-                Q_T: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    def at_many(self, ro: "KernelReadout") -> tuple[np.ndarray, ...]:
         """Vectorised kernels (pi, xi, rhat, bq_T) at the readout tenors.
 
-        Same arithmetic as :meth:`at`; the partial-step terms vanish
-        identically when a tenor sits on the grid.
+        The partial-step terms vanish identically when a tenor sits on
+        the grid.
         """
-        if Q_T is None:
-            Q_T = np.asarray(self.params.survival_probability(ro.tenors))
+        Q_T = np.asarray(self.params.survival_probability(ro.tenors))
         k = ro.k
         Q_k = self._Q[k]
         B_k, B_T = ro.B_k, ro.B_T
@@ -195,8 +170,6 @@ class KernelReadout:
 def kernels(curve: RiskfreeCurve, params: SurvivalParams, tenor: float,
             grid_step: float = DEFAULT_GRID_STEP) -> RiskyKernels:
     """One-shot kernels for a single tenor."""
-    if tenor <= 0.0:
-        raise ValueError("tenor must be > 0")
     return KernelGrid(curve, params, tenor, grid_step).at(tenor)
 
 
@@ -226,6 +199,8 @@ class BondSpec:
             raise ValueError("price must be > 0")
         if not 0.0 <= self.recovery < 1.0:
             raise ValueError("recovery must be in [0, 1)")
+        if self.issue_size <= 0:
+            raise ValueError("issue_size must be > 0")
 
     @property
     def effective_rating(self) -> int | None:
@@ -259,6 +234,8 @@ class CdsSpec:
             raise ValueError("traded spread must be >= 0")
         if not 0.0 <= self.quoting_recovery < 1.0:
             raise ValueError("quoting recovery must be in [0, 1)")
+        if self.issue_size <= 0:
+            raise ValueError("issue_size must be > 0")
         if self.coupon not in SNAC_COUPONS:
             warnings.warn(
                 f"CDS coupon {self.coupon} is not a standard 1%/5% running coupon",
@@ -267,6 +244,11 @@ class CdsSpec:
     @property
     def effective_rating(self) -> int | None:
         return self.internal_rating if self.internal_rating is not None else self.rating
+
+    @property
+    def recovery(self) -> float:
+        """Valuation recovery: the loader's resolved one, else the quoting one."""
+        return self.quoting_recovery if self.model_recovery is None else self.model_recovery
 
 
 @dataclass(frozen=True)
@@ -448,7 +430,7 @@ def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
     """
     is_bond = isinstance(spec, BondSpec)
     if recovery is None:
-        recovery = spec.recovery if is_bond else spec.quoting_recovery
+        recovery = spec.recovery
     if is_bond:
         target = spec.price
     else:

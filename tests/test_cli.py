@@ -1,14 +1,17 @@
 import datetime as dt
 import math
 import shutil
+import string
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import creditcurve as cc
 from creditcurve.cli import ANCHOR_NAMES, main
-from creditcurve.survival import RatingGrid, RecoverySchedule, SurvivalParams
+from creditcurve.survival import RATING_SYMBOLS, RatingGrid, RecoverySchedule, SurvivalParams
 from creditcurve.universe import load_universe
 from creditcurve.valuation import BondSpec, bond_model_price, kernels
 
@@ -97,7 +100,8 @@ def test_fit_recovers_curve(tmp_path, runner):
     assert len(report) == 7  # header + 6 bonds
 
 
-def test_fit_underdetermined_exit_codes(tmp_path, runner):
+@pytest.mark.parametrize("verb", ["fit", "analytics"])
+def test_fit_underdetermined_exit_codes(tmp_path, runner, verb):
     curve = cc.RiskfreeCurve.flat(0.015)
     k = kernels(curve, SurvivalParams.flat(0.02), 5.0)
     p = bond_model_price(BondSpec(coupon=0.04, tenor=5.0, price=100, recovery=0.4), k)
@@ -107,7 +111,7 @@ def test_fit_underdetermined_exit_codes(tmp_path, runner):
     riskfree = tmp_path / "riskfree.csv"
     riskfree.write_text(RISKFREE)
     out = tmp_path / "out"
-    args = ["fit", "--riskfree", str(riskfree), "--bonds", str(bonds),
+    args = [verb, "--riskfree", str(riskfree), "--bonds", str(bonds),
             "--recovery", "fixed:0.4", "--out", str(out)]
     result = runner.invoke(main, args)
     assert result.exit_code == 2
@@ -263,25 +267,40 @@ def test_history_identical_snapshots_identical_rows(tmp_path, runner):
     assert by_date[d1] == by_date[d2]
 
 
-def test_history_single_snapshot_matches_fit(tmp_path, runner):
-    root = make_history_dir(tmp_path, (0.012,))
+@pytest.mark.parametrize("mode", ["single-name", "rating-grid"])
+def test_history_single_snapshot_matches_fit(tmp_path, runner, mode):
+    # history's parameter rows are the ones fit / fit-grid write, and the
+    # rating-grid mode defaults to the same recovery schedule as fit-grid
+    if mode == "single-name":
+        root = make_history_dir(tmp_path, (0.012,))
+        verb, recovery = "fit", ["--recovery", "fixed:0.4"]
+    else:
+        root = tmp_path / "snaps"
+        (root / "2020-01-15").mkdir(parents=True)
+        (root / "2020-01-15" / "riskfree.csv").write_text(RISKFREE)
+        grid = RatingGrid(anchors_a=(0.002, 0.005, 0.02),
+                          anchors_b=(0.008, 0.03, 0.09), c=0.12)
+        lines = grid_universe_lines(grid, RecoverySchedule())
+        (root / "2020-01-15" / "bonds.csv").write_text("\n".join(lines) + "\n")
+        verb, recovery = "fit-grid", []
     out = tmp_path / "out"
-    result = runner.invoke(main, [
-        "history", "--snapshots", str(root), "--out", str(out),
-        "--recovery", "fixed:0.4", "--multistart", "2", "--seed", "9"])
+    fast = ["--multistart", "2", "--seed", "9"]
+    result = runner.invoke(main, ["history", "--snapshots", str(root), "--mode", mode,
+                                  "--out", str(out)] + recovery + fast)
     assert result.exit_code == 0, result.output
     day = sorted(root.iterdir())[0]
     fit_out = tmp_path / "fit_out"
     result = runner.invoke(main, [
-        "fit", "--riskfree", str(day / "riskfree.csv"), "--bonds", str(day / "bonds.csv"),
-        "--recovery", "fixed:0.4", "--multistart", "2", "--seed", "9",
-        "--out", str(fit_out)])
+        verb, "--riskfree", str(day / "riskfree.csv"), "--bonds", str(day / "bonds.csv"),
+        "--out", str(fit_out)] + recovery + fast)
     assert result.exit_code == 0, result.output
     params = dict(line.split(",") for line in
                   (fit_out / "fit_params.csv").read_text().splitlines()[1:])
     hist = {s: v for d, s, v in
             (line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:])}
-    for key in ("a", "b", "c"):
+    fitted = {key for key in params if key not in ("objective", "converged", "underdetermined")}
+    assert fitted == {s[len("param."):] for s in hist if s.startswith("param.")}
+    for key in fitted:
         assert hist[f"param.{key}"] == params[key]
 
 
@@ -300,10 +319,44 @@ def test_history_skips_failing_date(tmp_path, runner):
     assert len({d for d, s, v in rows}) == 1
 
 
-@pytest.mark.parametrize("mode", ["single-name", "rating-grid"])
-def test_history_spreads_at_fitted_fixed_recovery(tmp_path, runner, colom_dir, mode):
+@pytest.mark.parametrize("bad", [["--multistart", "0"], ["--tenor-points", "0,5"],
+                                 ["--recovery", "fixed:x"]],
+                         ids=["multistart", "tenor-points", "recovery"])
+def test_history_rejects_invalid_settings(tmp_path, runner, bad):
+    root = make_history_dir(tmp_path, (0.01, 0.015))
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["history", "--snapshots", str(root),
+                                  "--out", str(out)] + bad)
+    assert result.exit_code == 2
+    assert "skipped" not in result.output and not out.exists()
+
+
+def test_history_skips_date_with_mixed_recoveries(tmp_path, runner):
+    root = make_history_dir(tmp_path, (0.01, 0.015))
+    bonds = sorted(root.iterdir())[1] / "bonds.csv"
+    lines = bonds.read_text().splitlines()
+    lines = [lines[0] + ",recovery"] + [f"{line},{0.3 if i else 0.4}"
+                                        for i, line in enumerate(lines[1:])]
+    bonds.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["history", "--snapshots", str(root), "--out", str(out),
+                                  "--multistart", "1"])
+    assert result.exit_code == 0, result.output
+    assert "recoveries 0.3, 0.4" in result.output
+    rows = [line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:]]
+    assert {d for d, s, v in rows} == {sorted(root.iterdir())[0].name}
+
+
+@pytest.mark.parametrize("mode, recovery", [
+    pytest.param("single-name", "fixed:0.0", id="single-name"),
+    pytest.param("rating-grid", "fixed:0.0", id="rating-grid"),
+    pytest.param("single-name", "schedule", id="schedule"),
+])
+def test_history_spreads_at_fitted_fixed_recovery(tmp_path, runner, colom_dir, mode,
+                                                  recovery):
     # the spread series must be par CDS spreads of the fitted curve at the
-    # recovery the fit used, not at a hard-coded or scheduled one
+    # recovery the fit used, not at a hard-coded or scheduled one; colom's
+    # bonds are all BBB, so under the schedule they share one recovery
     day = tmp_path / "snaps" / "2016-04-08"
     day.mkdir(parents=True)
     for name in ("riskfree.csv", "bonds.csv"):
@@ -311,7 +364,7 @@ def test_history_spreads_at_fitted_fixed_recovery(tmp_path, runner, colom_dir, m
     out = tmp_path / "out"
     result = runner.invoke(main, [
         "history", "--snapshots", str(tmp_path / "snaps"), "--mode", mode,
-        "--recovery", "fixed:0.0", "--out", str(out)])
+        "--recovery", recovery, "--out", str(out)])
     assert result.exit_code == 0, result.output
     hist = {s: float(v) for d, s, v in
             (line.split(",") for line in (out / "history.csv").read_text().splitlines()[1:])}
@@ -325,9 +378,10 @@ def test_history_spreads_at_fitted_fixed_recovery(tmp_path, runner, colom_dir, m
                   for n, r in zip(ANCHOR_NAMES, (3, 9, 15))}
     riskfree = load_universe(day / "riskfree.csv", day / "bonds.csv",
                              as_of=dt.date(2016, 4, 8)).riskfree
+    rec = RecoverySchedule().recovery_for_rating(9) if recovery == "schedule" else 0.0
     for label, params in curves.items():
         for t in (5, 10):
-            want = cc.par_cds_spread(kernels(riskfree, params, t), 0.0) * 1e4
+            want = cc.par_cds_spread(kernels(riskfree, params, t), rec) * 1e4
             assert hist[f"spread_{t}y{label}_bp"] == pytest.approx(want, abs=1e-4)
 
 
@@ -363,3 +417,49 @@ def test_fit_params_file_reload_round_trip(tmp_path, runner):
             pass
         rebuilt.append(f"{key},{val}")
     assert "\n".join(rebuilt) + "\n" == original
+
+
+# -- malformed input ------------------------------------------------------
+
+BOND_ROW = {"id": "b1", "coupon": "0.04", "tenor_years": "5", "price": "100",
+            "issue_size": "1000", "rating": "BBB", "recovery": "0.4"}
+_not_a_number = st.one_of(
+    st.text(alphabet=string.ascii_letters, min_size=1, max_size=6)
+    .filter(lambda word: word.upper() not in RATING_SYMBOLS),
+    st.sampled_from(["nan", "inf", "-inf", "1e999"]))
+_not_positive = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False).map(repr)
+BAD_VALUES = {
+    "coupon": st.floats(max_value=-1e-9, allow_nan=False, allow_infinity=False).map(repr),
+    "tenor_years": _not_positive,
+    "price": _not_positive,
+    "issue_size": _not_positive,
+    "rating": st.integers().filter(lambda n: not 1 <= n <= 18).map(str),
+    "recovery": st.one_of(st.floats(max_value=-1e-9), st.floats(min_value=1.0))
+    .filter(math.isfinite).map(repr),
+}
+
+
+@st.composite
+def malformed_bond(draw):
+    column = draw(st.sampled_from(sorted(BAD_VALUES)))
+    return column, draw(st.one_of(_not_a_number, BAD_VALUES[column]))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bad=malformed_bond())
+def test_malformed_bond_row_exits_2_with_file_and_line(tmp_path, bad):
+    column, val = bad
+    row = dict(BOND_ROW, **{column: val})
+    bonds = tmp_path / "bonds.csv"
+    bonds.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+    riskfree = tmp_path / "riskfree.csv"
+    riskfree.write_text(RISKFREE)
+    files = ["--riskfree", str(riskfree), "--bonds", str(bonds), "--out", str(tmp_path / "o")]
+    for verb in (["value", "--a", "0.01", "--b", "0.02", "--c", "0.1"],
+                 ["spread"], ["fit"], ["fit-grid"], ["analytics"]):
+        result = CliRunner().invoke(main, verb + files)
+        assert result.exit_code == 2, (verb, bad, result.output)
+        assert isinstance(result.exception, SystemExit)
+        assert "bonds.csv:2" in result.output
+        assert "Traceback" not in result.output
