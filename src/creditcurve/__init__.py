@@ -42,6 +42,7 @@ from .valuation import (
     cds_upfront,
     exact_fit_to_instrument,
     kernels,
+    par_adjusted_spread,
     par_adjusted_spread_bond,
     par_adjusted_spread_cds,
     par_cds_spread,
@@ -76,6 +77,7 @@ __all__ = [
     "cds_traded_spread_to_upfront",
     "cds_upfront",
     "par_adjusted_spread_cds",
+    "par_adjusted_spread",
     "exact_fit_to_instrument",
     "FitConfig",
     "FitResult",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import datetime as dt
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -43,8 +44,8 @@ class Settings:
     """Flag values merged over the optional run-config file.
 
     Grid fits default to the rating recovery schedule, every other verb
-    to a fixed 0.4.  The fit options are validated here, so a bad value
-    is an input error before any work starts.
+    to a fixed 0.4.  The fit and analytics options are validated here, so
+    a bad value is an input error before any work starts.
     """
 
     def __init__(self, config_path: str | None, overrides: dict, grid: bool = False):
@@ -83,6 +84,13 @@ class Settings:
         else:
             raise UniverseError(f"--em-alpha must be 'fit', 'fixed:v' or 'off', got {em!r}")
         self.fit_config()
+        if not self.horizon > 0.0:
+            raise UniverseError(f"--horizon must be > 0, got {self.horizon!r}")
+        if not 0.0 <= self.convergence_fraction <= 1.0:
+            raise UniverseError("--convergence-fraction must be in [0, 1], "
+                                f"got {self.convergence_fraction!r}")
+        if self.compounding_m < 1:
+            raise UniverseError(f"--yield-compounding must be >= 1, got {self.compounding_m}")
 
     def fit_config(self) -> ft.FitConfig:
         return ft.FitConfig(
@@ -93,13 +101,17 @@ class Settings:
 
     def load(self, riskfree, bonds=None, cds=None, sovereign=None,
              as_of: dt.date | None = None) -> UniverseSnapshot:
-        """The snapshot, each instrument carrying the recovery it is valued at."""
-        return load_universe(
+        """The snapshot, each instrument carrying the recovery it is valued
+        at and each CDS quoted by its upfront, converted here once."""
+        snap = load_universe(
             riskfree_path=riskfree, bonds_path=bonds, cds_path=cds,
             sovereign_path=sovereign, as_of=as_of or self.as_of,
             compounding=self.compounding,
             recovery_mode=self.recovery_mode,
             recovery_fixed=self.recovery_fixed)
+        upfronts = [vl.cds_upfront(q, snap.riskfree, self.grid_step) for q in snap.cds]
+        return replace(snap, cds=tuple(replace(q, quote_type="upfront", quote=u)
+                                       for q, u in zip(snap.cds, upfronts)))
 
 
 def _write(path: Path, header: list[str], rows: list[list[str]]) -> None:
@@ -206,10 +218,7 @@ def value(a, b, c, **kw):
         params = SurvivalParams(a=a, b=b, c=c)
     rows = []
     for inst in snap.instruments:
-        if isinstance(inst, vl.BondSpec):
-            market = inst.price
-        else:
-            market = 100.0 * (1.0 - vl.cds_upfront(inst, snap.riskfree, st.grid_step))
+        market = vl.market_price(inst, snap.riskfree, st.grid_step)
         # model - market for a bond, 100 * (u_mkt - u_model) for a CDS
         delta = ft.price_residual(inst, params, snap.riskfree, None, st.grid_step)
         rows.append([inst.identifier, _fmt(inst.tenor), _fmt(market),
@@ -239,22 +248,18 @@ def spread(**kw):
     base = SurvivalParams.flat(0.02)
     m = st.compounding_m
     for inst in snap.instruments:
+        quotes = ["", "", ""]
         try:
             if isinstance(inst, vl.BondSpec):
                 quotes = [_fmt(inst.price),
                           _bp(vl.yield_from_price(inst.coupon, inst.tenor, inst.price, m)),
                           _bp(vl.z_spread(inst, snap.riskfree, m))]
-            else:
-                quotes = ["", "", ""]
             fitted = vl.exact_fit_to_instrument(inst, base, snap.riskfree,
                                                 grid_step=st.grid_step)
         except ArithmeticError as exc:
             _fail(f"{inst.identifier}: {exc}", EXIT_NOCONV)
         k = vl.kernels(snap.riskfree, fitted, inst.tenor, st.grid_step)
-        if isinstance(inst, vl.BondSpec):
-            sbar = vl.par_adjusted_spread_bond(inst, k)
-        else:
-            sbar = vl.par_adjusted_spread_cds(inst, k, snap.riskfree, st.grid_step)
+        sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree, st.grid_step)
         rows.append([inst.identifier, _fmt(inst.tenor), *quotes, _bp(sbar), _fmt(fitted.a)])
     _write(st.out / "spreads.csv",
            ["id", "tenor_years", "price_pts", "yield_bp", "z_spread_bp",
@@ -295,10 +300,7 @@ def _emit_fit(st: Settings, snap: UniverseSnapshot, result: ft.FitResult) -> Non
         else:
             curve_params = params.params_for_rating(inst.effective_rating)
         k = vl.kernels(snap.riskfree, curve_params, inst.tenor, st.grid_step)
-        if isinstance(inst, vl.BondSpec):
-            sbar = vl.par_adjusted_spread_bond(inst, k)
-        else:
-            sbar = vl.par_adjusted_spread_cds(inst, k, snap.riskfree, st.grid_step)
+        sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree, st.grid_step)
         rating = inst.effective_rating
         report.append([inst.identifier, _fmt(inst.tenor),
                        "" if rating is None else str(rating),
@@ -354,12 +356,7 @@ def analytics_cmd(allow_underdetermined, variant, **kw):
         if st.horizon >= inst.tenor:
             continue
         k = vl.kernels(snap.riskfree, params, inst.tenor, st.grid_step)
-        if isinstance(inst, vl.BondSpec):
-            c_prime = inst.coupon - k.rhat
-            sbar = vl.par_adjusted_spread_bond(inst, k)
-        else:
-            c_prime = inst.coupon
-            sbar = vl.par_adjusted_spread_cds(inst, k, snap.riskfree, st.grid_step)
+        sbar, c_prime = vl.par_adjusted_spread(inst, k, snap.riskfree, st.grid_step)
         dec = an.decompose_return(c_prime, sbar, inst.tenor, st.horizon,
                                   snap.riskfree, params, inst.recovery, variant=variant,
                                   convergence_fraction=st.convergence_fraction,

@@ -37,7 +37,8 @@ from .valuation import (
     BondSpec,
     CdsSpec,
     DiscountGridCache,
-    cds_upfront,
+    _dp,
+    _quotes,
     kernels,
 )
 
@@ -126,28 +127,6 @@ def _rho_vec(loss: str):
 # -- residuals --------------------------------------------------------
 
 
-def _quotes(instruments: Sequence[Instrument], curve: RiskfreeCurve,
-            recovery: float | RecoverySchedule | None, grid_step: float) -> tuple:
-    """The residual's inputs that do not move with the curve, as arrays:
-    recoveries, coupons, bond prices, CDS market upfronts, bond mask."""
-    return (np.array([_recovery_for(i, recovery) for i in instruments]),
-            np.array([i.coupon for i in instruments]),
-            np.array([i.price if isinstance(i, BondSpec) else 0.0 for i in instruments]),
-            np.array([cds_upfront(i, curve, grid_step) if isinstance(i, CdsSpec) else 0.0
-                      for i in instruments]),
-            np.array([isinstance(i, BondSpec) for i in instruments]))
-
-
-def _dp(pi, xi, rhat, s_extra, recs, coupons, prices, upfronts, is_bond) -> np.ndarray:
-    """dP in points from kernel arrays, with ``s_extra`` added to the
-    model par spread; for CDS rhat is omitted and the market side is
-    the upfront."""
-    s_model = (1.0 - recs) * xi / pi + s_extra
-    dp_bond = 100.0 - prices + 100.0 * (coupons - rhat - s_model) * pi
-    dp_cds = 100.0 * (upfronts + (coupons - s_model) * pi)
-    return np.where(is_bond, dp_bond, dp_cds)
-
-
 def price_residual(inst: Instrument, params: SurvivalParams, curve: RiskfreeCurve,
                    recovery: float | RecoverySchedule | None,
                    grid_step: float = DEFAULT_GRID_STEP) -> float:
@@ -169,7 +148,7 @@ def price_residual_em(inst: Instrument, params: SurvivalParams, curve: RiskfreeC
     return float(_dp(k.pi, k.xi, k.rhat, alpha * sov_spread, *quotes)[0])
 
 
-# -- weights and recovery resolution ------------------------------------
+# -- weights -----------------------------------------------------------
 
 
 def _weights(instruments: Sequence[Instrument], mode: str) -> np.ndarray:
@@ -181,19 +160,6 @@ def _weights(instruments: Sequence[Instrument], mode: str) -> np.ndarray:
             # tenor as a crude duration proxy; off by default
             w = w * np.array([inst.tenor for inst in instruments])
     return w / w.sum() * len(w)
-
-
-def _recovery_for(inst: Instrument, recovery: float | RecoverySchedule | None) -> float:
-    if recovery is None:
-        return inst.recovery
-    if isinstance(recovery, RecoverySchedule):
-        r = inst.effective_rating
-        if r is None:
-            raise ValueError(
-                f"instrument {inst.identifier or inst} has no rating but a "
-                "recovery schedule was requested")
-        return recovery.recovery_for_rating(r)
-    return float(recovery)
 
 
 # -- market side of the objective --------------------------------------

@@ -105,6 +105,13 @@ def _float(val: str, col: str, path: Path, lineno: int) -> float:
     return x
 
 
+def _number(row: dict[str, str], col: str, path: Path, lineno: int,
+            default: str | None = None) -> float:
+    """A finite number from ``col``; required unless it has a default."""
+    val = (row.get(col) or default) if default else _need(row, col, path, lineno)
+    return _float(val, col, path, lineno)
+
+
 def load_riskfree_curve(path: str | Path, compounding: int = 0) -> RiskfreeCurve:
     path = Path(path)
     fields, rows = _read_rows(path)
@@ -113,9 +120,8 @@ def load_riskfree_curve(path: str | Path, compounding: int = 0) -> RiskfreeCurve
             raise UniverseError(f"{path}: header must contain 'tenor_years,zero_rate'")
     pillars = []
     for lineno, row in rows:
-        t = _float(_need(row, "tenor_years", path, lineno), "tenor_years", path, lineno)
-        z = _float(_need(row, "zero_rate", path, lineno), "zero_rate", path, lineno)
-        pillars.append((t, z))
+        pillars.append((_number(row, "tenor_years", path, lineno),
+                        _number(row, "zero_rate", path, lineno)))
     if not pillars:
         raise UniverseError(f"{path}: no curve pillars")
     try:
@@ -191,9 +197,8 @@ def load_sovereign_curves(path: str | Path) -> dict[str, tuple[tuple[float, floa
     curves: dict[str, list[tuple[float, float]]] = {}
     for lineno, row in rows:
         country = _need(row, "country", path, lineno).upper()
-        t = _float(_need(row, "tenor_years", path, lineno), "tenor_years", path, lineno)
-        s = _float(_need(row, "par_spread", path, lineno), "par_spread", path, lineno)
-        curves.setdefault(country, []).append((t, s))
+        curves.setdefault(country, []).append((_number(row, "tenor_years", path, lineno),
+                                               _number(row, "par_spread", path, lineno)))
     return {k: tuple(sorted(v)) for k, v in curves.items()}
 
 
@@ -215,16 +220,18 @@ def load_universe(riskfree_path: str | Path,
     riskfree = load_riskfree_curve(riskfree_path, compounding)
     sovereign = load_sovereign_curves(sovereign_path) if sovereign_path else {}
 
-    bonds: list[BondSpec] = []
-    seen: dict[str, str] = {}
-    if bonds_path is not None:
-        path = Path(bonds_path)
+    parsed: dict[type, list] = {BondSpec: [], CdsSpec: []}
+    seen: set[str] = set()
+    for kind, kind_path in ((BondSpec, bonds_path), (CdsSpec, cds_path)):
+        if kind_path is None:
+            continue
+        path = Path(kind_path)
         _, rows = _read_rows(path)
         for lineno, row in rows:
             ident = _need(row, "id", path, lineno)
             if ident in seen:
                 raise UniverseError(f"{path}:{lineno}: duplicate identifier {ident!r}")
-            seen[ident] = "bond"
+            seen.add(ident)
             tenor = _tenor_from_row(row, as_of, path, lineno)
             rating = _rating_from(row, "rating", path, lineno)
             internal = _rating_from(row, "internal_rating", path, lineno)
@@ -233,55 +240,25 @@ def load_universe(riskfree_path: str | Path,
                                          recovery_fixed, recovery_schedule, path, lineno)
             country = row.get("country", "").upper()
             sov = interp_sovereign(sovereign[country], tenor) if country in sovereign else None
+            fields = dict(
+                coupon=_number(row, "coupon", path, lineno), tenor=tenor,
+                issue_size=_number(row, "issue_size", path, lineno, "1000"),
+                rating=rating, internal_rating=internal, sovereign_spread=sov,
+                identifier=ident)
+            if kind is BondSpec:
+                fields.update(price=_number(row, "price", path, lineno), recovery=recovery)
+            else:
+                fields.update(quote_type=_need(row, "quote_type", path, lineno),
+                              quote=_number(row, "quote", path, lineno),
+                              quoting_recovery=_number(row, "quoting_recovery", path,
+                                                       lineno, "0.4"),
+                              model_recovery=recovery)
+            # parse errors already name the file and line; wrap only the range checks
             try:
-                bonds.append(BondSpec(
-                    coupon=_float(_need(row, "coupon", path, lineno), "coupon", path, lineno),
-                    tenor=tenor,
-                    price=_float(_need(row, "price", path, lineno), "price", path, lineno),
-                    recovery=recovery,
-                    issue_size=_float(row.get("issue_size") or "1000", "issue_size", path, lineno),
-                    rating=rating,
-                    internal_rating=internal,
-                    sovereign_spread=sov,
-                    identifier=ident,
-                ))
+                parsed[kind].append(kind(**fields))
             except ValueError as exc:
                 raise UniverseError(f"{path}:{lineno}: {exc}") from exc
-
-    cds: list[CdsSpec] = []
-    if cds_path is not None:
-        path = Path(cds_path)
-        _, rows = _read_rows(path)
-        for lineno, row in rows:
-            ident = _need(row, "id", path, lineno)
-            if ident in seen:
-                raise UniverseError(f"{path}:{lineno}: duplicate identifier {ident!r}")
-            seen[ident] = "cds"
-            tenor = _tenor_from_row(row, as_of, path, lineno)
-            rating = _rating_from(row, "rating", path, lineno)
-            internal = _rating_from(row, "internal_rating", path, lineno)
-            effective = internal if internal is not None else rating
-            recovery = _resolve_recovery(row, effective, recovery_mode,
-                                         recovery_fixed, recovery_schedule, path, lineno)
-            country = row.get("country", "").upper()
-            sov = interp_sovereign(sovereign[country], tenor) if country in sovereign else None
-            try:
-                cds.append(CdsSpec(
-                    coupon=_float(_need(row, "coupon", path, lineno), "coupon", path, lineno),
-                    tenor=tenor,
-                    quote_type=_need(row, "quote_type", path, lineno),
-                    quote=_float(_need(row, "quote", path, lineno), "quote", path, lineno),
-                    quoting_recovery=_float(row.get("quoting_recovery") or "0.4",
-                                            "quoting_recovery", path, lineno),
-                    issue_size=_float(row.get("issue_size") or "1000", "issue_size", path, lineno),
-                    rating=rating,
-                    internal_rating=internal,
-                    sovereign_spread=sov,
-                    model_recovery=recovery,
-                    identifier=ident,
-                ))
-            except ValueError as exc:
-                raise UniverseError(f"{path}:{lineno}: {exc}") from exc
+    bonds, cds = parsed[BondSpec], parsed[CdsSpec]
 
     if not bonds and not cds:
         raise UniverseError("no instruments")

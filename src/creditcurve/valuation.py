@@ -23,12 +23,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .ratecurve import RiskfreeCurve
-from .survival import SurvivalParams
+from .survival import RecoverySchedule, SurvivalParams
 
 __all__ = [
     "DEFAULT_GRID_STEP",
@@ -50,6 +51,8 @@ __all__ = [
     "cds_traded_spread_to_upfront",
     "cds_upfront",
     "par_adjusted_spread_cds",
+    "par_adjusted_spread",
+    "market_price",
     "exact_fit_to_instrument",
 ]
 
@@ -234,6 +237,8 @@ class CdsSpec:
             raise ValueError("traded spread must be >= 0")
         if not 0.0 <= self.quoting_recovery < 1.0:
             raise ValueError("quoting recovery must be in [0, 1)")
+        if self.model_recovery is not None and not 0.0 <= self.model_recovery < 1.0:
+            raise ValueError("recovery must be in [0, 1)")
         if self.issue_size <= 0:
             raise ValueError("issue_size must be > 0")
         if self.coupon not in SNAC_COUPONS:
@@ -413,45 +418,95 @@ def par_adjusted_spread_cds(q: CdsSpec, k: RiskyKernels,
     return q.coupon + u / k.pi
 
 
-def _cds_model_upfront(q: CdsSpec, k: RiskyKernels, recovery: float) -> float:
-    # upfront the model would charge for the contract coupon
-    return (par_cds_spread(k, recovery) - q.coupon) * k.pi
+def market_price(inst: BondSpec | CdsSpec, curve: RiskfreeCurve,
+                 grid_step: float = DEFAULT_GRID_STEP) -> float:
+    """Market value per 100 face: a bond's full price, 100 * (1 - upfront)
+    for a CDS."""
+    if isinstance(inst, BondSpec):
+        return inst.price
+    return 100.0 * (1.0 - cds_upfront(inst, curve, grid_step))
+
+
+def par_adjusted_spread(inst: BondSpec | CdsSpec, k: RiskyKernels, curve: RiskfreeCurve,
+                        grid_step: float = DEFAULT_GRID_STEP) -> tuple[float, float]:
+    """(sbar, c') of a bond or a CDS at the kernels ``k`` of its tenor.
+
+    c' is the funding-adjusted coupon: coupon - rhat for a bond, the
+    running coupon for a CDS.  Off the curve the price residual is
+    dP = 100 * Pi * (sbar - s_model), s_model the curve's par CDS spread.
+    """
+    if isinstance(inst, BondSpec):
+        return par_adjusted_spread_bond(inst, k), inst.coupon - k.rhat
+    return par_adjusted_spread_cds(inst, k, curve, grid_step), inst.coupon
+
+
+# -- the price gap -----------------------------------------------------
+
+
+def _recovery_for(inst: BondSpec | CdsSpec,
+                  recovery: float | RecoverySchedule | None) -> float:
+    if recovery is None:
+        return inst.recovery
+    if isinstance(recovery, RecoverySchedule):
+        r = inst.effective_rating
+        if r is None:
+            raise ValueError(
+                f"instrument {inst.identifier or inst} has no rating but a "
+                "recovery schedule was requested")
+        return recovery.recovery_for_rating(r)
+    return float(recovery)
+
+
+def _quotes(instruments: Sequence[BondSpec | CdsSpec], curve: RiskfreeCurve,
+            recovery: float | RecoverySchedule | None, grid_step: float) -> tuple:
+    """The price gap's inputs that do not move with the curve, as arrays:
+    recoveries, coupons, bond prices, CDS market upfronts, bond mask."""
+    return (np.array([_recovery_for(i, recovery) for i in instruments]),
+            np.array([i.coupon for i in instruments]),
+            np.array([i.price if isinstance(i, BondSpec) else 0.0 for i in instruments]),
+            np.array([cds_upfront(i, curve, grid_step) if isinstance(i, CdsSpec) else 0.0
+                      for i in instruments]),
+            np.array([isinstance(i, BondSpec) for i in instruments]))
+
+
+def _dp(pi, xi, rhat, s_extra, recs, coupons, prices, upfronts, is_bond) -> np.ndarray:
+    """The price gap dP in points from kernel arrays, with ``s_extra``
+    added to the model par spread; for CDS rhat is omitted and the
+    market side is the upfront.  dP = 100 * Pi * (sbar - s_model) up to
+    rounding, and it falls for both kinds as hazards rise."""
+    s_model = (1.0 - recs) * xi / pi + s_extra
+    dp_bond = 100.0 - prices + 100.0 * (coupons - rhat - s_model) * pi
+    dp_cds = 100.0 * (upfronts + (coupons - s_model) * pi)
+    return np.where(is_bond, dp_bond, dp_cds)
 
 
 def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
                             curve: RiskfreeCurve,
                             recovery: float | None = None,
                             grid_step: float = DEFAULT_GRID_STEP) -> SurvivalParams:
-    """Scale (a, b) of ``base`` so the model reprices the instrument.
+    """Scale (a, b) of ``base`` so the model reprices the instrument at
+    ``recovery`` (by default its own).
 
     A multiplicative shift of both hazard levels preserves the curve
     shape and keeps the parameters positive.  Repricing is to
     |dP| <= 1e-8 per 100 face.
     """
-    is_bond = isinstance(spec, BondSpec)
-    if recovery is None:
-        recovery = spec.recovery
-    if is_bond:
-        target = spec.price
-    else:
-        target = 100.0 * cds_upfront(spec, curve, grid_step)
+    # as Python scalars: the same arithmetic, without array overhead in the root solve
+    quotes = [q.item() for q in _quotes([spec], curve, recovery, grid_step)]
 
     def gap(factor: float) -> float:
         k = kernels(curve, base.scaled(factor), spec.tenor, grid_step)
-        if is_bond:
-            return bond_model_price(spec, k) - target
-        return 100.0 * _cds_model_upfront(spec, k, recovery) - target
+        return float(_dp(k.pi, k.xi, k.rhat, 0.0, *quotes))
 
-    # bond prices fall, CDS upfronts rise, as hazards scale up
-    sign = -1.0 if is_bond else 1.0
+    # dP falls for both kinds as hazards scale up
     lo, hi = 0.5, 2.0
     for _ in range(80):
-        g_lo, g_hi = sign * gap(lo), sign * gap(hi)
-        if g_lo < 0 < g_hi:
+        g_lo, g_hi = gap(lo), gap(hi)
+        if g_lo > 0 > g_hi:
             break
-        if g_lo >= 0:
+        if g_lo <= 0:
             lo /= 4.0
-        if g_hi <= 0:
+        if g_hi >= 0:
             hi *= 4.0
         if lo < 1e-14 or hi > 1e14:
             raise ArithmeticError(
@@ -459,7 +514,7 @@ def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
                 "(price outside the attainable range)")
     else:
         raise ArithmeticError("exact-fit bracketing failed")
-    factor = brentq(lambda x: gap(x), lo, hi, xtol=1e-13, rtol=8.9e-16)
+    factor = brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
     fitted = base.scaled(factor)
     if abs(gap(factor)) > 1e-8:
         raise ArithmeticError("exact fit did not converge to |dP| <= 1e-8")

@@ -331,6 +331,20 @@ def test_history_rejects_invalid_settings(tmp_path, runner, bad):
     assert "skipped" not in result.output and not out.exists()
 
 
+@pytest.mark.parametrize("bad", [
+    ["analytics", "--horizon", "0"], ["analytics", "--horizon", "-1"],
+    ["analytics", "--convergence-fraction", "1.5"], ["spread", "--yield-compounding", "0"],
+], ids=["horizon-0", "horizon-negative", "convergence-fraction", "yield-compounding"])
+def test_verbs_reject_invalid_settings(tmp_path, runner, colom_dir, bad):
+    out = tmp_path / "out"
+    result = runner.invoke(main, bad[:1] + [
+        "--riskfree", str(colom_dir / "riskfree.csv"), "--bonds", str(colom_dir / "bonds.csv"),
+        "--config", str(colom_dir / "config.txt"), "--out", str(out)] + bad[1:])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert bad[1] in result.output and not out.exists()
+
+
 def test_history_skips_date_with_mixed_recoveries(tmp_path, runner):
     root = make_history_dir(tmp_path, (0.01, 0.015))
     bonds = sorted(root.iterdir())[1] / "bonds.csv"
@@ -421,45 +435,60 @@ def test_fit_params_file_reload_round_trip(tmp_path, runner):
 
 # -- malformed input ------------------------------------------------------
 
-BOND_ROW = {"id": "b1", "coupon": "0.04", "tenor_years": "5", "price": "100",
-            "issue_size": "1000", "rating": "BBB", "recovery": "0.4"}
+ROWS = {
+    "bonds.csv": {"id": "b1", "coupon": "0.04", "tenor_years": "5", "price": "100",
+                  "issue_size": "1000", "rating": "BBB", "recovery": "0.4"},
+    "cds.csv": {"id": "c1", "coupon": "0.01", "tenor_years": "5", "quote_type": "spread",
+                "quote": "0.02", "quoting_recovery": "0.4", "issue_size": "1000",
+                "rating": "BBB", "recovery": "0.4"},
+}
 _not_a_number = st.one_of(
     st.text(alphabet=string.ascii_letters, min_size=1, max_size=6)
-    .filter(lambda word: word.upper() not in RATING_SYMBOLS),
+    .filter(lambda word: word.upper() not in RATING_SYMBOLS
+            and word not in ("spread", "upfront")),
     st.sampled_from(["nan", "inf", "-inf", "1e999"]))
 _not_positive = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False).map(repr)
-BAD_VALUES = {
-    "coupon": st.floats(max_value=-1e-9, allow_nan=False, allow_infinity=False).map(repr),
+_negative = st.floats(max_value=-1e-9, allow_nan=False, allow_infinity=False).map(repr)
+_not_a_recovery = (st.one_of(st.floats(max_value=-1e-9), st.floats(min_value=1.0))
+                   .filter(math.isfinite).map(repr))
+_SHARED = {
     "tenor_years": _not_positive,
-    "price": _not_positive,
     "issue_size": _not_positive,
     "rating": st.integers().filter(lambda n: not 1 <= n <= 18).map(str),
-    "recovery": st.one_of(st.floats(max_value=-1e-9), st.floats(min_value=1.0))
-    .filter(math.isfinite).map(repr),
+    "recovery": _not_a_recovery,
+}
+# out-of-range values per file; a text or non-finite value is bad in every column
+# (a CDS coupon off the 1%/5% standard only warns)
+BAD_VALUES = {
+    "bonds.csv": dict(_SHARED, coupon=_negative, price=_not_positive),
+    "cds.csv": dict(_SHARED, coupon=st.nothing(), quote_type=st.nothing(), quote=_negative,
+                    quoting_recovery=_not_a_recovery),
 }
 
 
 @st.composite
-def malformed_bond(draw):
-    column = draw(st.sampled_from(sorted(BAD_VALUES)))
-    return column, draw(st.one_of(_not_a_number, BAD_VALUES[column]))
+def malformed_row(draw):
+    name = draw(st.sampled_from(sorted(ROWS)))
+    column = draw(st.sampled_from(sorted(BAD_VALUES[name])))
+    return name, column, draw(st.one_of(_not_a_number, BAD_VALUES[name][column]))
 
 
-@settings(max_examples=30, deadline=None,
+@settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(bad=malformed_bond())
-def test_malformed_bond_row_exits_2_with_file_and_line(tmp_path, bad):
-    column, val = bad
-    row = dict(BOND_ROW, **{column: val})
-    bonds = tmp_path / "bonds.csv"
-    bonds.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+@given(bad=malformed_row())
+def test_malformed_row_exits_2_with_file_and_line(tmp_path, bad):
+    name, column, val = bad
+    row = dict(ROWS[name], **{column: val})
+    quotes = tmp_path / name
+    quotes.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
     riskfree = tmp_path / "riskfree.csv"
     riskfree.write_text(RISKFREE)
-    files = ["--riskfree", str(riskfree), "--bonds", str(bonds), "--out", str(tmp_path / "o")]
+    files = ["--riskfree", str(riskfree), f"--{name[:-4]}", str(quotes),
+             "--out", str(tmp_path / "o")]
     for verb in (["value", "--a", "0.01", "--b", "0.02", "--c", "0.1"],
                  ["spread"], ["fit"], ["fit-grid"], ["analytics"]):
         result = CliRunner().invoke(main, verb + files)
         assert result.exit_code == 2, (verb, bad, result.output)
         assert isinstance(result.exception, SystemExit)
-        assert "bonds.csv:2" in result.output
+        assert result.output.count(f"{name}:2") == 1, (verb, bad, result.output)
         assert "Traceback" not in result.output

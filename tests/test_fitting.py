@@ -206,6 +206,23 @@ def test_colom_objective_matches_nelder_mead(colom_half):
     assert colom_half.objective == pytest.approx(COLOM_NM_OBJECTIVE, abs=1e-8)
 
 
+@settings(max_examples=10, deadline=None)
+@given(order=st.permutations(range(14)))
+def test_colom_fit_invariant_to_bond_order(colom_half, order):
+    snap = load_universe(COLOM / "riskfree.csv", COLOM / "bonds.csv",
+                         as_of=dt.date(2016, 4, 8))
+    assert len(snap.bonds) == len(order)
+    permuted = fit_single_name([snap.bonds[i] for i in order], snap.riskfree, 0.5,
+                               FitConfig())
+    assert permuted.objective == pytest.approx(colom_half.objective, abs=1e-8)
+    for name in ("a", "b", "c"):
+        assert getattr(permuted.params, name) == pytest.approx(
+            getattr(colom_half.params, name), rel=1e-6)
+    restored = np.empty(len(order))
+    restored[list(order)] = permuted.residuals
+    np.testing.assert_allclose(restored, colom_half.residuals, rtol=0, atol=1e-6)
+
+
 def test_objective_per_start(colom_half):
     per_start = colom_half.diagnostics["objective_per_start"]
     assert len(per_start) == FitConfig().multistart_count

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from creditcurve.valuation import (
     cds_upfront,
     exact_fit_to_instrument,
     kernels,
+    par_adjusted_spread,
     par_adjusted_spread_bond,
     par_adjusted_spread_cds,
     par_cds_spread,
@@ -279,14 +281,24 @@ def test_par_cds_spread_flat_hazard():
 
 
 def test_par_adjusted_spread_on_model_price_equals_par_spread():
+    # on the curve sbar is the par CDS spread; on it or off it, for either
+    # kind, the price residual is dP = 100 * Pi * (sbar - s_model)
     for params in (SurvivalParams(0.01, 0.05, 0.1), SurvivalParams.flat(0.02)):
         for rec in (0.0, 0.4, 0.7):
             k = kernels(FLAT2, params, 7.0)
             spec = BondSpec(coupon=0.055, tenor=7.0, price=100.0, recovery=rec)
             spec = BondSpec(coupon=0.055, tenor=7.0,
                             price=bond_model_price(spec, k), recovery=rec)
-            assert par_adjusted_spread_bond(spec, k) == pytest.approx(
-                par_cds_spread(k, rec), abs=1e-12)
+            s_model = par_cds_spread(k, rec)
+            assert par_adjusted_spread_bond(spec, k) == pytest.approx(s_model, abs=1e-12)
+            off_curve = [dataclasses.replace(spec, price=spec.price + shift)
+                         for shift in (-3.0, 2.5)]
+            off_curve += [CdsSpec(coupon=0.01, tenor=7.0, quote_type="spread", quote=q,
+                                  model_recovery=rec) for q in (0.004, 0.03)]
+            for inst in off_curve:
+                sbar, _ = par_adjusted_spread(inst, k, FLAT2)
+                assert cc.price_residual(inst, params, FLAT2, rec) == pytest.approx(
+                    100.0 * k.pi * (sbar - s_model), abs=1e-10)
 
 
 from hypothesis import given, settings
@@ -415,6 +427,13 @@ def test_exact_fit_cds():
     k = kernels(FLAT2, fitted, 5.0)
     u_model = (par_cds_spread(k, 0.4) - q.coupon) * k.pi
     assert u_model == pytest.approx(cds_upfront(q, FLAT2), abs=1e-10)
+
+
+@pytest.mark.parametrize("rec", [0.1, 0.7])
+def test_exact_fit_honours_bond_recovery(rec):
+    bond = BondSpec(coupon=0.05, tenor=5.0, price=98.0, recovery=0.4)
+    fitted = exact_fit_to_instrument(bond, SurvivalParams.flat(0.02), FLAT2, recovery=rec)
+    assert cc.price_residual(bond, fitted, FLAT2, rec) == pytest.approx(0.0, abs=1e-8)
 
 
 def test_exact_fit_unattainable_price():
