@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import datetime as dt
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -110,8 +111,11 @@ class Settings:
             recovery_mode=self.recovery_mode,
             recovery_fixed=self.recovery_fixed)
         upfronts = [vl.cds_upfront(q, snap.riskfree, self.grid_step) for q in snap.cds]
-        return replace(snap, cds=tuple(replace(q, quote_type="upfront", quote=u)
-                                       for q, u in zip(snap.cds, upfronts)))
+        with warnings.catch_warnings():
+            # the loader has already warned about these rows, naming file and line
+            warnings.simplefilter("ignore")
+            return replace(snap, cds=tuple(replace(q, quote_type="upfront", quote=u)
+                                           for q, u in zip(snap.cds, upfronts)))
 
 
 def _write(path: Path, header: list[str], rows: list[list[str]]) -> None:

@@ -19,6 +19,15 @@ parameters, a logistic map into the box for the shape parameter and the
 sovereign coefficient, and positive increments between rating anchors so
 that fitted grids can never cross.  Multistart with a seeded generator
 keeps results reproducible bit for bit; the lowest objective wins.
+
+The solver's Jacobian is exact.  dP is affine in the kernels (Pi, Xi,
+rhat*Pi) and the kernels are linear in Q, so each evaluation runs the
+kernel sums once over the survival jet [Q, dQ/da, dQ/db, dQ/dc] and gets
+the residuals together with their derivatives in (a, b, c); alpha enters
+as -100 * sov * Pi.  The chain rule through the coordinate maps (exp,
+logistic, softplus increments, log-linear rating interpolation) takes
+them to the solver's coordinates.  The solver asks for the Jacobian at
+the point it has just evaluated, so a Jacobian costs no extra evaluation.
 """
 
 from __future__ import annotations
@@ -31,7 +40,14 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .ratecurve import RiskfreeCurve
-from .survival import ANCHOR_RATINGS, C_BOUNDS, RatingGrid, RecoverySchedule, SurvivalParams
+from .survival import (
+    ANCHOR_RATINGS,
+    C_BOUNDS,
+    RatingGrid,
+    RecoverySchedule,
+    SurvivalParams,
+    anchor_log_weights,
+)
 from .valuation import (
     DEFAULT_GRID_STEP,
     BondSpec,
@@ -65,6 +81,8 @@ GTOL = 1e-8
 STATIONARY_GRAD = 1e-4
 # residual (points) reported for a candidate whose curve cannot be evaluated
 FALLBACK_DP = 1e6
+# a free parameter this close to an edge of its box is reported as at its bound
+AT_BOUND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -205,14 +223,21 @@ class _MarketSide:
         self._quotes = {key: tuple(q[idx] for q in quotes)
                         for key, idx in self.groups.items()}
 
-    def dp(self, params_by_group: dict, alpha: float) -> np.ndarray:
-        """Price residuals in points, in instrument order."""
+    def dp(self, params_by_group: dict, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """Price residuals in points, in instrument order, and their
+        derivatives in (a, b, c, alpha) as an (instruments, 4) array,
+        where a, b are those of the instrument's own group."""
         out = np.empty(len(self.instruments))
+        jac = np.empty((len(self.instruments), 4))
         for key, idx in self.groups.items():
-            kg = self.cache.kernel_grid(params_by_group[key])
+            kg = self.cache.kernel_grid(params_by_group[key], jet=True)
             pi, xi, rhat, _ = kg.at_many(self._readouts[key])
-            out[idx] = _dp(pi, xi, rhat, alpha * self.sov[idx], *self._quotes[key])
-        return out
+            rows = _dp(pi, xi, rhat, alpha * self.sov[idx], *self._quotes[key])
+            out[idx] = rows[0]
+            jac[idx, :3] = rows[1:].T
+            # alpha widens the model spread by alpha * sov, which moves dP by -100 * Pi
+            jac[idx, 3] = -100.0 * self.sov[idx] * pi[0]
+        return out, jac
 
     def objective(self, dp: np.ndarray) -> float:
         return float(self.weights @ self._rho(dp))
@@ -237,18 +262,74 @@ def _logistic(u: float) -> float:
     return e / (1.0 + e)
 
 
+def _logistic_slope(u: float) -> float:
+    # d logistic / du, without cancellation in 1 - logistic(u)
+    return _logistic(u) * _logistic(-u)
+
+
 def _softplus(u: float) -> float:
-    # ln(1 + e^u), stable for large |u|
+    # ln(1 + e^u), stable for large |u|; its slope is the logistic
     return math.log1p(math.exp(-abs(u))) + max(u, 0.0)
+
+
+@dataclass(frozen=True)
+class _ShapeAlpha:
+    """Where the shape c and the sovereign coefficient alpha sit in the
+    fit coordinates, after the hazard slots (index None: held fixed),
+    and their logistic maps into ``c_bounds`` and [0, 1]."""
+
+    i_c: int | None
+    i_alpha: int | None
+    c_bounds: tuple[float, float]
+    fixed_c: float | None
+    fixed_alpha: float
+
+    @classmethod
+    def after(cls, n_hazard: int, fix_c: float | None, side: _MarketSide) -> "_ShapeAlpha":
+        config = side.config
+        i_c = n_hazard if fix_c is None else None
+        i_alpha = n_hazard + (fix_c is None) if side.fit_alpha else None
+        return cls(i_c, i_alpha, config.c_bounds, fix_c,
+                   config.em_alpha_fixed if side.em_on else 0.0)
+
+    def x0(self) -> list[float]:
+        return [0.0] * ((self.i_c is not None) + (self.i_alpha is not None))
+
+    def values(self, u: np.ndarray) -> tuple[float, float]:
+        lo, hi = self.c_bounds
+        c = self.fixed_c if self.i_c is None else lo + (hi - lo) * _logistic(u[self.i_c])
+        alpha = self.fixed_alpha if self.i_alpha is None else _logistic(u[self.i_alpha])
+        return c, alpha
+
+    def slopes(self, u: np.ndarray, chain: np.ndarray) -> np.ndarray:
+        """Fill rows c and alpha of d(a, b, c, alpha)/du."""
+        lo, hi = self.c_bounds
+        if self.i_c is not None:
+            chain[2, self.i_c] = (hi - lo) * _logistic_slope(u[self.i_c])
+        if self.i_alpha is not None:
+            chain[3, self.i_alpha] = _logistic_slope(u[self.i_alpha])
+        return chain
+
+    def at_bound(self, c: float, alpha: float) -> tuple[str, ...]:
+        """The free ones within AT_BOUND of an edge of their box."""
+        lo, hi = self.c_bounds
+        names = []
+        if self.i_c is not None and min(c - lo, hi - c) <= AT_BOUND:
+            names.append("c")
+        if self.i_alpha is not None and min(alpha, 1.0 - alpha) <= AT_BOUND:
+            names.append("alpha")
+        return tuple(names)
 
 
 class _CountedResiduals:
     """Residual vector of transformed coordinates for the solver.
 
-    Counts every call, finite-difference Jacobian columns included, and
+    Counts every residual call and every Jacobian request, keeps the
+    derivatives in (a, b, c, alpha) of the last point evaluated, and
     records each improvement of the objective as (eval#, f).  A point
-    whose parameters overflow or whose residuals are not finite gets
-    the constant FALLBACK_DP instead, and is counted as a fallback.
+    whose parameters overflow or whose residuals are not finite gets the
+    constant FALLBACK_DP and no derivatives instead, and is counted as a
+    fallback.
     """
 
     def __init__(self, side: _MarketSide, unpack, params_by_group):
@@ -257,36 +338,63 @@ class _CountedResiduals:
         self.params_by_group = params_by_group
         self.evals = 0
         self.fallback_evals = 0
+        self.jacobian_evals = 0
         self.best = math.inf
         self.improvements: list[tuple[int, float]] = []
+        self._last: tuple[np.ndarray, np.ndarray | None] | None = None
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         self.evals += 1
         try:
             params, alpha = self.unpack(u)
-            dp = self.side.dp(self.params_by_group(params), alpha)
+            dp, jac = self.side.dp(self.params_by_group(params), alpha)
         except (OverflowError, ValueError):
-            dp = None
-        if dp is None or not np.all(np.isfinite(dp)):
+            dp = jac = None
+        if dp is None or not (np.all(np.isfinite(dp)) and np.all(np.isfinite(jac))):
             self.fallback_evals += 1
             dp = np.full(len(self.side.instruments), FALLBACK_DP)
+            jac = None
+        self._last = (np.array(u, dtype=float), jac)
         f = self.side.objective(dp)
         if f < self.best:
             self.best = f
             self.improvements.append((self.evals, f))
         return dp
 
+    def jacobian(self, u: np.ndarray) -> np.ndarray | None:
+        """d dP / d(a, b, c, alpha) at ``u``, None at a fallback point; the
+        residuals are evaluated (and counted) first unless ``u`` is the
+        last point evaluated."""
+        self.jacobian_evals += 1
+        if self._last is None or not np.array_equal(self._last[0], u):
+            self(u)
+        return self._last[1]
 
-def _least_squares(residuals: _CountedResiduals, starts: list[np.ndarray],
+
+def _least_squares(residuals: _CountedResiduals, tangent, starts: list[np.ndarray],
                    config: FitConfig):
     """Multistart trust-region reflective least squares on the residual
     vector under the weighted loss; the lowest objective wins.
+
+    ``tangent(u)`` maps each rating-group key to d(a, b, c, alpha)/du,
+    a (4, len(u)) array, which chains the residuals' derivatives into
+    the fit coordinates; a fallback point gets a zero Jacobian.
     Returns (x, objective, dp, info)."""
+    groups = residuals.side.groups
+
+    def jac(u: np.ndarray) -> np.ndarray:
+        d_params = residuals.jacobian(u)
+        out = np.zeros((len(residuals.side.instruments), len(u)))
+        if d_params is not None:
+            for key, chain in tangent(u).items():
+                out[groups[key]] = d_params[groups[key]] @ chain
+        return out
+
     runs = []
     for x0 in starts:
-        res = least_squares(residuals, x0, method="trf", loss=residuals.side.solver_loss,
-                            ftol=max(config.ftol, EPS), xtol=config.xtol, gtol=GTOL,
-                            max_nfev=config.max_iter)
+        res = least_squares(residuals, x0, jac=jac, method="trf",
+                            loss=residuals.side.solver_loss, ftol=max(config.ftol, EPS),
+                            xtol=config.xtol, gtol=GTOL, max_nfev=config.max_iter)
         runs.append((residuals.side.objective(res.fun), res))
     objectives = tuple(f for f, _ in runs)
     fun, best = runs[objectives.index(min(objectives))]
@@ -295,7 +403,8 @@ def _least_squares(residuals: _CountedResiduals, starts: list[np.ndarray],
     # objective's gradient in the fitted coordinates is flat
     grad_norm = float(np.linalg.norm(best.grad, ord=np.inf))
     converged = best.status > 0 and grad_norm <= STATIONARY_GRAD * (1.0 + fun)
-    info = dict(evaluations=residuals.evals, fallback_evals=residuals.fallback_evals,
+    info = dict(evaluations=residuals.evals, jacobian_evals=residuals.jacobian_evals,
+                fallback_evals=residuals.fallback_evals,
                 converged=bool(converged), status=int(best.status),
                 grad_norm=grad_norm, objective_per_start=objectives,
                 n_starts=len(starts), descent=tuple(residuals.improvements))
@@ -335,34 +444,28 @@ def fit_single_name(instruments: Sequence[Instrument], curve: RiskfreeCurve,
         tie_ab = True
         fix_c = 0.5 * (lo_c + hi_c)
 
-    def unpack(u: np.ndarray):
-        if tie_ab:
-            a = b = math.exp(u[0])
-            i = 1
-        else:
-            a, b = math.exp(u[0]), math.exp(u[1])
-            i = 2
-        if fix_c is not None:
-            c = fix_c
-        else:
-            c = lo_c + (hi_c - lo_c) * _logistic(u[i])
-            i += 1
-        alpha = _logistic(u[i]) if side.fit_alpha else (
-            config.em_alpha_fixed if side.em_on else 0.0)
-        return SurvivalParams(a, b, c), alpha
+    # u = (ln a, ln b, ...), one hazard slot when a = b is tied
+    i_b = 0 if tie_ab else 1
+    tail = _ShapeAlpha.after(i_b + 1, fix_c, side)
 
-    x0 = [math.log(0.01)] if tie_ab else [math.log(0.01), math.log(0.05)]
-    if fix_c is None:
-        x0.append(0.0)
-    if side.fit_alpha:
-        x0.append(0.0)
+    def unpack(u: np.ndarray):
+        c, alpha = tail.values(u)
+        return SurvivalParams(math.exp(u[0]), math.exp(u[i_b]), c), alpha
+
+    def tangent(u: np.ndarray) -> dict:
+        chain = np.zeros((4, len(u)))
+        chain[0, 0] = math.exp(u[0])
+        chain[1, i_b] = math.exp(u[i_b])
+        return {None: tail.slopes(u, chain)}
+
+    x0 = [math.log(0.01), math.log(0.05)][:i_b + 1] + tail.x0()
     residuals = _CountedResiduals(side, unpack, lambda params: {None: params})
-    x, fun, dp, info = _least_squares(residuals, _jittered_starts(np.array(x0), config),
-                                      config)
+    x, fun, dp, info = _least_squares(residuals, tangent,
+                                      _jittered_starts(np.array(x0), config), config)
     params, alpha = unpack(x)
 
     info.update(underdetermined=underdetermined, tie_ab=tie_ab,
-                fix_c=fix_c, seed=config.seed)
+                fix_c=fix_c, seed=config.seed, at_bound=tail.at_bound(params.c, alpha))
     return FitResult(params=params, alpha=alpha if side.em_on else None,
                      residuals=tuple(float(r) for r in dp),
                      objective=fun, diagnostics=info)
@@ -415,8 +518,10 @@ def fit_rating_grid(instruments: Sequence[Instrument], curve: RiskfreeCurve,
 
     side = _MarketSide(instruments, curve, recovery_schedule, config,
                        group_by_rating=True)
-    lo_c, hi_c = config.c_bounds
     fix_c = config.fix_c
+    # u = (ln a_AA, softplus^-1 of ln a_BBB - ln a_AA, ... of ln a_B - ln a_BBB,
+    #      the same three for b, ...)
+    tail = _ShapeAlpha.after(6, fix_c, side)
 
     def unpack(u: np.ndarray):
         a1 = math.exp(u[0])
@@ -425,30 +530,34 @@ def fit_rating_grid(instruments: Sequence[Instrument], curve: RiskfreeCurve,
         b1 = math.exp(u[3])
         b2 = b1 * math.exp(_softplus(u[4]))
         b3 = b2 * math.exp(_softplus(u[5]))
-        i = 6
-        if fix_c is not None:
-            c = fix_c
-        else:
-            c = lo_c + (hi_c - lo_c) * _logistic(u[i])
-            i += 1
-        alpha = _logistic(u[i]) if side.fit_alpha else (
-            config.em_alpha_fixed if side.em_on else 0.0)
+        c, alpha = tail.values(u)
         return RatingGrid(anchors_a=(a1, a2, a3), anchors_b=(b1, b2, b3), c=c), alpha
 
     def by_rating(grid: RatingGrid) -> dict:
         return {r: grid.params_for_rating(r) for r in side.groups}
 
-    x0 = [math.log(0.003), -1.0, -1.0, math.log(0.02), -1.0, -1.0]
-    if fix_c is None:
-        x0.append(0.0)
-    if side.fit_alpha:
-        x0.append(0.0)
+    def tangent(u: np.ndarray) -> dict:
+        # d ln(anchor j)/du_k is 1 for k = 0 and the softplus slope for 0 < k <= j
+        slopes_a = np.array([1.0, _logistic(u[1]), _logistic(u[2])])
+        slopes_b = np.array([1.0, _logistic(u[4]), _logistic(u[5])])
+        chains = {}
+        for r, params in by_rating(unpack(u)[0]).items():
+            # d ln x(r)/du_k: the log-interpolation weights of anchors k and above
+            tail_weights = np.cumsum(anchor_log_weights(r)[::-1])[::-1]
+            chain = np.zeros((4, len(u)))
+            chain[0, 0:3] = params.a * tail_weights * slopes_a
+            chain[1, 3:6] = params.b * tail_weights * slopes_b
+            chains[r] = tail.slopes(u, chain)
+        return chains
+
+    x0 = [math.log(0.003), -1.0, -1.0, math.log(0.02), -1.0, -1.0] + tail.x0()
     residuals = _CountedResiduals(side, unpack, by_rating)
     x, fun, dp, info = _least_squares(
-        residuals, _jittered_starts(np.array(x0), config, 0.6), config)
+        residuals, tangent, _jittered_starts(np.array(x0), config, 0.6), config)
     grid, alpha = unpack(x)
 
-    info.update(underdetermined=False, fix_c=fix_c, seed=config.seed)
+    info.update(underdetermined=False, fix_c=fix_c, seed=config.seed,
+                at_bound=tail.at_bound(grid.c, alpha))
     return FitResult(params=grid, alpha=alpha if side.em_on else None,
                      residuals=tuple(float(r) for r in dp),
                      objective=fun, diagnostics=info)

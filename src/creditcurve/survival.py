@@ -28,6 +28,7 @@ __all__ = [
     "RecoverySchedule",
     "RATING_SYMBOLS",
     "ANCHOR_RATINGS",
+    "anchor_log_weights",
     "validate_rating",
 ]
 
@@ -77,14 +78,32 @@ class SurvivalParams:
             raise ValueError("scale factor must be >= 0")
         return SurvivalParams(a=self.a * factor, b=self.b * factor, c=self.c)
 
-    def survival_probability(self, t) -> np.ndarray | float:
-        """Q(T); strictly decreasing, Q(0) = 1."""
+    def _log_q(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # (T, ln(1 + cT), ln Q(T)) for tenors T >= 0
         t_arr = np.asarray(t, dtype=float)
         if np.any(t_arr < 0.0):
             raise ValueError("tenor must be >= 0")
-        q = np.exp(((self.b - self.a) / self.c) * np.log1p(self.c * t_arr)
-                   - self.b * t_arr)
+        log1p_ct = np.log1p(self.c * t_arr)
+        return t_arr, log1p_ct, ((self.b - self.a) / self.c) * log1p_ct - self.b * t_arr
+
+    def survival_probability(self, t) -> np.ndarray | float:
+        """Q(T); strictly decreasing, Q(0) = 1."""
+        t_arr, _, log_q = self._log_q(t)
+        q = np.exp(log_q)
         return q if t_arr.ndim else float(q)
+
+    def jet(self, t) -> np.ndarray:
+        """Rows [Q, dQ/da, dQ/db, dQ/dc] at the tenors ``t``.
+
+        Row 0 is :meth:`survival_probability` bit for bit.  With
+        L = ln(1 + cT): d ln Q/da = -L/c, d ln Q/db = L/c - T and
+        d ln Q/dc = ((b - a)/c) * (T/(1 + cT) - L/c).
+        """
+        t_arr, log1p_ct, log_q = self._log_q(t)
+        q = np.exp(log_q)
+        l_c = log1p_ct / self.c
+        d_c = ((self.b - self.a) / self.c) * (t_arr / (1.0 + self.c * t_arr) - l_c)
+        return np.stack([q, -q * l_c, q * (l_c - t_arr), q * d_c])
 
     def forward_hazard(self, t) -> np.ndarray | float:
         """-d ln Q / dT = (a + bcT)/(1 + cT)."""
@@ -93,15 +112,28 @@ class SurvivalParams:
         return h if t_arr.ndim else float(h)
 
 
+def _anchor_segment(r: float) -> tuple[int, float]:
+    # the first anchor of r's segment and r's fraction along it (< 0 or > 1 outside)
+    r1, r2, r3 = ANCHOR_RATINGS
+    if r <= r2:
+        return 0, (r - r1) / (r2 - r1)
+    return 1, (r - r2) / (r3 - r2)
+
+
 def _log_interp(r: float, anchors: tuple[float, float, float]) -> float:
     # linear in rating index through (3, 9, 15); linear extrapolation outside
     la = [math.log(x) for x in anchors]
-    r1, r2, r3 = ANCHOR_RATINGS
-    if r <= r2:
-        t = (r - r1) / (r2 - r1)
-        return math.exp(la[0] + t * (la[1] - la[0]))
-    t = (r - r2) / (r3 - r2)
-    return math.exp(la[1] + t * (la[2] - la[1]))
+    j, t = _anchor_segment(r)
+    return math.exp(la[j] + t * (la[j + 1] - la[j]))
+
+
+def anchor_log_weights(r: int) -> np.ndarray:
+    """d ln x(r) / d ln (AA, BBB, B anchors) of the log-linear rating
+    interpolation; the weights sum to one."""
+    j, t = _anchor_segment(validate_rating(r))
+    w = np.zeros(3)
+    w[j], w[j + 1] = 1.0 - t, t
+    return w
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -253,11 +254,16 @@ def load_universe(riskfree_path: str | Path,
                               quoting_recovery=_number(row, "quoting_recovery", path,
                                                        lineno, "0.4"),
                               model_recovery=recovery)
-            # parse errors already name the file and line; wrap only the range checks
+            # parse errors already name the file and line; wrap only the range
+            # checks, and point the spec's warnings at the row
             try:
-                parsed[kind].append(kind(**fields))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    parsed[kind].append(kind(**fields))
             except ValueError as exc:
                 raise UniverseError(f"{path}:{lineno}: {exc}") from exc
+            for w in caught:
+                warnings.warn_explicit(w.message, w.category, str(path), lineno)
     bonds, cds = parsed[BondSpec], parsed[CdsSpec]
 
     if not bonds and not cds:

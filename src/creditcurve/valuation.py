@@ -96,8 +96,8 @@ class DiscountGridCache:
         self.t = np.arange(n + 1) * self.h
         self.B = np.asarray(curve.discount_factor(self.t))
 
-    def kernel_grid(self, params: SurvivalParams) -> "KernelGrid":
-        return KernelGrid(self.curve, params, self.t[-1], self.h, _cache=self)
+    def kernel_grid(self, params: SurvivalParams, jet: bool = False) -> "KernelGrid":
+        return KernelGrid(self.curve, params, self.t[-1], self.h, _cache=self, jet=jet)
 
     def readout(self, tenors: np.ndarray) -> "KernelReadout":
         """Precompute grid indices and discounts for a fixed tenor set."""
@@ -111,31 +111,41 @@ class DiscountGridCache:
                              tenors=tenors)
 
 
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    # cumulative sum along the grid (last) axis, starting from 0
+    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
+    np.cumsum(x, axis=-1, out=out[..., 1:])
+    return out
+
+
 class KernelGrid:
     """Cumulative kernels on a shared grid, for many tenors off one curve.
 
     Builds the arrays once up to ``t_max``; :meth:`at_many` then reads
     off the kernels for any tenors in (0, t_max] with the final short
     step handled exactly as in the one-shot definition.
+
+    With ``jet=True`` Q is the survival jet [Q, dQ/da, dQ/db, dQ/dc]
+    (:meth:`SurvivalParams.jet`).  The grid is the last axis of every
+    array, and the kernels are linear in Q, so the same sums give each
+    kernel's derivatives as rows 1-3 below its value.
     """
 
     def __init__(self, curve: RiskfreeCurve, params: SurvivalParams,
                  t_max: float, grid_step: float = DEFAULT_GRID_STEP,
-                 _cache: DiscountGridCache | None = None):
+                 _cache: DiscountGridCache | None = None, jet: bool = False):
         if _cache is None:
             _cache = DiscountGridCache(curve, t_max, grid_step)
         self.params = params
         self._cache = _cache
+        self._q = params.jet if jet else params.survival_probability
         h, B = _cache.h, _cache.B
-        Q = np.asarray(params.survival_probability(_cache.t))
+        Q = np.asarray(self._q(_cache.t))
         BQ = B * Q
         self._Q = Q
-        self._cum_pi = np.concatenate(
-            ([0.0], np.cumsum(h * (BQ[:-1] + BQ[1:]) / 2.0)))
-        self._cum_xi = np.concatenate(
-            ([0.0], np.cumsum((B[:-1] + B[1:]) / 2.0 * (Q[:-1] - Q[1:]))))
-        self._cum_rp = np.concatenate(
-            ([0.0], np.cumsum((B[:-1] - B[1:]) * (Q[:-1] + Q[1:]) / 2.0)))
+        self._cum_pi = _running_sum(h * (BQ[..., :-1] + BQ[..., 1:]) / 2.0)
+        self._cum_xi = _running_sum((B[:-1] + B[1:]) / 2.0 * (Q[..., :-1] - Q[..., 1:]))
+        self._cum_rp = _running_sum((B[:-1] - B[1:]) * (Q[..., :-1] + Q[..., 1:]) / 2.0)
 
     def at(self, tenor: float) -> RiskyKernels:
         """Kernels at one tenor in (0, t_max], read out as by :meth:`at_many`."""
@@ -147,16 +157,20 @@ class KernelGrid:
         """Vectorised kernels (pi, xi, rhat, bq_T) at the readout tenors.
 
         The partial-step terms vanish identically when a tenor sits on
-        the grid.
+        the grid.  On a jet grid each kernel comes with its derivative
+        rows; rhat's follow the quotient rule from those of rhat * pi.
         """
-        Q_T = np.asarray(self.params.survival_probability(ro.tenors))
+        Q_T = np.asarray(self._q(ro.tenors))
         k = ro.k
-        Q_k = self._Q[k]
+        Q_k = self._Q[..., k]
         B_k, B_T = ro.B_k, ro.B_T
-        pi = self._cum_pi[k] + ro.dt * (B_k * Q_k + B_T * Q_T) / 2.0
-        xi = self._cum_xi[k] + (B_k + B_T) / 2.0 * (Q_k - Q_T)
-        rp = self._cum_rp[k] + (B_k - B_T) * (Q_k + Q_T) / 2.0
-        return pi, xi, rp / pi, B_T * Q_T
+        pi = self._cum_pi[..., k] + ro.dt * (B_k * Q_k + B_T * Q_T) / 2.0
+        xi = self._cum_xi[..., k] + (B_k + B_T) / 2.0 * (Q_k - Q_T)
+        rp = self._cum_rp[..., k] + (B_k - B_T) * (Q_k + Q_T) / 2.0
+        if rp.ndim == 1:
+            return pi, xi, rp / pi, B_T * Q_T
+        rhat = rp[0] / pi[0]
+        return pi, xi, np.vstack([rhat, (rp[1:] - rhat * pi[1:]) / pi[0]]), B_T * Q_T
 
 
 @dataclass(frozen=True)
@@ -229,6 +243,8 @@ class CdsSpec:
     identifier: str = ""
 
     def __post_init__(self) -> None:
+        if self.coupon < 0:
+            raise ValueError("coupon must be >= 0")
         if self.tenor <= 0:
             raise ValueError("tenor must be > 0")
         if self.quote_type not in ("spread", "upfront"):
@@ -473,7 +489,20 @@ def _dp(pi, xi, rhat, s_extra, recs, coupons, prices, upfronts, is_bond) -> np.n
     """The price gap dP in points from kernel arrays, with ``s_extra``
     added to the model par spread; for CDS rhat is omitted and the
     market side is the upfront.  dP = 100 * Pi * (sbar - s_model) up to
-    rounding, and it falls for both kinds as hazards rise."""
+    rounding, and it falls for both kinds as hazards rise.
+
+    On jet kernels (a :class:`KernelGrid` with ``jet=True``) row 0 is
+    dP and the rows below it are its derivatives.  dP is affine in the
+    kernels, 100 - P + 100 * [(coupon - s_extra) * Pi - (1 - R) * Xi
+    - rhat * Pi] for a bond and 100 * [u + (coupon - s_extra) * Pi
+    - (1 - R) * Xi] for a CDS, so each derivative is that linear part
+    applied to the kernels' derivative rows."""
+    if np.ndim(pi) > 1:
+        d_rp = rhat[0] * pi[1:] + pi[0] * rhat[1:]
+        slope = 100.0 * ((coupons - s_extra) * pi[1:] - (1.0 - recs) * xi[1:]
+                         - np.where(is_bond, d_rp, 0.0))
+        value = _dp(pi[0], xi[0], rhat[0], s_extra, recs, coupons, prices, upfronts, is_bond)
+        return np.vstack([value, slope])
     s_model = (1.0 - recs) * xi / pi + s_extra
     dp_bond = 100.0 - prices + 100.0 * (coupons - rhat - s_model) * pi
     dp_cds = 100.0 * (upfronts + (coupons - s_model) * pi)

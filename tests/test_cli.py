@@ -458,10 +458,10 @@ _SHARED = {
     "recovery": _not_a_recovery,
 }
 # out-of-range values per file; a text or non-finite value is bad in every column
-# (a CDS coupon off the 1%/5% standard only warns)
+# (a nonnegative CDS coupon off the 1%/5% standard only warns)
 BAD_VALUES = {
     "bonds.csv": dict(_SHARED, coupon=_negative, price=_not_positive),
-    "cds.csv": dict(_SHARED, coupon=st.nothing(), quote_type=st.nothing(), quote=_negative,
+    "cds.csv": dict(_SHARED, coupon=_negative, quote_type=st.nothing(), quote=_negative,
                     quoting_recovery=_not_a_recovery),
 }
 
@@ -492,3 +492,42 @@ def test_malformed_row_exits_2_with_file_and_line(tmp_path, bad):
         assert isinstance(result.exception, SystemExit)
         assert result.output.count(f"{name}:2") == 1, (verb, bad, result.output)
         assert "Traceback" not in result.output
+
+
+def _cds_value(tmp_path, row):
+    cds = tmp_path / "cds.csv"
+    cds.write_text("id,coupon,tenor_years,quote_type,quote\n" + row + "\n")
+    riskfree = tmp_path / "riskfree.csv"
+    riskfree.write_text(RISKFREE)
+    return CliRunner().invoke(main, [
+        "value", "--riskfree", str(riskfree), "--cds", str(cds),
+        "--a", "0.01", "--b", "0.02", "--c", "0.1", "--out", str(tmp_path / "o")])
+
+
+def test_negative_cds_coupon_exits_2_with_file_and_line(tmp_path):
+    result = _cds_value(tmp_path, "c1,-0.05,5,upfront,0.02")
+    assert result.exit_code == 2, result.output
+    assert f"{tmp_path / 'cds.csv'}:2: coupon must be >= 0" in result.output
+    assert not (tmp_path / "o" / "value.csv").exists()
+
+
+def test_nonstandard_cds_coupon_warning_names_file_and_line(tmp_path):
+    with pytest.warns(UserWarning, match="not a standard 1%/5% running coupon") as caught:
+        result = _cds_value(tmp_path, "c1,0.02,5,upfront,0.02")
+    assert result.exit_code == 0, result.output
+    assert [(w.filename, w.lineno) for w in caught] == [(str(tmp_path / "cds.csv"), 2)]
+
+
+def test_fit_params_rows_stay_numeric(tmp_path, runner, colom_dir):
+    # solver diagnostics such as at_bound and jacobian_evals stay out of the file
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "fit", "--riskfree", str(colom_dir / "riskfree.csv"),
+        "--bonds", str(colom_dir / "bonds.csv"), "--config", str(colom_dir / "config.txt"),
+        "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = dict(line.split(",") for line in (out / "fit_params.csv").read_text().splitlines()[1:])
+    assert {"at_bound", "jacobian_evals"}.isdisjoint(rows)
+    for key, val in rows.items():
+        if key not in ("converged", "underdetermined"):
+            assert math.isfinite(float(val)), key

@@ -22,7 +22,7 @@ from creditcurve.fitting import (
 )
 from creditcurve.survival import RatingGrid, RecoverySchedule, SurvivalParams
 from creditcurve.universe import load_universe
-from creditcurve.valuation import BondSpec, CdsSpec, bond_model_price, kernels
+from creditcurve.valuation import BondSpec, CdsSpec, _dp, bond_model_price, kernels
 
 CURVE = cc.RiskfreeCurve.flat(0.02)
 TRUE = SurvivalParams(0.01, 0.05, 0.1)
@@ -206,6 +206,28 @@ def test_colom_objective_matches_nelder_mead(colom_half):
     assert colom_half.objective == pytest.approx(COLOM_NM_OBJECTIVE, abs=1e-8)
 
 
+def test_colom_objective_and_starts_agree_with_nelder_mead(colom_half):
+    assert colom_half.objective == pytest.approx(COLOM_NM_OBJECTIVE, abs=1e-10)
+    per_start = colom_half.diagnostics["objective_per_start"]
+    assert max(per_start) - min(per_start) <= 1e-10
+
+
+def test_colom_reports_c_at_its_lower_bound(colom_half):
+    assert colom_half.params.c - FitConfig().c_bounds[0] <= ft.AT_BOUND
+    assert colom_half.diagnostics["at_bound"] == ("c",)
+
+
+def test_at_bound_names_free_parameters_at_an_edge():
+    both = ft._ShapeAlpha(i_c=2, i_alpha=3, c_bounds=(0.05, 0.2), fixed_c=None,
+                          fixed_alpha=0.0)
+    assert both.at_bound(0.2 - 1e-12, 1e-10) == ("c", "alpha")
+    assert both.at_bound(0.1, 1.0) == ("alpha",)
+    assert both.at_bound(0.05 + 1e-6, 0.5) == ()
+    held = ft._ShapeAlpha(i_c=None, i_alpha=None, c_bounds=(0.05, 0.2), fixed_c=0.05,
+                          fixed_alpha=1.0)
+    assert held.at_bound(0.05, 1.0) == ()
+
+
 @settings(max_examples=10, deadline=None)
 @given(order=st.permutations(range(14)))
 def test_colom_fit_invariant_to_bond_order(colom_half, order):
@@ -251,7 +273,7 @@ def test_evaluations_count_every_residual_call(monkeypatch):
 
     monkeypatch.setattr(ft._MarketSide, "dp", counted)
     res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig(fix_c=0.1))
-    # finite-difference Jacobian columns included
+    # residual calls made for a Jacobian request included
     assert res.diagnostics["evaluations"] == len(calls)
 
 
@@ -383,3 +405,160 @@ def test_grid_deterministic(grid_fit):
                             FitConfig(multistart_count=3, seed=4))
     assert grid_fit.params == again.params
     assert grid_fit.residuals == again.residuals
+
+
+# -- analytic Jacobian ------------------------------------------------------
+
+
+class _Captured(Exception):
+    pass
+
+
+def solver_problem(monkeypatch, fit):
+    """The residual function, start and Jacobian a fit hands the solver."""
+    seen = []
+
+    def spy(fun, x0, jac, **kwargs):
+        seen.append((fun, np.asarray(x0, dtype=float), jac))
+        raise _Captured
+
+    monkeypatch.setattr(ft, "least_squares", spy)
+    with pytest.raises(_Captured):
+        fit()
+    return seen[0]
+
+
+def assert_jacobian_matches_central_differences(fun, jac, u, h=1e-6):
+    analytic = jac(u)
+    assert analytic.shape == (len(fun(u)), len(u))
+    steps = h * np.eye(len(u))
+    fd = np.column_stack([(fun(u + e) - fun(u - e)) / (2.0 * h) for e in steps])
+    scale = np.abs(analytic).max(axis=0)
+    assert np.all(scale > 0.0), "every coordinate moves some residual"
+    np.testing.assert_allclose(analytic, fd, rtol=0.0, atol=1e-6 * scale.max())
+    assert np.all(np.abs(analytic - fd) <= 1e-6 * scale)
+
+
+def with_sovereign(instruments, spread=0.012):
+    return [dataclasses.replace(i, sovereign_spread=spread + 0.0005 * i.tenor)
+            for i in instruments]
+
+
+def mixed_bonds_and_cds():
+    cds = []
+    for T, u in ((3.0, -0.01), (7.0, 0.02)):
+        cds.append(CdsSpec(coupon=0.01, tenor=T, quote_type="upfront", quote=u,
+                           identifier=f"cds{T:g}"))
+    return make_bonds() + cds
+
+
+SINGLE_NAME_CASES = {
+    "free-c": (mixed_bonds_and_cds, FitConfig()),
+    "fix-c": (make_bonds, FitConfig(fix_c=0.12)),
+    "tie-ab": (lambda: make_bonds(tenors=(5, 5, 5)), FitConfig()),
+    "em-fit": (lambda: with_sovereign(make_bonds()), FitConfig(em_mode="fit")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINGLE_NAME_CASES))
+def test_single_name_jacobian_matches_central_differences(monkeypatch, case):
+    instruments, config = SINGLE_NAME_CASES[case]
+    fun, x0, jac = solver_problem(
+        monkeypatch, lambda: fit_single_name(instruments(), CURVE, 0.4, config))
+    assert len(x0) == {"free-c": 3, "fix-c": 2, "tie-ab": 1, "em-fit": 4}[case]
+    u = x0 + np.random.default_rng(7).normal(0.0, 0.3, len(x0))
+    assert_jacobian_matches_central_differences(fun, jac, u)
+
+
+def extrapolated_grid_universe():
+    # AAA and CCC lie outside the AA..B anchors, where the weights extrapolate
+    bonds = []
+    for rating in (1, 9, 18):
+        params = GRID_TRUE.params_for_rating(rating)
+        for T in (3.0, 10.0):
+            k = kernels(CURVE, params, T)
+            p = bond_model_price(BondSpec(coupon=0.04, tenor=T, price=100, recovery=0.4), k)
+            bonds.append(BondSpec(coupon=0.04, tenor=T, price=p - 0.5, recovery=0.4,
+                                  rating=rating))
+    return bonds
+
+
+GRID_CASES = {
+    "free-c": (make_grid_universe, FitConfig()),
+    "fix-c": (make_grid_universe, FitConfig(fix_c=0.1)),
+    "em-fit": (lambda: with_sovereign(make_grid_universe()), FitConfig(em_mode="fit")),
+    "extrapolated": (extrapolated_grid_universe, FitConfig()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GRID_CASES))
+def test_grid_jacobian_matches_central_differences(monkeypatch, case):
+    instruments, config = GRID_CASES[case]
+    fun, x0, jac = solver_problem(
+        monkeypatch, lambda: fit_rating_grid(instruments(), CURVE, SCHED, config))
+    assert len(x0) == {"free-c": 7, "fix-c": 6, "em-fit": 8, "extrapolated": 7}[case]
+    u = x0 + np.random.default_rng(3).normal(0.0, 0.3, len(x0))
+    assert_jacobian_matches_central_differences(fun, jac, u)
+
+
+def test_fallback_point_has_zero_jacobian(monkeypatch):
+    fun, x0, jac = solver_problem(
+        monkeypatch, lambda: fit_single_name(make_bonds(), CURVE, 0.4, FitConfig()))
+    far = np.array([1e3, 0.0, 0.0])          # a = e^1000 overflows
+    assert np.all(fun(far) == ft.FALLBACK_DP)
+    assert np.array_equal(jac(far), np.zeros((len(make_bonds()), 3)))
+
+    side = ft._MarketSide(make_bonds(), CURVE, 0.4, FitConfig())
+    nan_params = ft._CountedResiduals(side, lambda u: (SurvivalParams(math.nan, 0.05, 0.1),
+                                                       0.0), lambda p: {None: p})
+    assert np.all(nan_params(np.zeros(1)) == ft.FALLBACK_DP)
+    assert nan_params.jacobian(np.zeros(1)) is None
+    assert (nan_params.evals, nan_params.fallback_evals, nan_params.jacobian_evals) == (1, 1, 1)
+
+
+def test_jacobian_request_off_the_last_point_is_evaluated_and_counted():
+    side = ft._MarketSide(make_bonds(), CURVE, 0.4, FitConfig())
+    residuals = ft._CountedResiduals(side, lambda u: (TRUE.scaled(math.exp(u[0])), 0.0),
+                                     lambda p: {None: p})
+    residuals(np.array([0.1]))
+    at_last = residuals.jacobian(np.array([0.1]))
+    assert residuals.evals == 1
+    elsewhere = residuals.jacobian(np.array([-0.2]))
+    assert (residuals.evals, residuals.jacobian_evals) == (2, 2)
+    assert not np.array_equal(at_last, elsewhere)
+    _, expected = side.dp({None: TRUE.scaled(math.exp(-0.2))}, 0.0)
+    assert np.array_equal(elsewhere, expected)
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+def test_jet_residuals_are_bit_identical_to_the_plain_path(grouped):
+    instruments = with_sovereign(make_grid_universe() + [
+        CdsSpec(coupon=0.01, tenor=4.0, quote_type="upfront", quote=0.01, rating=9)])
+    if not grouped:
+        instruments = [i for i in instruments if i.rating == 9]
+    side = ft._MarketSide(instruments, CURVE, SCHED, FitConfig(em_mode="fixed"),
+                          group_by_rating=grouped)
+    by_group = {key: GRID_TRUE.params_for_rating(key or 9).scaled(1.3) for key in side.groups}
+    dp, _ = side.dp(by_group, 0.4)
+    expected = np.empty(len(instruments))
+    for key, idx in side.groups.items():
+        kg = side.cache.kernel_grid(by_group[key])
+        pi, xi, rhat, _ = kg.at_many(side._readouts[key])
+        expected[idx] = _dp(pi, xi, rhat, 0.4 * side.sov[idx], *side._quotes[key])
+    assert np.array_equal(dp, expected)
+
+
+def test_jacobian_evals_count_every_solver_request(monkeypatch):
+    njev = []
+    solve = ft.least_squares
+
+    def counted(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        njev.append(res.njev)
+        return res
+
+    monkeypatch.setattr(ft, "least_squares", counted)
+    res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig())
+    assert res.diagnostics["jacobian_evals"] == sum(njev) > 0
+    # each request came at the point just evaluated, so none cost an extra evaluation
+    assert res.diagnostics["evaluations"] < 2 * res.diagnostics["jacobian_evals"]

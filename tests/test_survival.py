@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from creditcurve.survival import (
     RatingGrid,
     RecoverySchedule,
     SurvivalParams,
+    anchor_log_weights,
     validate_rating,
 )
 
@@ -33,6 +35,43 @@ def test_survival_matches_hazard_quadrature():
     p = SurvivalParams(a=0.01, b=0.03, c=0.1)
     integral, err = quad(p.forward_hazard, 0.0, 5.0, epsabs=1e-13, epsrel=1e-13)
     assert p.survival_probability(5.0) == pytest.approx(math.exp(-integral), rel=1e-10)
+
+
+@given(st.floats(min_value=1e-3, max_value=0.5), st.floats(min_value=1e-3, max_value=0.5),
+       st.floats(min_value=0.01, max_value=1.0), st.floats(min_value=0.0, max_value=40.0))
+@settings(max_examples=200, deadline=None)
+def test_jet_matches_finite_differences(a, b, c, t):
+    p = SurvivalParams(a, b, c)
+    ts = np.array([0.0, t, 2.0 * t + 0.5])
+    jet = p.jet(ts)
+    assert jet.shape == (4, 3)
+    assert np.array_equal(jet[0], p.survival_probability(ts))
+    h = 1e-6
+    for row, name in enumerate("abc", start=1):
+        up = dataclasses.replace(p, **{name: getattr(p, name) + h})
+        down = dataclasses.replace(p, **{name: getattr(p, name) - h})
+        fd = (up.survival_probability(ts) - down.survival_probability(ts)) / (2.0 * h)
+        np.testing.assert_allclose(jet[row], fd, rtol=1e-6, atol=1e-9, err_msg=name)
+
+
+def test_jet_rows_vanish_where_they_should():
+    p = SurvivalParams(0.03, 0.03, 0.1)
+    jet = p.jet(np.array([0.0, 4.0]))
+    # Q(0) = 1 whatever the parameters; with a = b the shape c does not matter
+    assert np.array_equal(jet[:, 0], [1.0, 0.0, 0.0, 0.0])
+    assert jet[3, 1] == 0.0
+
+
+def test_anchor_log_weights_reproduce_the_interpolation():
+    grid = RatingGrid(anchors_a=(0.002, 0.006, 0.03), anchors_b=(0.01, 0.02, 0.07), c=0.1)
+    for r in range(1, 19):
+        w = anchor_log_weights(r)
+        assert w.sum() == pytest.approx(1.0, abs=1e-15)
+        got = grid.params_for_rating(r)
+        assert math.log(got.a) == pytest.approx(w @ np.log(grid.anchors_a), rel=1e-13)
+        assert math.log(got.b) == pytest.approx(w @ np.log(grid.anchors_b), rel=1e-13)
+    # outside AA..B the weights extrapolate
+    assert anchor_log_weights(1)[0] > 1.0 and anchor_log_weights(18)[1] < 0.0
 
 
 def test_negative_tenor_rejected():

@@ -115,6 +115,34 @@ def test_at_many_matches_at():
         assert bq[i] == pytest.approx(k.bq_T, rel=1e-12)
 
 
+def test_jet_grid_value_rows_are_the_plain_kernels():
+    params = SurvivalParams(0.02, 0.08, 0.1)
+    cache = DiscountGridCache(FLAT2, 15.0)
+    ro = cache.readout(np.array([0.5, 2.0, 7.3, 12.0, 15.0]))
+    plain = cache.kernel_grid(params).at_many(ro)
+    jet = cache.kernel_grid(params, jet=True).at_many(ro)
+    for p, j in zip(plain, jet):
+        assert j.shape == (4, 5)
+        assert np.array_equal(j[0], p)
+
+
+def test_jet_grid_rows_are_kernel_derivatives():
+    # each kernel's rows 1-3 against central differences in (a, b, c)
+    params = SurvivalParams(0.015, 0.07, 0.12)
+    cache = DiscountGridCache(RiskfreeCurve(pillars=((1.0, 0.01), (10.0, 0.03))), 20.0)
+    ro = cache.readout(np.array([0.7, 3.0, 9.5, 20.0]))
+    jet = cache.kernel_grid(params, jet=True).at_many(ro)
+    h = 1e-6
+    for row, name in enumerate("abc", start=1):
+        up = dataclasses.replace(params, **{name: getattr(params, name) + h})
+        down = dataclasses.replace(params, **{name: getattr(params, name) - h})
+        for j, k_up, k_down in zip(jet, cache.kernel_grid(up).at_many(ro),
+                                   cache.kernel_grid(down).at_many(ro)):
+            fd = (k_up - k_down) / (2.0 * h)
+            # the differences lose about eps / h of the kernel's own size
+            np.testing.assert_allclose(j[row], fd, rtol=1e-6, atol=1e-8 * np.abs(j[0]).max())
+
+
 def test_kernels_match_quadrature_on_sloped_curves():
     # independent oracle: adaptive quadrature of the defining integrals
     # on a multi-pillar curve and a sloped hazard curve
@@ -392,6 +420,8 @@ def test_bond_cds_spec_validation():
         BondSpec(coupon=0.05, tenor=5.0, price=100.0, recovery=1.0)
     with pytest.raises(ValueError):
         CdsSpec(coupon=0.05, tenor=5.0, quote_type="bogus", quote=0.0)
+    with pytest.raises(ValueError, match="coupon must be >= 0"):
+        CdsSpec(coupon=-0.05, tenor=5.0, quote_type="upfront", quote=0.02)
 
 
 # -- exact fit ---------------------------------------------------------
