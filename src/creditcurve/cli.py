@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import contextlib
 import datetime as dt
+import math
 import sys
 import warnings
 from dataclasses import replace
@@ -85,8 +86,8 @@ class Settings:
         else:
             raise UniverseError(f"--em-alpha must be 'fit', 'fixed:v' or 'off', got {em!r}")
         self.fit_config()
-        if not self.horizon > 0.0:
-            raise UniverseError(f"--horizon must be > 0, got {self.horizon!r}")
+        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
+            raise UniverseError(f"--horizon must be finite and > 0, got {self.horizon!r}")
         if not 0.0 <= self.convergence_fraction <= 1.0:
             raise UniverseError("--convergence-fraction must be in [0, 1], "
                                 f"got {self.convergence_fraction!r}")
@@ -401,8 +402,8 @@ def history(snapshots, mode, tenor_points, config_path, **kw):
     with _exits():
         st = Settings(config_path, kw, grid)
         points = [float(x) for x in tenor_points.split(",") if x.strip()]
-        if any(t <= 0 for t in points):
-            raise ValueError(f"--tenor-points must be positive, got {tenor_points!r}")
+        if not all(t > 0 and math.isfinite(t) for t in points):
+            raise ValueError(f"--tenor-points must be finite and positive, got {tenor_points!r}")
     root = Path(snapshots)
     if not root.is_dir():
         _fail(f"{snapshots} is not a directory", EXIT_INPUT)

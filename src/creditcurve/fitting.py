@@ -24,16 +24,19 @@ The solver's Jacobian is exact.  dP is affine in the kernels (Pi, Xi,
 rhat*Pi) and the kernels are linear in Q, so each evaluation runs the
 kernel sums once over the survival jet [Q, dQ/da, dQ/db, dQ/dc] and gets
 the residuals together with their derivatives in (a, b, c); alpha enters
-as -100 * sov * Pi.  The chain rule through the coordinate maps (exp,
-logistic, softplus increments, log-linear rating interpolation) takes
-them to the solver's coordinates.  The solver asks for the Jacobian at
-the point it has just evaluated, so a Jacobian costs no extra evaluation.
+as -100 * sov * Pi.  Each fit has one chart: a map from the solver's
+coordinates u to the curve, alpha and, for each rating group, the
+group's (a, b, c) together with d(a, b, c, alpha)/du through the
+coordinate maps (exp, logistic, softplus increments, log-linear rating
+interpolation).  The residual call evaluates the chart once and chains
+the derivatives into u at the point it evaluates; the solver asks for
+the Jacobian at that point, so a Jacobian costs no extra evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -103,10 +106,10 @@ class FitConfig:
 
     def __post_init__(self) -> None:
         lo, hi = self.c_bounds
-        if not 0.0 < lo < hi:
-            raise ValueError("c_bounds must satisfy 0 < lo < hi")
-        if self.fix_c is not None and self.fix_c <= 0:
-            raise ValueError("fix_c must be > 0")
+        if not (0.0 < lo < hi and math.isfinite(hi)):
+            raise ValueError("c_bounds must satisfy 0 < lo < hi < inf")
+        if self.fix_c is not None and not (self.fix_c > 0 and math.isfinite(self.fix_c)):
+            raise ValueError(f"fix_c must be finite and > 0, got {self.fix_c!r}")
         if self.weight_mode not in ("issue_size", "equal", "issue_size_duration"):
             raise ValueError(f"unknown weight_mode {self.weight_mode!r}")
         if self.loss not in ("robust", "squared"):
@@ -115,10 +118,12 @@ class FitConfig:
             raise ValueError(f"unknown em_mode {self.em_mode!r}")
         if not 0.0 <= self.em_alpha_fixed <= 1.0:
             raise ValueError("em_alpha_fixed must be in [0, 1]")
-        if self.multistart_count < 1 or self.max_iter < 1:
-            raise ValueError("multistart_count and max_iter must be >= 1")
-        if self.xtol <= 0 or self.ftol <= 0 or self.grid_step <= 0:
-            raise ValueError("tolerances and grid_step must be > 0")
+        if not all(n >= 1 and math.isfinite(n) for n in (self.multistart_count, self.max_iter)):
+            raise ValueError("multistart_count and max_iter must be finite and >= 1")
+        for name in ("xtol", "ftol", "grid_step"):
+            x = getattr(self, name)
+            if not (x > 0 and math.isfinite(x)):
+                raise ValueError(f"{name} must be finite and > 0, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -295,20 +300,19 @@ class _ShapeAlpha:
     def x0(self) -> list[float]:
         return [0.0] * ((self.i_c is not None) + (self.i_alpha is not None))
 
-    def values(self, u: np.ndarray) -> tuple[float, float]:
+    def chart(self, u: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """c, alpha and d(a, b, c, alpha)/du with rows c and alpha filled;
+        rows a and b are zero, for the hazard part of the chart to fill."""
         lo, hi = self.c_bounds
-        c = self.fixed_c if self.i_c is None else lo + (hi - lo) * _logistic(u[self.i_c])
-        alpha = self.fixed_alpha if self.i_alpha is None else _logistic(u[self.i_alpha])
-        return c, alpha
-
-    def slopes(self, u: np.ndarray, chain: np.ndarray) -> np.ndarray:
-        """Fill rows c and alpha of d(a, b, c, alpha)/du."""
-        lo, hi = self.c_bounds
+        chain = np.zeros((4, len(u)))
+        c, alpha = self.fixed_c, self.fixed_alpha
         if self.i_c is not None:
+            c = lo + (hi - lo) * _logistic(u[self.i_c])
             chain[2, self.i_c] = (hi - lo) * _logistic_slope(u[self.i_c])
         if self.i_alpha is not None:
+            alpha = _logistic(u[self.i_alpha])
             chain[3, self.i_alpha] = _logistic_slope(u[self.i_alpha])
-        return chain
+        return c, alpha, chain
 
     def at_bound(self, c: float, alpha: float) -> tuple[str, ...]:
         """The free ones within AT_BOUND of an edge of their box."""
@@ -322,38 +326,44 @@ class _ShapeAlpha:
 
 
 class _CountedResiduals:
-    """Residual vector of transformed coordinates for the solver.
+    """Residual vector of the solver's coordinates u, with its Jacobian.
 
-    Counts every residual call and every Jacobian request, keeps the
-    derivatives in (a, b, c, alpha) of the last point evaluated, and
-    records each improvement of the objective as (eval#, f).  A point
-    whose parameters overflow or whose residuals are not finite gets the
-    constant FALLBACK_DP and no derivatives instead, and is counted as a
-    fallback.
+    ``chart(u)`` gives (curve, alpha, {group: (SurvivalParams,
+    d(a, b, c, alpha)/du)}).  Each residual call evaluates the chart once
+    and chains the residuals' derivatives in (a, b, c, alpha) into u.
+    Counts every residual call and every Jacobian request, and records
+    each improvement of the objective as (eval#, f).  A point whose
+    parameters overflow or are rejected, or whose residuals are not
+    finite, gets the constant FALLBACK_DP and a zero Jacobian instead,
+    and is counted as a fallback.
     """
 
-    def __init__(self, side: _MarketSide, unpack, params_by_group):
+    def __init__(self, side: _MarketSide, chart):
         self.side = side
-        self.unpack = unpack
-        self.params_by_group = params_by_group
+        self.chart = chart
         self.evals = 0
         self.fallback_evals = 0
         self.jacobian_evals = 0
         self.best = math.inf
         self.improvements: list[tuple[int, float]] = []
-        self._last: tuple[np.ndarray, np.ndarray | None] | None = None
+        self._last: tuple[np.ndarray, np.ndarray] | None = None
 
     def __call__(self, u: np.ndarray) -> np.ndarray:
         self.evals += 1
+        n = len(self.side.instruments)
+        jac = np.zeros((n, len(u)))
         try:
-            params, alpha = self.unpack(u)
-            dp, jac = self.side.dp(self.params_by_group(params), alpha)
+            _, alpha, groups = self.chart(u)
+            dp, d_params = self.side.dp({key: p for key, (p, _) in groups.items()}, alpha)
         except (OverflowError, ValueError):
-            dp = jac = None
-        if dp is None or not (np.all(np.isfinite(dp)) and np.all(np.isfinite(jac))):
+            dp = d_params = None
+        if dp is None or not (np.all(np.isfinite(dp)) and np.all(np.isfinite(d_params))):
             self.fallback_evals += 1
-            dp = np.full(len(self.side.instruments), FALLBACK_DP)
-            jac = None
+            dp = np.full(n, FALLBACK_DP)
+        else:
+            for key, (_, chain) in groups.items():
+                idx = self.side.groups[key]
+                jac[idx] = d_params[idx] @ chain
         self._last = (np.array(u, dtype=float), jac)
         f = self.side.objective(dp)
         if f < self.best:
@@ -361,41 +371,34 @@ class _CountedResiduals:
             self.improvements.append((self.evals, f))
         return dp
 
-    def jacobian(self, u: np.ndarray) -> np.ndarray | None:
-        """d dP / d(a, b, c, alpha) at ``u``, None at a fallback point; the
-        residuals are evaluated (and counted) first unless ``u`` is the
-        last point evaluated."""
+    def jacobian(self, u: np.ndarray) -> np.ndarray:
+        """d dP/du at ``u``, zero at a fallback point; the residuals are
+        evaluated (and counted) first unless ``u`` is the last point
+        evaluated.  Each request gets its own array, since the solver
+        rescales the Jacobian in place under a robust loss."""
         self.jacobian_evals += 1
         if self._last is None or not np.array_equal(self._last[0], u):
             self(u)
-        return self._last[1]
+        return self._last[1].copy()
 
 
-def _least_squares(residuals: _CountedResiduals, tangent, starts: list[np.ndarray],
-                   config: FitConfig):
-    """Multistart trust-region reflective least squares on the residual
-    vector under the weighted loss; the lowest objective wins.
-
-    ``tangent(u)`` maps each rating-group key to d(a, b, c, alpha)/du,
-    a (4, len(u)) array, which chains the residuals' derivatives into
-    the fit coordinates; a fallback point gets a zero Jacobian.
-    Returns (x, objective, dp, info)."""
-    groups = residuals.side.groups
-
-    def jac(u: np.ndarray) -> np.ndarray:
-        d_params = residuals.jacobian(u)
-        out = np.zeros((len(residuals.side.instruments), len(u)))
-        if d_params is not None:
-            for key, chain in tangent(u).items():
-                out[groups[key]] = d_params[groups[key]] @ chain
-        return out
-
+def _solve(side: _MarketSide, chart, tail: _ShapeAlpha, x0: list[float], scale: float,
+           config: FitConfig, **diagnostics) -> FitResult:
+    """Multistart trust-region reflective least squares of the residuals
+    over the chart's coordinates, under the weighted loss, from ``x0``
+    and seeded jitters of it of size ``scale``; the lowest objective
+    wins.  ``diagnostics`` are added to the solver's own."""
+    residuals = _CountedResiduals(side, chart)
+    rng = np.random.default_rng(config.seed)
+    x0 = np.array(x0)
+    starts = [x0] + [x0 + rng.normal(0.0, scale, len(x0))
+                     for _ in range(config.multistart_count - 1)]
     runs = []
-    for x0 in starts:
-        res = least_squares(residuals, x0, jac=jac, method="trf",
-                            loss=residuals.side.solver_loss, ftol=max(config.ftol, EPS),
+    for start in starts:
+        res = least_squares(residuals, start, jac=residuals.jacobian, method="trf",
+                            loss=side.solver_loss, ftol=max(config.ftol, EPS),
                             xtol=config.xtol, gtol=GTOL, max_nfev=config.max_iter)
-        runs.append((residuals.side.objective(res.fun), res))
+        runs.append((side.objective(res.fun), res))
     objectives = tuple(f for f, _ in runs)
     fun, best = runs[objectives.index(min(objectives))]
 
@@ -403,20 +406,16 @@ def _least_squares(residuals: _CountedResiduals, tangent, starts: list[np.ndarra
     # objective's gradient in the fitted coordinates is flat
     grad_norm = float(np.linalg.norm(best.grad, ord=np.inf))
     converged = best.status > 0 and grad_norm <= STATIONARY_GRAD * (1.0 + fun)
+    curve, alpha, _ = chart(best.x)
     info = dict(evaluations=residuals.evals, jacobian_evals=residuals.jacobian_evals,
                 fallback_evals=residuals.fallback_evals,
                 converged=bool(converged), status=int(best.status),
                 grad_norm=grad_norm, objective_per_start=objectives,
-                n_starts=len(starts), descent=tuple(residuals.improvements))
-    return best.x, fun, best.fun, info
-
-
-def _jittered_starts(x0: np.ndarray, config: FitConfig, scale: float = 0.8) -> list[np.ndarray]:
-    rng = np.random.default_rng(config.seed)
-    starts = [x0]
-    for _ in range(config.multistart_count - 1):
-        starts.append(x0 + rng.normal(0.0, scale, len(x0)))
-    return starts
+                n_starts=len(starts), descent=tuple(residuals.improvements),
+                **diagnostics, seed=config.seed, at_bound=tail.at_bound(curve.c, alpha))
+    return FitResult(params=curve, alpha=alpha if side.em_on else None,
+                     residuals=tuple(float(r) for r in best.fun),
+                     objective=fun, diagnostics=info)
 
 
 # -- single-name fit ---------------------------------------------------
@@ -448,27 +447,15 @@ def fit_single_name(instruments: Sequence[Instrument], curve: RiskfreeCurve,
     i_b = 0 if tie_ab else 1
     tail = _ShapeAlpha.after(i_b + 1, fix_c, side)
 
-    def unpack(u: np.ndarray):
-        c, alpha = tail.values(u)
-        return SurvivalParams(math.exp(u[0]), math.exp(u[i_b]), c), alpha
-
-    def tangent(u: np.ndarray) -> dict:
-        chain = np.zeros((4, len(u)))
-        chain[0, 0] = math.exp(u[0])
-        chain[1, i_b] = math.exp(u[i_b])
-        return {None: tail.slopes(u, chain)}
+    def chart(u: np.ndarray):
+        c, alpha, chain = tail.chart(u)
+        params = SurvivalParams(math.exp(u[0]), math.exp(u[i_b]), c)
+        chain[0, 0], chain[1, i_b] = params.a, params.b
+        return params, alpha, {None: (params, chain)}
 
     x0 = [math.log(0.01), math.log(0.05)][:i_b + 1] + tail.x0()
-    residuals = _CountedResiduals(side, unpack, lambda params: {None: params})
-    x, fun, dp, info = _least_squares(residuals, tangent,
-                                      _jittered_starts(np.array(x0), config), config)
-    params, alpha = unpack(x)
-
-    info.update(underdetermined=underdetermined, tie_ab=tie_ab,
-                fix_c=fix_c, seed=config.seed, at_bound=tail.at_bound(params.c, alpha))
-    return FitResult(params=params, alpha=alpha if side.em_on else None,
-                     residuals=tuple(float(r) for r in dp),
-                     objective=fun, diagnostics=info)
+    return _solve(side, chart, tail, x0, 0.8, config,
+                  underdetermined=underdetermined, tie_ab=tie_ab, fix_c=fix_c)
 
 
 # -- rating-grid fit ---------------------------------------------------
@@ -509,55 +496,40 @@ def fit_rating_grid(instruments: Sequence[Instrument], curve: RiskfreeCurve,
 
     if len(set(ratings.tolist())) == 1:
         single = fit_single_name(instruments, curve, recovery_schedule, config)
-        grid = _grid_from_single(single.params, int(ratings[0]))
-        diag = dict(single.diagnostics)
-        diag.update(underdetermined=True, degenerate_single_rating=int(ratings[0]))
-        return FitResult(params=grid, alpha=single.alpha,
-                         residuals=single.residuals,
-                         objective=single.objective, diagnostics=diag)
+        rating = int(ratings[0])
+        return replace(single, params=_grid_from_single(single.params, rating),
+                       diagnostics={**single.diagnostics, "underdetermined": True,
+                                    "degenerate_single_rating": rating})
 
     side = _MarketSide(instruments, curve, recovery_schedule, config,
                        group_by_rating=True)
-    fix_c = config.fix_c
     # u = (ln a_AA, softplus^-1 of ln a_BBB - ln a_AA, ... of ln a_B - ln a_BBB,
     #      the same three for b, ...)
-    tail = _ShapeAlpha.after(6, fix_c, side)
+    tail = _ShapeAlpha.after(6, config.fix_c, side)
+    # d ln x(r)/d ln(anchor k): the log-interpolation weights of anchors k and above
+    tail_weights = {r: np.cumsum(anchor_log_weights(r)[::-1])[::-1] for r in side.groups}
 
-    def unpack(u: np.ndarray):
+    def chart(u: np.ndarray):
         a1 = math.exp(u[0])
         a2 = a1 * math.exp(_softplus(u[1]))
         a3 = a2 * math.exp(_softplus(u[2]))
         b1 = math.exp(u[3])
         b2 = b1 * math.exp(_softplus(u[4]))
         b3 = b2 * math.exp(_softplus(u[5]))
-        c, alpha = tail.values(u)
-        return RatingGrid(anchors_a=(a1, a2, a3), anchors_b=(b1, b2, b3), c=c), alpha
-
-    def by_rating(grid: RatingGrid) -> dict:
-        return {r: grid.params_for_rating(r) for r in side.groups}
-
-    def tangent(u: np.ndarray) -> dict:
+        c, alpha, shape = tail.chart(u)
+        grid = RatingGrid(anchors_a=(a1, a2, a3), anchors_b=(b1, b2, b3), c=c)
         # d ln(anchor j)/du_k is 1 for k = 0 and the softplus slope for 0 < k <= j
         slopes_a = np.array([1.0, _logistic(u[1]), _logistic(u[2])])
         slopes_b = np.array([1.0, _logistic(u[4]), _logistic(u[5])])
-        chains = {}
-        for r, params in by_rating(unpack(u)[0]).items():
-            # d ln x(r)/du_k: the log-interpolation weights of anchors k and above
-            tail_weights = np.cumsum(anchor_log_weights(r)[::-1])[::-1]
-            chain = np.zeros((4, len(u)))
-            chain[0, 0:3] = params.a * tail_weights * slopes_a
-            chain[1, 3:6] = params.b * tail_weights * slopes_b
-            chains[r] = tail.slopes(u, chain)
-        return chains
+        groups = {}
+        for r, weights in tail_weights.items():
+            params = grid.params_for_rating(r)
+            chain = shape.copy()
+            chain[0, 0:3] = params.a * weights * slopes_a
+            chain[1, 3:6] = params.b * weights * slopes_b
+            groups[r] = (params, chain)
+        return grid, alpha, groups
 
     x0 = [math.log(0.003), -1.0, -1.0, math.log(0.02), -1.0, -1.0] + tail.x0()
-    residuals = _CountedResiduals(side, unpack, by_rating)
-    x, fun, dp, info = _least_squares(
-        residuals, tangent, _jittered_starts(np.array(x0), config, 0.6), config)
-    grid, alpha = unpack(x)
-
-    info.update(underdetermined=False, fix_c=fix_c, seed=config.seed,
-                at_bound=tail.at_bound(grid.c, alpha))
-    return FitResult(params=grid, alpha=alpha if side.em_on else None,
-                     residuals=tuple(float(r) for r in dp),
-                     objective=fun, diagnostics=info)
+    return _solve(side, chart, tail, x0, 0.6, config,
+                  underdetermined=False, fix_c=config.fix_c)

@@ -60,6 +60,8 @@ class RiskfreeCurve:
         object.__setattr__(self, "pillars", pillars)
         if not pillars:
             raise ValueError("curve needs at least one pillar")
+        if not all(math.isfinite(t) and math.isfinite(z) for t, z in pillars):
+            raise ValueError("pillar tenors and rates must be finite")
         if not isinstance(self.compounding, int) or self.compounding < 0:
             raise ValueError("compounding must be a non-negative integer")
         tenors = [t for t, _ in pillars]

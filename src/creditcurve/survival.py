@@ -63,6 +63,8 @@ class SurvivalParams:
     c: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.c)):
+            raise ValueError("parameters a, b, c must be finite")
         if self.a < 0 or self.b < 0:
             raise ValueError("hazard parameters a, b must be >= 0")
         if self.c <= 0:
@@ -153,13 +155,13 @@ class RatingGrid:
         for name, anchors in (("a", self.anchors_a), ("b", self.anchors_b)):
             if len(anchors) != 3:
                 raise ValueError(f"anchors_{name} must have 3 entries (AA, BBB, B)")
-            if any(x <= 0 for x in anchors):
-                raise ValueError(f"anchors_{name} must be positive")
+            if not all(x > 0 and math.isfinite(x) for x in anchors):
+                raise ValueError(f"anchors_{name} must be finite and positive")
             if not (anchors[0] <= anchors[1] <= anchors[2]):
                 raise ValueError(
                     f"anchors_{name} must be non-decreasing in rating (no-crossing)")
-        if self.c <= 0:
-            raise ValueError("shape parameter c must be > 0")
+        if not (self.c > 0 and math.isfinite(self.c)):
+            raise ValueError("shape parameter c must be finite and > 0")
 
     def params_for_rating(self, r: int) -> SurvivalParams:
         """Log-linear interpolation of the anchors at rating ``r``."""

@@ -193,6 +193,13 @@ def kernels(curve: RiskfreeCurve, params: SurvivalParams, tenor: float,
 # -- instruments -----------------------------------------------------
 
 
+def _require_finite(spec, *names: str) -> None:
+    for name in names:
+        x = getattr(spec, name)
+        if x is not None and not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, got {x!r}")
+
+
 @dataclass(frozen=True)
 class BondSpec:
     """A fixed-coupon bond.  ``price`` is the full value per 100 face."""
@@ -208,6 +215,7 @@ class BondSpec:
     identifier: str = ""
 
     def __post_init__(self) -> None:
+        _require_finite(self, "coupon", "tenor", "price", "issue_size", "sovereign_spread")
         if self.coupon < 0:
             raise ValueError("coupon must be >= 0")
         if self.tenor <= 0:
@@ -243,6 +251,7 @@ class CdsSpec:
     identifier: str = ""
 
     def __post_init__(self) -> None:
+        _require_finite(self, "coupon", "tenor", "quote", "issue_size", "sovereign_spread")
         if self.coupon < 0:
             raise ValueError("coupon must be >= 0")
         if self.tenor <= 0:

@@ -2,6 +2,8 @@ import datetime as dt
 import math
 import shutil
 import string
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,6 +494,41 @@ def test_malformed_row_exits_2_with_file_and_line(tmp_path, bad):
         assert isinstance(result.exception, SystemExit)
         assert result.output.count(f"{name}:2") == 1, (verb, bad, result.output)
         assert "Traceback" not in result.output
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("flags")
+    riskfree, bonds = write_universe(root)
+    return riskfree, bonds, make_history_dir(root, (0.01,))
+
+
+# flags that take a number, by verb; value needs its whole curve
+NUMERIC_FLAGS = [("value", "--a"), ("value", "--b"), ("value", "--c"), ("value", "--grid-step"),
+                 ("fit", "--fix-c"), ("fit-grid", "--grid-step"), ("analytics", "--horizon"),
+                 ("analytics", "--convergence-fraction"), ("history", "--tenor-points"),
+                 ("history", "--fix-c")]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(flag=st.sampled_from(NUMERIC_FLAGS), val=st.sampled_from(["nan", "inf", "-inf"]))
+def test_non_finite_flag_exits_2_without_traceback(tmp_path, flag_inputs, flag, val):
+    verb, name = flag
+    riskfree, bonds, snapshots = flag_inputs
+    if verb == "history":
+        args = ["--snapshots", str(snapshots)]
+    else:
+        args = ["--riskfree", str(riskfree), "--bonds", str(bonds)]
+    if verb == "value":
+        args += ["--a=0.01", "--b=0.05", "--c=0.1"]
+    args.append(f"{name}=5,{val}" if name == "--tenor-points" else f"{name}={val}")
+    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "o"
+    result = CliRunner().invoke(main, [verb, *args, "--out", str(out)])
+    assert result.exit_code == 2, (flag, val, result.output)
+    assert isinstance(result.exception, SystemExit)
+    assert "error: " in result.output and "Traceback" not in result.output
+    assert not out.exists()
 
 
 def _cds_value(tmp_path, row):

@@ -280,12 +280,12 @@ def test_evaluations_count_every_residual_call(monkeypatch):
 def test_fallback_evaluations_are_counted():
     side = ft._MarketSide(make_bonds(), CURVE, 0.4, FitConfig())
 
-    def unpack(u):
+    def chart(u):
         if u[0] > 0:
             raise OverflowError
-        return TRUE, 0.0
+        return TRUE, 0.0, {None: (TRUE, np.zeros((4, 1)))}
 
-    residuals = ft._CountedResiduals(side, unpack, lambda params: {None: params})
+    residuals = ft._CountedResiduals(side, chart)
     assert np.all(residuals(np.array([1.0])) == ft.FALLBACK_DP)
     assert np.all(np.abs(residuals(np.array([-1.0]))) < 1e-10)
     assert (residuals.evals, residuals.fallback_evals) == (2, 1)
@@ -315,6 +315,15 @@ def test_fitconfig_validation():
         FitConfig(c_bounds=(0.2, 0.1))
     with pytest.raises(ValueError):
         FitConfig(em_mode="maybe")
+    for x in (math.nan, math.inf, -math.inf):
+        for name in ("fix_c", "grid_step", "xtol", "ftol"):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                FitConfig(**{name: x})
+        with pytest.raises(ValueError, match="c_bounds"):
+            FitConfig(c_bounds=(0.05, x))
+        for name in ("multistart_count", "max_iter"):
+            with pytest.raises(ValueError, match="must be finite and >= 1"):
+                FitConfig(**{name: x})
 
 
 # -- rating-grid fit -----------------------------------------------------
@@ -509,25 +518,63 @@ def test_fallback_point_has_zero_jacobian(monkeypatch):
     assert np.array_equal(jac(far), np.zeros((len(make_bonds()), 3)))
 
     side = ft._MarketSide(make_bonds(), CURVE, 0.4, FitConfig())
-    nan_params = ft._CountedResiduals(side, lambda u: (SurvivalParams(math.nan, 0.05, 0.1),
-                                                       0.0), lambda p: {None: p})
-    assert np.all(nan_params(np.zeros(1)) == ft.FALLBACK_DP)
-    assert nan_params.jacobian(np.zeros(1)) is None
-    assert (nan_params.evals, nan_params.fallback_evals, nan_params.jacobian_evals) == (1, 1, 1)
+    # finite parameters whose residuals are not: (b - a)/c overflows
+    huge = SurvivalParams(1e308, 0.05, 0.1)
+    nan_dp = ft._CountedResiduals(side, lambda u: (huge, 0.0, {None: (huge, np.ones((4, 1)))}))
+    with np.errstate(invalid="ignore"):
+        assert np.all(nan_dp(np.zeros(1)) == ft.FALLBACK_DP)
+    assert np.array_equal(nan_dp.jacobian(np.zeros(1)), np.zeros((len(make_bonds()), 1)))
+    assert (nan_dp.evals, nan_dp.fallback_evals, nan_dp.jacobian_evals) == (1, 1, 1)
+
+
+def scaled_true_chart(u):
+    # one coordinate, ln of a factor on both hazard levels of TRUE
+    params = TRUE.scaled(math.exp(u[0]))
+    chain = np.array([[params.a], [params.b], [0.0], [0.0]])
+    return params, 0.0, {None: (params, chain)}
 
 
 def test_jacobian_request_off_the_last_point_is_evaluated_and_counted():
     side = ft._MarketSide(make_bonds(), CURVE, 0.4, FitConfig())
-    residuals = ft._CountedResiduals(side, lambda u: (TRUE.scaled(math.exp(u[0])), 0.0),
-                                     lambda p: {None: p})
+    residuals = ft._CountedResiduals(side, scaled_true_chart)
     residuals(np.array([0.1]))
     at_last = residuals.jacobian(np.array([0.1]))
     assert residuals.evals == 1
     elsewhere = residuals.jacobian(np.array([-0.2]))
     assert (residuals.evals, residuals.jacobian_evals) == (2, 2)
     assert not np.array_equal(at_last, elsewhere)
-    _, expected = side.dp({None: TRUE.scaled(math.exp(-0.2))}, 0.0)
+    params, _, groups = scaled_true_chart(np.array([-0.2]))
+    expected = side.dp({None: params}, 0.0)[1] @ groups[None][1]
     assert np.array_equal(elsewhere, expected)
+
+
+def test_jacobian_requests_get_their_own_arrays():
+    # the solver rescales a Jacobian in place under a robust loss
+    side = ft._MarketSide(make_bonds(), CURVE, 0.4, FitConfig())
+    residuals = ft._CountedResiduals(side, scaled_true_chart)
+    u = np.array([0.1])
+    first = residuals.jacobian(u)
+    second = residuals.jacobian(u)
+    assert first is not second and np.array_equal(first, second)
+    first *= 2.0
+    assert np.array_equal(residuals.jacobian(u), second)
+    assert residuals.evals == 1
+
+
+def test_grid_fit_builds_each_rating_once_per_evaluation(monkeypatch):
+    bonds = make_grid_universe()
+    calls = []
+    params_for_rating = RatingGrid.params_for_rating
+
+    def counted(self, r):
+        calls.append(r)
+        return params_for_rating(self, r)
+
+    monkeypatch.setattr(RatingGrid, "params_for_rating", counted)
+    res = fit_rating_grid(bonds, CURVE, SCHED, FitConfig(multistart_count=2))
+    groups = len({b.rating for b in bonds})
+    # one chart per evaluation plus one at the fitted point; Jacobians reuse them
+    assert len(calls) == groups * (res.diagnostics["evaluations"] + 1)
 
 
 @pytest.mark.parametrize("grouped", [False, True])

@@ -130,3 +130,8 @@ def test_validation_errors():
         RiskfreeCurve(pillars=((0.0, 0.02),))
     with pytest.raises(ValueError):
         RiskfreeCurve(pillars=((1.0, 0.02),), compounding=-1)
+    for x in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            RiskfreeCurve.flat(x)
+        with pytest.raises(ValueError, match="finite"):
+            RiskfreeCurve(pillars=((1.0, 0.02), (x, 0.03)))

@@ -173,6 +173,19 @@ def test_grid_rejects_crossing_anchors():
         RatingGrid(anchors_a=(0.001, 0.008, 0.032), anchors_b=(0.2, 0.04, 0.5), c=0.1)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(x):
+    for args in ((x, 0.02, 0.1), (0.01, x, 0.1), (0.01, 0.02, x)):
+        with pytest.raises(ValueError, match="finite"):
+            SurvivalParams(*args)
+    a, b = (0.001, 0.008, 0.032), (0.01, 0.04, 0.12)
+    for kwargs in (dict(anchors_a=(0.001, 0.008, x), anchors_b=b, c=0.1),
+                   dict(anchors_a=a, anchors_b=(x, 0.04, 0.12), c=0.1),
+                   dict(anchors_a=a, anchors_b=b, c=x)):
+        with pytest.raises(ValueError, match="finite"):
+            RatingGrid(**kwargs)
+
+
 def test_recovery_schedule_paper_scale_points():
     sched = RecoverySchedule()
     assert sched.recovery_for_rating(10) == pytest.approx(0.40)   # BBB-

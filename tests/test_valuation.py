@@ -424,6 +424,18 @@ def test_bond_cds_spec_validation():
         CdsSpec(coupon=-0.05, tenor=5.0, quote_type="upfront", quote=0.02)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_bond_cds_spec_reject_non_finite_numbers(x):
+    bond = dict(coupon=0.05, tenor=5.0, price=100.0)
+    for name in ("coupon", "tenor", "price", "issue_size", "sovereign_spread"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            BondSpec(**dict(bond, **{name: x}))
+    cds = dict(coupon=0.01, tenor=5.0, quote_type="spread", quote=0.02)
+    for name in ("coupon", "tenor", "quote", "issue_size", "sovereign_spread"):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            CdsSpec(**dict(cds, **{name: x}))
+
+
 # -- exact fit ---------------------------------------------------------
 
 
