@@ -20,6 +20,11 @@ sovereign coefficient, and positive increments between rating anchors so
 that fitted grids can never cross.  Multistart with a seeded generator
 keeps results reproducible bit for bit; the lowest objective wins.
 
+scipy is imported when the first fit runs, not with this module, so the
+verbs that never fit start without it.  ``least_squares`` is a lazy
+module attribute (PEP 562 ``__getattr__``) that the solve looks up
+through the module, so ``fitting.least_squares`` can still be patched.
+
 The solver's Jacobian is exact.  dP is affine in the kernels (Pi, Xi,
 rhat*Pi) and the kernels are linear in Q, so each evaluation runs the
 kernel sums once over the survival jet [Q, dQ/da, dQ/db, dQ/dc] and gets
@@ -36,11 +41,12 @@ the Jacobian at that point, so a Jacobian costs no extra evaluation.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .ratecurve import RiskfreeCurve
 from .survival import (
@@ -88,6 +94,15 @@ FALLBACK_DP = 1e6
 AT_BOUND = 1e-9
 
 
+def __getattr__(name: str):
+    # the solver's lazy import (see the module docstring)
+    if name == "least_squares":
+        from scipy.optimize import least_squares
+        globals()[name] = least_squares
+        return least_squares
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 @dataclass(frozen=True)
 class FitConfig:
     weight_mode: str = "issue_size"       # issue_size | equal | issue_size_duration
@@ -118,8 +133,12 @@ class FitConfig:
             raise ValueError(f"unknown em_mode {self.em_mode!r}")
         if not 0.0 <= self.em_alpha_fixed <= 1.0:
             raise ValueError("em_alpha_fixed must be in [0, 1]")
-        if not all(n >= 1 and math.isfinite(n) for n in (self.multistart_count, self.max_iter)):
-            raise ValueError("multistart_count and max_iter must be finite and >= 1")
+        for name in ("multistart_count", "max_iter"):
+            n = getattr(self, name)
+            if not (n >= 1 and math.isfinite(n)):
+                raise ValueError("multistart_count and max_iter must be finite and >= 1")
+            if not isinstance(n, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {n!r}")
         for name in ("xtol", "ftol", "grid_step"):
             x = getattr(self, name)
             if not (x > 0 and math.isfinite(x)):
@@ -393,6 +412,8 @@ def _solve(side: _MarketSide, chart, tail: _ShapeAlpha, x0: list[float], scale: 
     x0 = np.array(x0)
     starts = [x0] + [x0 + rng.normal(0.0, scale, len(x0))
                      for _ in range(config.multistart_count - 1)]
+    # through the module, so that the lazy import and a patched solver both apply
+    least_squares = sys.modules[__name__].least_squares
     runs = []
     for start in starts:
         res = least_squares(residuals, start, jac=residuals.jacobian, method="trf",
@@ -403,9 +424,11 @@ def _solve(side: _MarketSide, chart, tail: _ShapeAlpha, x0: list[float], scale: 
     fun, best = runs[objectives.index(min(objectives))]
 
     # converged means stationary: the solver met a tolerance and the
-    # objective's gradient in the fitted coordinates is flat
+    # objective's gradient in the fitted coordinates is flat, at a point
+    # whose curve could be evaluated (a fallback point's gradient is 0)
     grad_norm = float(np.linalg.norm(best.grad, ord=np.inf))
-    converged = best.status > 0 and grad_norm <= STATIONARY_GRAD * (1.0 + fun)
+    converged = (best.status > 0 and not np.all(best.fun == FALLBACK_DP)
+                 and grad_norm <= STATIONARY_GRAD * (1.0 + fun))
     curve, alpha, _ = chart(best.x)
     info = dict(evaluations=residuals.evals, jacobian_evals=residuals.jacobian_evals,
                 fallback_evals=residuals.fallback_evals,

@@ -16,6 +16,10 @@ for any grid step.  Model price of a bond per 100 face is then
 which treats the coupon stream as continuously paid.  Bond prices fed
 into this module are therefore full invoice values per 100 face; there
 is no separate accrued-interest concept.
+
+The root solves (yield, Z-spread, exact fit) use :func:`_brentq`, a port
+of scipy's ``brentq`` that finds the same roots bit for bit, so this
+module does not import scipy.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .ratecurve import RiskfreeCurve
 from .survival import RecoverySchedule, SurvivalParams
@@ -294,6 +297,79 @@ class AssetSwapInputs:
             raise ValueError("swap PV01s must be > 0")
 
 
+# -- root finding ------------------------------------------------------
+
+# the smallest relative tolerance the port accepts: 4 * machine epsilon
+_BRENT_RTOL = 4.0 * 2.0 ** -52
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = _BRENT_RTOL,
+            maxiter: int = 100) -> float:
+    """Root of ``f`` in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A line-by-line port of ``scipy.optimize.brentq`` (its
+    ``Zeros/brentq.c``), so the same steps, tolerances and sign tests
+    give the same root bit for bit.  ValueError on a NaN value or a
+    bracket without a sign change, RuntimeError after ``maxiter``
+    iterations.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _BRENT_RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_BRENT_RTOL:g})")
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            limit = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < limit else limit):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 # -- pricing and spread transforms ------------------------------------
 
 
@@ -341,7 +417,7 @@ def yield_from_price(coupon: float, tenor: float, price: float, m: int = 2) -> f
             lo = (lo - m) / 2.0 if lo > -m * 0.999 else lo
     else:
         raise ArithmeticError("could not bracket the yield")
-    return brentq(f, lo, hi, xtol=1e-14)
+    return _brentq(f, lo, hi, xtol=1e-14)
 
 
 def _schedule(coupon: float, tenor: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -360,19 +436,32 @@ def riskfree_schedule_price(coupon: float, tenor: float, curve: RiskfreeCurve,
     This is the discounting that the Z-spread inverts; spread = 0 gives
     the riskfree value of the schedule.
     """
+    return _schedule_pv(*_zero_schedule(coupon, tenor, curve, m), m, spread)
+
+
+def _zero_schedule(coupon: float, tenor: float, curve: RiskfreeCurve,
+                   m: int) -> tuple[list[float], list[float], list[float]]:
+    # the schedule's times and flows with the curve's zero rate at each time
     times, flows = _schedule(coupon, tenor, m)
+    times = times.tolist()
+    return times, flows.tolist(), [curve.zero_rate(t, m) for t in times]
+
+
+def _schedule_pv(times: list[float], flows: list[float], zeros: list[float],
+                 m: int, spread: float) -> float:
     pv = 0.0
-    for t, cf in zip(times, flows):
-        z = curve.zero_rate(float(t), m)
+    for t, cf, z in zip(times, flows, zeros):
         pv += cf * math.exp(-m * t * math.log1p((z + spread) / m))
     return pv
 
 
 def z_spread(spec: BondSpec, curve: RiskfreeCurve, m: int = 2) -> float:
     """Constant add-on to the curve's zero rates that reprices the bond."""
+    # the zero rates do not move with the spread: read them once
+    schedule = _zero_schedule(spec.coupon, spec.tenor, curve, m)
 
     def f(s: float) -> float:
-        return riskfree_schedule_price(spec.coupon, spec.tenor, curve, m, s) - spec.price
+        return _schedule_pv(*schedule, m, s) - spec.price
 
     lo, hi = -0.25, 0.5
     for _ in range(60):
@@ -386,7 +475,7 @@ def z_spread(spec: BondSpec, curve: RiskfreeCurve, m: int = 2) -> float:
                 raise ArithmeticError("z-spread root-finding failed to bracket")
     else:
         raise ArithmeticError("z-spread root-finding failed to bracket")
-    return brentq(f, lo, hi, xtol=1e-14)
+    return _brentq(f, lo, hi, xtol=1e-14)
 
 
 def asset_swap_spread(spec: BondSpec, inputs: AssetSwapInputs) -> float:
@@ -531,10 +620,13 @@ def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
     """
     # as Python scalars: the same arithmetic, without array overhead in the root solve
     quotes = [q.item() for q in _quotes([spec], curve, recovery, grid_step)]
+    # the discount grid and the tenor read-out do not move with the factor
+    cache = DiscountGridCache(curve, spec.tenor, grid_step)
+    readout = cache.readout([spec.tenor])
 
     def gap(factor: float) -> float:
-        k = kernels(curve, base.scaled(factor), spec.tenor, grid_step)
-        return float(_dp(k.pi, k.xi, k.rhat, 0.0, *quotes))
+        pi, xi, rhat, _ = cache.kernel_grid(base.scaled(factor)).at_many(readout)
+        return float(_dp(float(pi[0]), float(xi[0]), float(rhat[0]), 0.0, *quotes))
 
     # dP falls for both kinds as hazards scale up
     lo, hi = 0.5, 2.0
@@ -552,7 +644,7 @@ def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
                 "(price outside the attainable range)")
     else:
         raise ArithmeticError("exact-fit bracketing failed")
-    factor = brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    factor = _brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
     fitted = base.scaled(factor)
     if abs(gap(factor)) > 1e-8:
         raise ArithmeticError("exact fit did not converge to |dP| <= 1e-8")

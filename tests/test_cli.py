@@ -1,7 +1,11 @@
 import datetime as dt
+import json
 import math
+import os
 import shutil
 import string
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -410,6 +414,33 @@ def test_spread_sample_data_runs(tmp_path, runner, colom_dir):
         "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert (out / "spreads.csv").exists()
+
+
+COLD_VERBS_SCRIPT = """
+import json, sys
+import creditcurve.cli as cli
+
+data, out = sys.argv[1], sys.argv[2]
+files = ["--riskfree", data + "/riskfree.csv", "--bonds", data + "/bonds.csv",
+         "--config", data + "/config.txt", "--out", out]
+cli.main(["value", "--a", "0.01", "--b", "0.03", "--c", "0.1"] + files, standalone_mode=False)
+cli.main(["spread"] + files, standalone_mode=False)
+cold = "scipy" in sys.modules
+cli.main(["fit", "--multistart", "1"] + files, standalone_mode=False)
+print(json.dumps({"cold": cold, "fit": "scipy" in sys.modules}))
+"""
+
+
+def test_cold_verbs_run_without_scipy(tmp_path, colom_dir):
+    # a fresh interpreter: value and spread never import scipy, a fit does
+    env = dict(os.environ, PYTHONPATH=str(Path(cc.__file__).resolve().parent.parent))
+    proc = subprocess.run([sys.executable, "-c", COLD_VERBS_SCRIPT, str(colom_dir),
+                           str(tmp_path / "out")], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"cold": False, "fit": True}
+    assert (tmp_path / "out" / "value.csv").exists()
+    assert (tmp_path / "out" / "spreads.csv").exists()
 
 
 def test_fit_params_file_reload_round_trip(tmp_path, runner):

@@ -291,6 +291,25 @@ def test_fallback_evaluations_are_counted():
     assert (residuals.evals, residuals.fallback_evals) == (2, 1)
 
 
+def test_fit_at_a_fallback_point_is_not_converged(tmp_path, monkeypatch):
+    # every evaluation falls back: the residuals are constant, so the
+    # gradient is exactly 0 and the solver stops at once
+    def overflow(self, params_by_group, alpha):
+        raise OverflowError("math range error")
+
+    monkeypatch.setattr(ft._MarketSide, "dp", overflow)
+    res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig(multistart_count=2))
+    assert res.diagnostics["fallback_evals"] == res.diagnostics["evaluations"] > 0
+    assert res.diagnostics["grad_norm"] == 0.0
+    assert res.diagnostics["converged"] is False
+
+    result = CliRunner().invoke(cli.main, [
+        "fit", "--riskfree", str(COLOM / "riskfree.csv"), "--bonds", str(COLOM / "bonds.csv"),
+        "--config", str(COLOM / "config.txt"), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 3
+    assert "did not converge" in result.output
+
+
 def test_max_iter_too_small_is_not_converged(tmp_path, monkeypatch):
     res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig(max_iter=3))
     assert not res.diagnostics["converged"]
@@ -324,6 +343,11 @@ def test_fitconfig_validation():
         for name in ("multistart_count", "max_iter"):
             with pytest.raises(ValueError, match="must be finite and >= 1"):
                 FitConfig(**{name: x})
+    for x in (2.5, 3.0):
+        for name in ("multistart_count", "max_iter"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                FitConfig(**{name: x})
+    assert FitConfig(multistart_count=np.int64(2)).multistart_count == 2
 
 
 # -- rating-grid fit -----------------------------------------------------

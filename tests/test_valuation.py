@@ -3,17 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import creditcurve as cc
 from creditcurve.ratecurve import RiskfreeCurve
 from creditcurve.survival import SurvivalParams
 from creditcurve.valuation import (
+    DEFAULT_GRID_STEP,
     AssetSwapInputs,
     BondSpec,
     CdsSpec,
     DiscountGridCache,
     KernelGrid,
     RiskyKernels,
+    _brentq,
+    _dp,
+    _quotes,
     asset_swap_spread,
     bond_model_price,
     cds_traded_spread_to_upfront,
@@ -329,10 +336,6 @@ def test_par_adjusted_spread_on_model_price_equals_par_spread():
                     100.0 * k.pi * (sbar - s_model), abs=1e-10)
 
 
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-
 @given(a=st.floats(1e-4, 0.2), b=st.floats(1e-4, 0.2), c=st.floats(0.05, 0.2),
        rec=st.floats(0.0, 0.9), coupon=st.floats(0.0, 0.12),
        tenor=st.floats(0.5, 30.0), rate=st.floats(0.0, 0.08))
@@ -486,3 +489,125 @@ def test_exact_fit_unattainable_price():
     below_floor = BondSpec(coupon=0.05, tenor=6.0, price=20.0, recovery=0.4)
     with pytest.raises(ArithmeticError):
         exact_fit_to_instrument(below_floor, base, FLAT2)
+
+
+# -- the root finder -----------------------------------------------------
+
+
+def outcome(solve, *args, **kwargs):
+    """A root, or the type and message of the error raised."""
+    try:
+        return solve(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+MONOTONE = {
+    "power": lambda x, c, s: s * (x - c) ** 3,
+    "expm1": lambda x, c, s: math.expm1(s * (x - c)),
+    "atan": lambda x, c, s: -(math.atan(s * (x - c)) + 1e-3 * (x - c)),
+    "log1p": lambda x, c, s: math.log1p(s * abs(x - c)) * math.copysign(1.0, x - c),
+}
+
+
+@given(kind=st.sampled_from(sorted(MONOTONE)), root=st.floats(-2.0, 2.0),
+       slope=st.floats(0.05, 50.0), below=st.floats(1e-3, 5.0),
+       above=st.floats(1e-3, 5.0), xtol=st.sampled_from([1e-13, 1e-14]),
+       rtol=st.sampled_from([4 * np.finfo(float).eps, 8.9e-16]))
+@settings(max_examples=300, deadline=None)
+def test_brent_port_matches_scipy_brentq(kind, root, slope, below, above, xtol, rtol):
+    def f(x):
+        return MONOTONE[kind](x, root, slope)
+
+    for lo, hi in ((root - below, root + above), (root + above, root - below)):
+        got = outcome(_brentq, f, lo, hi, xtol=xtol, rtol=rtol)
+        assert got == outcome(brentq, f, lo, hi, xtol=xtol, rtol=rtol)
+    # a bracket without a sign change
+    lo, hi = root + above, root + above + below
+    got = outcome(_brentq, f, lo, hi, xtol=xtol, rtol=rtol)
+    assert got == outcome(brentq, f, lo, hi, xtol=xtol, rtol=rtol)
+    assert got[0] is ValueError
+
+
+def test_brent_port_errors_match_scipy():
+    cube = lambda x: x ** 3 - 2.0
+    for kwargs in (dict(xtol=1e-14, maxiter=3), dict(xtol=0.0), dict(xtol=1e-14, rtol=1e-17)):
+        got = outcome(_brentq, cube, 0.0, 2.0, **kwargs)
+        assert got == outcome(brentq, cube, 0.0, 2.0, **kwargs)
+        assert got[0] in (ValueError, RuntimeError)
+    nan = lambda x: math.nan
+    assert outcome(_brentq, nan, 0.0, 1.0, xtol=1e-14) == outcome(brentq, nan, 0.0, 1.0)
+
+
+# The parent formulation of the root solves: scipy's brentq with the
+# curve-only work (zero rates, discount grid) redone at every trial point.
+
+
+def parent_z_spread(spec, curve, m=2):
+    def price(s):
+        n = max(1, int(math.ceil(m * spec.tenor - 1e-9)))
+        times = spec.tenor - (n - 1 - np.arange(n)) / m
+        flows = np.full(n, 100.0 * spec.coupon / m)
+        flows[-1] += 100.0
+        pv = 0.0
+        for t, cf in zip(times, flows):
+            z = curve.zero_rate(float(t), m)
+            pv += cf * math.exp(-m * t * math.log1p((z + s) / m))
+        return pv
+
+    def f(s):
+        return price(s) - spec.price
+
+    lo, hi = -0.25, 0.5
+    for _ in range(60):
+        if f(lo) > 0 > f(hi):
+            break
+        if f(hi) >= 0:
+            hi *= 2.0
+        if f(lo) <= 0:
+            lo -= 0.25
+    return brentq(f, lo, hi, xtol=1e-14)
+
+
+def parent_exact_fit(spec, base, curve):
+    quotes = [q.item() for q in _quotes([spec], curve, None, DEFAULT_GRID_STEP)]
+
+    def gap(factor):
+        k = kernels(curve, base.scaled(factor), spec.tenor)
+        return float(_dp(k.pi, k.xi, k.rhat, 0.0, *quotes))
+
+    lo, hi = 0.5, 2.0
+    for _ in range(80):
+        g_lo, g_hi = gap(lo), gap(hi)
+        if g_lo > 0 > g_hi:
+            break
+        if g_lo <= 0:
+            lo /= 4.0
+        if g_hi >= 0:
+            hi *= 4.0
+    return base.scaled(brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16))
+
+
+GOLDEN_CURVE = RiskfreeCurve(pillars=((0.5, 0.012), (2.0, 0.018), (7.0, 0.026), (20.0, 0.031)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_z_spread_equals_parent_formulation(m):
+    for coupon, tenor, price in ((0.0, 3.0, 91.0), (0.05, 0.8, 101.2), (0.0725, 7.3, 96.4),
+                                 (0.04, 12.25, 108.0), (0.09, 28.0, 71.5)):
+        spec = BondSpec(coupon=coupon, tenor=tenor, price=price)
+        assert z_spread(spec, GOLDEN_CURVE, m) == parent_z_spread(spec, GOLDEN_CURVE, m)
+
+
+def test_exact_fit_equals_parent_formulation():
+    base = SurvivalParams(0.01, 0.04, 0.12)
+    specs = [BondSpec(coupon=c, tenor=t, price=p, recovery=r)
+             for c, t, p, r in ((0.03, 1.7, 99.2, 0.4), (0.06, 6.5, 104.0, 0.25),
+                                (0.08, 15.0, 88.0, 0.0), (0.05, 30.0, 77.0, 0.6))]
+    specs += [CdsSpec(coupon=c, tenor=t, quote_type=kind, quote=q, model_recovery=r)
+              for c, t, kind, q, r in ((0.01, 5.0, "spread", 0.018, None),
+                                       (0.05, 3.0, "upfront", -0.04, 0.35),
+                                       (0.01, 10.0, "upfront", 0.07, 0.2))]
+    for spec in specs:
+        fitted = exact_fit_to_instrument(spec, base, GOLDEN_CURVE)
+        assert fitted == parent_exact_fit(spec, base, GOLDEN_CURVE)
