@@ -42,6 +42,7 @@ from .valuation import (
     cds_upfront,
     exact_fit_to_instrument,
     kernels,
+    kernels_at,
     par_adjusted_spread,
     par_adjusted_spread_bond,
     par_adjusted_spread_cds,
@@ -63,6 +64,7 @@ __all__ = [
     "RiskyKernels",
     "KernelGrid",
     "kernels",
+    "kernels_at",
     "BondSpec",
     "CdsSpec",
     "AssetSwapInputs",

@@ -21,7 +21,7 @@ import numpy as np
 
 from .ratecurve import RiskfreeCurve
 from .survival import RatingGrid, RecoverySchedule, SurvivalParams
-from .valuation import DEFAULT_GRID_STEP, KernelGrid, par_cds_spread
+from .valuation import DEFAULT_GRID_STEP, kernels_at, par_cds_spread
 
 __all__ = [
     "VARIANT_STANDARD",
@@ -105,9 +105,7 @@ def decompose_return(c_prime: float, s_bar: float, tenor: float, horizon: float,
         raise ValueError("horizon must lie strictly inside (0, tenor)")
     if not 0.0 <= convergence_fraction <= 1.0:
         raise ValueError("convergence_fraction must be in [0, 1]")
-    kg = KernelGrid(curve, params, tenor, grid_step)
-    k_T = kg.at(tenor)
-    k_Tm = kg.at(tenor - horizon)
+    k_T, k_Tm = kernels_at(curve, params, [tenor, tenor - horizon], grid_step)
     s_hat_T = par_cds_spread(k_T, recovery)
     s_hat_Tm = par_cds_spread(k_Tm, recovery)
     carry_spread = s_bar if variant == VARIANT_STANDARD else s_hat_T

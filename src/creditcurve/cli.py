@@ -298,13 +298,19 @@ def _emit_fit(st: Settings, snap: UniverseSnapshot, result: ft.FitResult) -> Non
     _write(st.out / "fit_params.csv", ["parameter", "value"], rows)
 
     params = result.params
+    # one grid per curve: the fitted one, or each rating's off a fitted grid
+    by_curve: dict[int | None, list[int]] = {}
+    for i, inst in enumerate(snap.instruments):
+        key = None if isinstance(params, SurvivalParams) else inst.effective_rating
+        by_curve.setdefault(key, []).append(i)
+    at_tenor: list = [None] * len(snap.instruments)
+    for key, idx in by_curve.items():
+        curve = params if key is None else params.params_for_rating(key)
+        tenors = [snap.instruments[i].tenor for i in idx]
+        for i, k in zip(idx, vl.kernels_at(snap.riskfree, curve, tenors, st.grid_step)):
+            at_tenor[i] = k
     report = []
-    for inst, res in zip(snap.instruments, result.residuals):
-        if isinstance(params, SurvivalParams):
-            curve_params = params
-        else:
-            curve_params = params.params_for_rating(inst.effective_rating)
-        k = vl.kernels(snap.riskfree, curve_params, inst.tenor, st.grid_step)
+    for inst, res, k in zip(snap.instruments, result.residuals, at_tenor):
         sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree, st.grid_step)
         rating = inst.effective_rating
         report.append([inst.identifier, _fmt(inst.tenor),
@@ -357,10 +363,9 @@ def analytics_cmd(allow_underdetermined, variant, **kw):
         st, snap = _load(kw)
         params = _fit(st, snap, False, allow_underdetermined).params
     rows = []
-    for inst in snap.instruments:
-        if st.horizon >= inst.tenor:
-            continue
-        k = vl.kernels(snap.riskfree, params, inst.tenor, st.grid_step)
+    held = [inst for inst in snap.instruments if st.horizon < inst.tenor]
+    at_tenor = vl.kernels_at(snap.riskfree, params, [inst.tenor for inst in held], st.grid_step)
+    for inst, k in zip(held, at_tenor):
         sbar, c_prime = vl.par_adjusted_spread(inst, k, snap.riskfree, st.grid_step)
         dec = an.decompose_return(c_prime, sbar, inst.tenor, st.horizon,
                                   snap.riskfree, params, inst.recovery, variant=variant,
@@ -458,8 +463,7 @@ def _history_one(st: Settings, d: Path, date: dt.date, grid: bool,
     else:
         curves = [("", result.params, recs[0])]
     for label, params, rec in curves:
-        for t in points:
-            k = vl.kernels(snap.riskfree, params, t, st.grid_step)
+        for t, k in zip(points, vl.kernels_at(snap.riskfree, params, points, st.grid_step)):
             rows.append([iso, f"spread_{t:g}y{label}_bp", _bp(vl.par_cds_spread(k, rec))])
     for inst, res in zip(snap.instruments, result.residuals):
         rows.append([iso, f"rv.{inst.identifier}_pts", _fmt(res)])

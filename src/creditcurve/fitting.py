@@ -29,13 +29,18 @@ The solver's Jacobian is exact.  dP is affine in the kernels (Pi, Xi,
 rhat*Pi) and the kernels are linear in Q, so each evaluation runs the
 kernel sums once over the survival jet [Q, dQ/da, dQ/db, dQ/dc] and gets
 the residuals together with their derivatives in (a, b, c); alpha enters
-as -100 * sov * Pi.  Each fit has one chart: a map from the solver's
-coordinates u to the curve, alpha and, for each rating group, the
-group's (a, b, c) together with d(a, b, c, alpha)/du through the
-coordinate maps (exp, logistic, softplus increments, log-linear rating
-interpolation).  The residual call evaluates the chart once and chains
-the derivatives into u at the point it evaluates; the solver asks for
-the Jacobian at that point, so a Jacobian costs no extra evaluation.
+as -100 * sov * Pi.  Each rating group's kernel pass runs on its own
+prefix of one discount grid, ending at the group's longest tenor, with
+Q at the group's tenors taken in the same jet call; the groups' kernel
+rows then go through one price-gap pass per evaluation.
+
+Each fit has one chart: a map from the solver's coordinates u to the
+curve, alpha and, for each rating group, the group's (a, b, c) together
+with d(a, b, c, alpha)/du through the coordinate maps (exp, logistic,
+softplus increments, log-linear rating interpolation).  The residual
+call evaluates the chart once and chains the derivatives into u at the
+point it evaluates; the solver asks for the Jacobian at that point, so
+a Jacobian costs no extra evaluation.
 """
 
 from __future__ import annotations
@@ -212,8 +217,9 @@ class _MarketSide:
 
     Everything that does not depend on the candidate curve (market
     prices, SNAC upfronts, weights, recoveries, grid indices) is
-    computed once per rating group; per candidate only the survival
-    values move.
+    computed once; per candidate only the survival values move.  Each
+    rating group reads its tenors off its own prefix of one discount
+    grid, which ends at the group's longest tenor.
     """
 
     def __init__(self, instruments: Sequence[Instrument], curve: RiskfreeCurve,
@@ -223,7 +229,7 @@ class _MarketSide:
         self.config = config
         self.tenors = np.array([i.tenor for i in self.instruments])
         self.weights = _weights(self.instruments, config.weight_mode)
-        quotes = _quotes(self.instruments, curve, recovery, config.grid_step)
+        self._quotes = _quotes(self.instruments, curve, recovery, config.grid_step)
         self.em_on = config.em_mode != "off"
         if self.em_on and any(i.sovereign_spread is None for i in self.instruments):
             missing = [i.identifier for i in self.instruments if i.sovereign_spread is None]
@@ -244,24 +250,22 @@ class _MarketSide:
             self.groups = {None: np.arange(len(self.instruments))}
         self._readouts = {key: self.cache.readout(self.tenors[idx])
                           for key, idx in self.groups.items()}
-        self._quotes = {key: tuple(q[idx] for q in quotes)
-                        for key, idx in self.groups.items()}
 
     def dp(self, params_by_group: dict, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """Price residuals in points, in instrument order, and their
         derivatives in (a, b, c, alpha) as an (instruments, 4) array,
         where a, b are those of the instrument's own group."""
-        out = np.empty(len(self.instruments))
-        jac = np.empty((len(self.instruments), 4))
+        # every group's kernel rows side by side, for one pass of the price gap
+        pi, xi, rhat = (np.empty((4, len(self.instruments))) for _ in range(3))
         for key, idx in self.groups.items():
-            kg = self.cache.kernel_grid(params_by_group[key], jet=True)
-            pi, xi, rhat, _ = kg.at_many(self._readouts[key])
-            rows = _dp(pi, xi, rhat, alpha * self.sov[idx], *self._quotes[key])
-            out[idx] = rows[0]
-            jac[idx, :3] = rows[1:].T
-            # alpha widens the model spread by alpha * sov, which moves dP by -100 * Pi
-            jac[idx, 3] = -100.0 * self.sov[idx] * pi[0]
-        return out, jac
+            kg = self._readouts[key].kernel_grid(params_by_group[key], jet=True)
+            pi[:, idx], xi[:, idx], rhat[:, idx], _ = kg.at_many()
+        rows = _dp(pi, xi, rhat, alpha * self.sov, *self._quotes)
+        jac = np.empty((len(self.instruments), 4))
+        jac[:, :3] = rows[1:].T
+        # alpha widens the model spread by alpha * sov, which moves dP by -100 * Pi
+        jac[:, 3] = -100.0 * self.sov * pi[0]
+        return rows[0], jac
 
     def objective(self, dp: np.ndarray) -> float:
         return float(self.weights @ self._rho(dp))

@@ -83,7 +83,7 @@ class SurvivalParams:
     def _log_q(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # (T, ln(1 + cT), ln Q(T)) for tenors T >= 0
         t_arr = np.asarray(t, dtype=float)
-        if np.any(t_arr < 0.0):
+        if (t_arr < 0.0).any():
             raise ValueError("tenor must be >= 0")
         log1p_ct = np.log1p(self.c * t_arr)
         return t_arr, log1p_ct, ((self.b - self.a) / self.c) * log1p_ct - self.b * t_arr
@@ -102,10 +102,15 @@ class SurvivalParams:
         d ln Q/dc = ((b - a)/c) * (T/(1 + cT) - L/c).
         """
         t_arr, log1p_ct, log_q = self._log_q(t)
-        q = np.exp(log_q)
+        # the rows written in place: out[i, ...] is a view for scalar t too
+        out = np.empty((4,) + t_arr.shape)
+        q = np.exp(log_q, out=out[0, ...])
         l_c = log1p_ct / self.c
         d_c = ((self.b - self.a) / self.c) * (t_arr / (1.0 + self.c * t_arr) - l_c)
-        return np.stack([q, -q * l_c, q * (l_c - t_arr), q * d_c])
+        np.multiply(-q, l_c, out=out[1, ...])
+        np.multiply(q, l_c - t_arr, out=out[2, ...])
+        np.multiply(q, d_c, out=out[3, ...])
+        return out
 
     def forward_hazard(self, t) -> np.ndarray | float:
         """-d ln Q / dT = (a + bcT)/(1 + cT)."""

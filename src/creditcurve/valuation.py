@@ -17,6 +17,14 @@ which treats the coupon stream as continuously paid.  Bond prices fed
 into this module are therefore full invoice values per 100 face; there
 is no separate accrued-interest concept.
 
+A :class:`DiscountGridCache` holds the grid and its discount factors;
+each tenor set read off it (a :class:`KernelReadout`, one per rating
+group in a fit) uses the prefix of the grid that ends at its longest
+tenor.  A cumsum prefix does not depend on where the sum stops, so
+every tenor gets the same bits as from a one-shot grid of its own.  A
+:class:`KernelGrid` is built for one read-out and evaluates Q at the
+grid prefix and the read-out tenors in one call.
+
 The root solves (yield, Z-spread, exact fit) use :func:`_brentq`, a port
 of scipy's ``brentq`` that finds the same roots bit for bit, so this
 module does not import scipy.
@@ -25,6 +33,7 @@ module does not import scipy.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,8 +47,10 @@ __all__ = [
     "DEFAULT_GRID_STEP",
     "RiskyKernels",
     "DiscountGridCache",
+    "KernelReadout",
     "KernelGrid",
     "kernels",
+    "kernels_at",
     "BondSpec",
     "CdsSpec",
     "AssetSwapInputs",
@@ -84,7 +95,9 @@ class DiscountGridCache:
     """Grid times and discount factors shared across survival candidates.
 
     Fitting evaluates thousands of candidate curves against one
-    riskfree curve; B on the grid never changes, so compute it once.
+    riskfree curve; B on the grid never changes, so compute it once,
+    with the B-only factors of the trapezium increments.  Each tenor set
+    then reads from a prefix of this grid (:meth:`readout`).
     """
 
     def __init__(self, curve: RiskfreeCurve, t_max: float,
@@ -98,20 +111,54 @@ class DiscountGridCache:
         n = int(math.ceil(t_max / self.h - 1e-12))
         self.t = np.arange(n + 1) * self.h
         self.B = np.asarray(curve.discount_factor(self.t))
+        self.B_mid = (self.B[:-1] + self.B[1:]) / 2.0
+        self.B_drop = self.B[:-1] - self.B[1:]
 
-    def kernel_grid(self, params: SurvivalParams, jet: bool = False) -> "KernelGrid":
-        return KernelGrid(self.curve, params, self.t[-1], self.h, _cache=self, jet=jet)
-
-    def readout(self, tenors: np.ndarray) -> "KernelReadout":
-        """Precompute grid indices and discounts for a fixed tenor set."""
+    def readout(self, tenors) -> "KernelReadout":
+        """The read-out of a fixed tenor set: grid indices and discounts,
+        on the prefix of the grid that ends at the last node at or before
+        the longest tenor."""
         tenors = np.asarray(tenors, dtype=float)
         if not (tenors.min() > 0.0 and tenors.max() <= self.t[-1] + 1e-9):
             raise ValueError("tenors must lie in (0, t_max]")
         # truncation is the floor here, as every tenor is positive
         k = np.minimum((tenors / self.h + 1e-9).astype(int), len(self.t) - 1)
-        return KernelReadout(k=k, dt=tenors - self.t[k], B_k=self.B[k],
-                             B_T=np.asarray(self.curve.discount_factor(tenors)),
-                             tenors=tenors)
+        n = int(k.max()) + 1
+        B_k, B_T = self.B[k], np.asarray(self.curve.discount_factor(tenors))
+        return KernelReadout(cache=self, t=self.t[:n], B=self.B[:n],
+                             B_mid=self.B_mid[:n - 1], B_drop=self.B_drop[:n - 1],
+                             points=np.concatenate([self.t[:n], tenors]), tenors=tenors,
+                             k=k, dt=tenors - self.t[k], B_k=B_k, B_T=B_T,
+                             B_mid_T=(B_k + B_T) / 2.0, B_drop_T=B_k - B_T)
+
+
+@dataclass(frozen=True, eq=False)
+class KernelReadout:
+    """A tenor set on a :class:`DiscountGridCache`: the grid prefix its
+    kernels need, where each tenor sits on it, and the discounts there.
+
+    A :class:`KernelGrid` is built for one read-out, and evaluates Q at
+    the grid prefix and the tenors (``points``) in one call.
+    """
+
+    cache: DiscountGridCache
+    t: np.ndarray          # grid prefix, up to the last node at or before the longest tenor
+    B: np.ndarray
+    B_mid: np.ndarray      # (B[:-1] + B[1:]) / 2 on the prefix
+    B_drop: np.ndarray     # B[:-1] - B[1:] on the prefix
+    points: np.ndarray     # t followed by the tenors
+    tenors: np.ndarray
+    k: np.ndarray          # each tenor's last grid node
+    dt: np.ndarray         # and the short step from it to the tenor
+    B_k: np.ndarray
+    B_T: np.ndarray
+    B_mid_T: np.ndarray    # (B_k + B_T) / 2
+    B_drop_T: np.ndarray   # B_k - B_T
+
+    def kernel_grid(self, params: SurvivalParams, jet: bool = False) -> "KernelGrid":
+        cache = self.cache
+        return KernelGrid(cache.curve, params, float(self.tenors.max()), cache.h,
+                          _cache=self, jet=jet)
 
 
 def _running_sum(x: np.ndarray) -> np.ndarray:
@@ -122,11 +169,13 @@ def _running_sum(x: np.ndarray) -> np.ndarray:
 
 
 class KernelGrid:
-    """Cumulative kernels on a shared grid, for many tenors off one curve.
+    """Cumulative kernels on a grid prefix, read out at a fixed tenor set.
 
-    Builds the arrays once up to ``t_max``; :meth:`at_many` then reads
-    off the kernels for any tenors in (0, t_max] with the final short
-    step handled exactly as in the one-shot definition.
+    Built for one :class:`KernelReadout` (``_cache``; by default the
+    read-out of ``t_max`` alone on a fresh grid to ``t_max``).  Q is
+    evaluated once, at the grid prefix and the read-out tenors together;
+    :meth:`at_many` then reads the kernels off at those tenors, with the
+    final short step handled exactly as in the one-shot definition.
 
     With ``jet=True`` Q is the survival jet [Q, dQ/da, dQ/db, dQ/dc]
     (:meth:`SurvivalParams.jet`).  The grid is the last axis of every
@@ -136,61 +185,76 @@ class KernelGrid:
 
     def __init__(self, curve: RiskfreeCurve, params: SurvivalParams,
                  t_max: float, grid_step: float = DEFAULT_GRID_STEP,
-                 _cache: DiscountGridCache | None = None, jet: bool = False):
+                 _cache: KernelReadout | None = None, jet: bool = False):
         if _cache is None:
-            _cache = DiscountGridCache(curve, t_max, grid_step)
+            _cache = DiscountGridCache(curve, t_max, grid_step).readout([t_max])
         self.params = params
-        self._cache = _cache
-        self._q = params.jet if jet else params.survival_probability
-        h, B = _cache.h, _cache.B
-        Q = np.asarray(self._q(_cache.t))
-        BQ = B * Q
-        self._Q = Q
-        self._cum_pi = _running_sum(h * (BQ[..., :-1] + BQ[..., 1:]) / 2.0)
-        self._cum_xi = _running_sum((B[:-1] + B[1:]) / 2.0 * (Q[..., :-1] - Q[..., 1:]))
-        self._cum_rp = _running_sum((B[:-1] - B[1:]) * (Q[..., :-1] + Q[..., 1:]) / 2.0)
+        self._ro = ro = _cache
+        n = len(ro.t)
+        Q_all = np.asarray((params.jet if jet else params.survival_probability)(ro.points))
+        Q = self._Q = Q_all[..., :n]
+        self._Q_T = Q_all[..., n:]
+        BQ = ro.B * Q
+        # the trapezium increments of Pi, Xi and rhat * Pi, summed in one pass
+        inc = np.empty((3,) + Q.shape[:-1] + (n - 1,))
+        np.multiply(BQ[..., :-1] + BQ[..., 1:], ro.cache.h, out=inc[0])
+        np.multiply(ro.B_mid, Q[..., :-1] - Q[..., 1:], out=inc[1])
+        np.multiply(ro.B_drop, Q[..., :-1] + Q[..., 1:], out=inc[2])
+        inc[::2] /= 2.0
+        self._cum = _running_sum(inc)
 
     def at(self, tenor: float) -> RiskyKernels:
-        """Kernels at one tenor in (0, t_max], read out as by :meth:`at_many`."""
-        pi, xi, rhat, bq_T = self.at_many(self._cache.readout([tenor]))
-        return RiskyKernels(pi=float(pi[0]), xi=float(xi[0]), rhat=float(rhat[0]),
-                            bq_T=float(bq_T[0]), tenor=float(tenor))
+        """Kernels at one tenor in (0, t_max]: the one-tenor read-out on
+        this grid's discount cache, as :func:`kernels` gives them."""
+        kg = self._ro.cache.readout([tenor]).kernel_grid(self.params)
+        return kg.kernels()[0]
 
-    def at_many(self, ro: "KernelReadout") -> tuple[np.ndarray, ...]:
-        """Vectorised kernels (pi, xi, rhat, bq_T) at the readout tenors.
+    def at_many(self) -> tuple[np.ndarray, ...]:
+        """Vectorised kernels (pi, xi, rhat, bq_T) at the read-out tenors.
 
         The partial-step terms vanish identically when a tenor sits on
         the grid.  On a jet grid each kernel comes with its derivative
         rows; rhat's follow the quotient rule from those of rhat * pi.
         """
-        Q_T = np.asarray(self._q(ro.tenors))
-        k = ro.k
-        Q_k = self._Q[..., k]
-        B_k, B_T = ro.B_k, ro.B_T
-        pi = self._cum_pi[..., k] + ro.dt * (B_k * Q_k + B_T * Q_T) / 2.0
-        xi = self._cum_xi[..., k] + (B_k + B_T) / 2.0 * (Q_k - Q_T)
-        rp = self._cum_rp[..., k] + (B_k - B_T) * (Q_k + Q_T) / 2.0
+        ro, Q_T = self._ro, self._Q_T
+        Q_k = self._Q.take(ro.k, axis=-1)
+        bq_T = ro.B_T * Q_T
+        # the partial last steps of Pi, Xi and rhat * Pi, added in one pass
+        part = np.empty((3,) + Q_T.shape)
+        np.multiply(ro.dt, ro.B_k * Q_k + bq_T, out=part[0])
+        np.multiply(ro.B_mid_T, Q_k - Q_T, out=part[1])
+        np.multiply(ro.B_drop_T, Q_k + Q_T, out=part[2])
+        part[::2] /= 2.0
+        pi, xi, rp = self._cum.take(ro.k, axis=-1) + part
         if rp.ndim == 1:
-            return pi, xi, rp / pi, B_T * Q_T
-        rhat = rp[0] / pi[0]
-        return pi, xi, np.vstack([rhat, (rp[1:] - rhat * pi[1:]) / pi[0]]), B_T * Q_T
+            return pi, xi, rp / pi, bq_T
+        rhat = np.empty_like(rp)
+        np.divide(rp[0], pi[0], out=rhat[0])
+        np.divide(rp[1:] - rhat[0] * pi[1:], pi[0], out=rhat[1:])
+        return pi, xi, rhat, bq_T
 
-
-@dataclass(frozen=True)
-class KernelReadout:
-    """Grid indices and discounts for a fixed set of tenors."""
-
-    k: np.ndarray
-    dt: np.ndarray
-    B_k: np.ndarray
-    B_T: np.ndarray
-    tenors: np.ndarray
+    def kernels(self) -> list[RiskyKernels]:
+        """:meth:`at_many` of a plain grid as one :class:`RiskyKernels`
+        per read-out tenor."""
+        return [RiskyKernels(pi=float(p), xi=float(x), rhat=float(r), bq_T=float(q),
+                             tenor=float(t))
+                for p, x, r, q, t in zip(*self.at_many(), self._ro.tenors)]
 
 
 def kernels(curve: RiskfreeCurve, params: SurvivalParams, tenor: float,
             grid_step: float = DEFAULT_GRID_STEP) -> RiskyKernels:
     """One-shot kernels for a single tenor."""
-    return KernelGrid(curve, params, tenor, grid_step).at(tenor)
+    return KernelGrid(curve, params, tenor, grid_step).kernels()[0]
+
+
+def kernels_at(curve: RiskfreeCurve, params: SurvivalParams, tenors: Sequence[float],
+               grid_step: float = DEFAULT_GRID_STEP) -> list[RiskyKernels]:
+    """:func:`kernels` at each of several tenors of one curve, bit for bit,
+    read off one grid to the longest of them."""
+    if len(tenors) == 0:
+        return []
+    ro = DiscountGridCache(curve, max(tenors), grid_step).readout(tenors)
+    return ro.kernel_grid(params).kernels()
 
 
 # -- instruments -----------------------------------------------------
@@ -385,12 +449,19 @@ def _annuity(y: float, tenor: float, m: int) -> float:
     return -math.expm1(-m * tenor * math.log1p(y / m)) / y
 
 
+def _check_m(m: int) -> None:
+    # m is the coupon frequency of the schedule as well as the compounding
+    if not isinstance(m, numbers.Integral) or m < 1:
+        raise ValueError(f"compounding m must be a positive integer, got {m!r}")
+
+
 def price_from_yield(coupon: float, tenor: float, y: float, m: int = 2) -> float:
     """Textbook price-yield relation for a vanilla bond, per 100 face.
 
     Exact for m*T integer and used regardless; m is the compounding
     frequency.
     """
+    _check_m(m)
     if tenor <= 0:
         raise ValueError("tenor must be > 0")
     if y <= -m:
@@ -401,6 +472,7 @@ def price_from_yield(coupon: float, tenor: float, y: float, m: int = 2) -> float
 
 def yield_from_price(coupon: float, tenor: float, price: float, m: int = 2) -> float:
     """Invert the price-yield relation (IRR) to |dP| <= 1e-10."""
+    _check_m(m)
     if price <= 0:
         raise ValueError("price must be > 0")
 
@@ -436,6 +508,7 @@ def riskfree_schedule_price(coupon: float, tenor: float, curve: RiskfreeCurve,
     This is the discounting that the Z-spread inverts; spread = 0 gives
     the riskfree value of the schedule.
     """
+    _check_m(m)
     return _schedule_pv(*_zero_schedule(coupon, tenor, curve, m), m, spread)
 
 
@@ -457,6 +530,7 @@ def _schedule_pv(times: list[float], flows: list[float], zeros: list[float],
 
 def z_spread(spec: BondSpec, curve: RiskfreeCurve, m: int = 2) -> float:
     """Constant add-on to the curve's zero rates that reprices the bond."""
+    _check_m(m)
     # the zero rates do not move with the spread: read them once
     schedule = _zero_schedule(spec.coupon, spec.tenor, curve, m)
 
@@ -621,11 +695,10 @@ def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
     # as Python scalars: the same arithmetic, without array overhead in the root solve
     quotes = [q.item() for q in _quotes([spec], curve, recovery, grid_step)]
     # the discount grid and the tenor read-out do not move with the factor
-    cache = DiscountGridCache(curve, spec.tenor, grid_step)
-    readout = cache.readout([spec.tenor])
+    readout = DiscountGridCache(curve, spec.tenor, grid_step).readout([spec.tenor])
 
     def gap(factor: float) -> float:
-        pi, xi, rhat, _ = cache.kernel_grid(base.scaled(factor)).at_many(readout)
+        pi, xi, rhat, _ = readout.kernel_grid(base.scaled(factor)).at_many()
         return float(_dp(float(pi[0]), float(xi[0]), float(rhat[0]), 0.0, *quotes))
 
     # dP falls for both kinds as hazards scale up

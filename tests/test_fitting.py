@@ -613,10 +613,95 @@ def test_jet_residuals_are_bit_identical_to_the_plain_path(grouped):
     dp, _ = side.dp(by_group, 0.4)
     expected = np.empty(len(instruments))
     for key, idx in side.groups.items():
-        kg = side.cache.kernel_grid(by_group[key])
-        pi, xi, rhat, _ = kg.at_many(side._readouts[key])
-        expected[idx] = _dp(pi, xi, rhat, 0.4 * side.sov[idx], *side._quotes[key])
+        kg = side._readouts[key].kernel_grid(by_group[key])
+        pi, xi, rhat, _ = kg.at_many()
+        expected[idx] = _dp(pi, xi, rhat, 0.4 * side.sov[idx], *(q[idx] for q in side._quotes))
     assert np.array_equal(dp, expected)
+
+
+def staggered_grid_universe():
+    """Five ratings whose longest tenors differ (30y down to 5y), with a
+    tenor on a grid node (7.25y), one on a short last step (4.3y) and a
+    CDS, priced a little off the true grid."""
+    tenors = {3: (2.0, 10.0, 30.0), 6: (1.5, 7.25, 15.0), 9: (3.0, 12.3),
+              12: (0.5, 4.3, 8.0), 15: (1.0, 2.7, 5.0)}
+    instruments = []
+    for rating, ts in tenors.items():
+        for i, T in enumerate(ts):
+            cpn = 0.03 + 0.002 * rating
+            k = kernels(CURVE, GRID_TRUE.params_for_rating(rating), T)
+            rec = SCHED.recovery_for_rating(rating)
+            p = bond_model_price(BondSpec(coupon=cpn, tenor=T, price=100, recovery=rec), k)
+            instruments.append(BondSpec(coupon=cpn, tenor=T, price=p + 0.3 * (i - 1),
+                                        recovery=rec, rating=rating))
+    instruments.append(CdsSpec(coupon=0.01, tenor=4.0, quote_type="upfront", quote=0.01,
+                               rating=9))
+    return with_sovereign(instruments)
+
+
+def parent_jet_kernels(curve, params, t_max, tenors, h):
+    # the jet kernels as first written: a full grid to t_max, three
+    # separate running sums, and Q evaluated again at the tenors
+    n = int(math.ceil(t_max / h - 1e-12))
+    t = np.arange(n + 1) * h
+    B = np.asarray(curve.discount_factor(t))
+    Q = params.jet(t)
+    BQ = B * Q
+
+    def running_sum(x):
+        return np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(x, axis=-1)], axis=-1)
+
+    cum_pi = running_sum(h * (BQ[..., :-1] + BQ[..., 1:]) / 2.0)
+    cum_xi = running_sum((B[:-1] + B[1:]) / 2.0 * (Q[..., :-1] - Q[..., 1:]))
+    cum_rp = running_sum((B[:-1] - B[1:]) * (Q[..., :-1] + Q[..., 1:]) / 2.0)
+    k = np.minimum((tenors / h + 1e-9).astype(int), n)
+    dt, B_k, B_T = tenors - t[k], B[k], np.asarray(curve.discount_factor(tenors))
+    Q_T, Q_k = params.jet(tenors), Q[..., k]
+    pi = cum_pi[..., k] + dt * (B_k * Q_k + B_T * Q_T) / 2.0
+    xi = cum_xi[..., k] + (B_k + B_T) / 2.0 * (Q_k - Q_T)
+    rp = cum_rp[..., k] + (B_k - B_T) * (Q_k + Q_T) / 2.0
+    rhat = rp[0] / pi[0]
+    return pi, xi, np.vstack([rhat, (rp[1:] - rhat * pi[1:]) / pi[0]])
+
+
+def test_grouped_price_gap_is_bit_identical_to_the_parent_formulation():
+    instruments = staggered_grid_universe()
+    config = FitConfig(em_mode="fixed")
+    side = ft._MarketSide(instruments, CURVE, SCHED, config, group_by_rating=True)
+    by_group = {r: GRID_TRUE.params_for_rating(r).scaled(1.3) for r in side.groups}
+    dp, jac = side.dp(by_group, 0.4)
+
+    quotes = ft._quotes(instruments, CURVE, SCHED, config.grid_step)
+    sov = np.array([i.sovereign_spread for i in instruments])
+    expected, expected_jac = np.empty(len(instruments)), np.empty((len(instruments), 4))
+    for r, idx in side.groups.items():
+        pi, xi, rhat = parent_jet_kernels(CURVE, by_group[r], 30.0, side.tenors[idx],
+                                          config.grid_step)
+        rows = _dp(pi, xi, rhat, 0.4 * sov[idx], *(q[idx] for q in quotes))
+        expected[idx] = rows[0]
+        expected_jac[idx, :3] = rows[1:].T
+        expected_jac[idx, 3] = -100.0 * sov[idx] * pi[0]
+    assert np.array_equal(dp, expected)
+    assert np.array_equal(jac, expected_jac)
+
+
+def test_each_group_grid_ends_at_its_longest_tenor():
+    side = ft._MarketSide(staggered_grid_universe(), CURVE, SCHED, FitConfig(),
+                          group_by_rating=True)
+    h = side.cache.h
+    lengths = []
+    for r, idx in side.groups.items():
+        ro = side._readouts[r]
+        longest = side.tenors[idx].max()
+        # the last node at or before the longest tenor; the short step is read out
+        assert ro.t[-1] <= longest + 1e-9 and longest - ro.t[-1] < h
+        # a prefix of the shared grid, not a copy of it
+        assert np.shares_memory(ro.B, side.cache.B)
+        assert np.array_equal(ro.t, side.cache.t[:len(ro.t)])
+        kg = ro.kernel_grid(GRID_TRUE.params_for_rating(r), jet=True)
+        assert kg._Q.shape == (4, len(ro.t))
+        lengths.append(len(ro.t))
+    assert lengths == [361, 181, 148, 97, 61]
 
 
 def test_jacobian_evals_count_every_solver_request(monkeypatch):

@@ -46,6 +46,8 @@ def test_jet_matches_finite_differences(a, b, c, t):
     jet = p.jet(ts)
     assert jet.shape == (4, 3)
     assert np.array_equal(jet[0], p.survival_probability(ts))
+    # a scalar tenor gives that tenor's column
+    assert np.array_equal(p.jet(t), jet[:, 1])
     h = 1e-6
     for row, name in enumerate("abc", start=1):
         up = dataclasses.replace(p, **{name: getattr(p, name) + h})

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from creditcurve.valuation import (
     cds_upfront,
     exact_fit_to_instrument,
     kernels,
+    kernels_at,
     par_adjusted_spread,
     par_adjusted_spread_bond,
     par_adjusted_spread_cds,
@@ -108,12 +110,23 @@ def test_kernel_grid_matches_one_shot():
         assert many.rhat == pytest.approx(one.rhat, rel=1e-9)
 
 
+def test_kernels_at_is_one_shot_kernels_bit_for_bit():
+    # one grid to the longest tenor reads every tenor as its own one-shot grid
+    # does: on a node (7.25), on a short last step (12.3), inside the first
+    # step (0.05), repeated, and unsorted
+    curve = RiskfreeCurve(pillars=((0.5, 0.012), (2.0, 0.018), (7.0, 0.026), (20.0, 0.031)))
+    params = SurvivalParams(0.01, 0.06, 0.12)
+    tenors = [12.3, 0.05, 7.25, 30.0, 7.25, 2.0]
+    assert kernels_at(curve, params, tenors) == [kernels(curve, params, T) for T in tenors]
+    assert kernels_at(curve, params, []) == []
+
+
 def test_at_many_matches_at():
     params = SurvivalParams(0.02, 0.08, 0.1)
     cache = DiscountGridCache(FLAT2, 15.0)
-    kg = cache.kernel_grid(params)
     tenors = np.array([0.5, 2.0, 7.3, 12.0, 15.0])
-    pi, xi, rhat, bq = kg.at_many(cache.readout(tenors))
+    kg = cache.readout(tenors).kernel_grid(params)
+    pi, xi, rhat, bq = kg.at_many()
     for i, T in enumerate(tenors):
         k = kg.at(float(T))
         assert pi[i] == pytest.approx(k.pi, rel=1e-12)
@@ -126,8 +139,8 @@ def test_jet_grid_value_rows_are_the_plain_kernels():
     params = SurvivalParams(0.02, 0.08, 0.1)
     cache = DiscountGridCache(FLAT2, 15.0)
     ro = cache.readout(np.array([0.5, 2.0, 7.3, 12.0, 15.0]))
-    plain = cache.kernel_grid(params).at_many(ro)
-    jet = cache.kernel_grid(params, jet=True).at_many(ro)
+    plain = ro.kernel_grid(params).at_many()
+    jet = ro.kernel_grid(params, jet=True).at_many()
     for p, j in zip(plain, jet):
         assert j.shape == (4, 5)
         assert np.array_equal(j[0], p)
@@ -138,13 +151,13 @@ def test_jet_grid_rows_are_kernel_derivatives():
     params = SurvivalParams(0.015, 0.07, 0.12)
     cache = DiscountGridCache(RiskfreeCurve(pillars=((1.0, 0.01), (10.0, 0.03))), 20.0)
     ro = cache.readout(np.array([0.7, 3.0, 9.5, 20.0]))
-    jet = cache.kernel_grid(params, jet=True).at_many(ro)
+    jet = ro.kernel_grid(params, jet=True).at_many()
     h = 1e-6
     for row, name in enumerate("abc", start=1):
         up = dataclasses.replace(params, **{name: getattr(params, name) + h})
         down = dataclasses.replace(params, **{name: getattr(params, name) - h})
-        for j, k_up, k_down in zip(jet, cache.kernel_grid(up).at_many(ro),
-                                   cache.kernel_grid(down).at_many(ro)):
+        for j, k_up, k_down in zip(jet, ro.kernel_grid(up).at_many(),
+                                   ro.kernel_grid(down).at_many()):
             fd = (k_up - k_down) / (2.0 * h)
             # the differences lose about eps / h of the kernel's own size
             np.testing.assert_allclose(j[row], fd, rtol=1e-6, atol=1e-8 * np.abs(j[0]).max())
@@ -264,6 +277,21 @@ def test_yield_monotone_in_price():
 def test_price_from_yield_domain():
     with pytest.raises(ValueError):
         price_from_yield(0.05, 5.0, -2.0, m=2)
+
+
+@pytest.mark.parametrize("m", [0, -1, 1.5])
+def test_compounding_m_must_be_a_positive_integer(m):
+    # m is also the coupon frequency, so it is checked before any arithmetic
+    bond = BondSpec(coupon=0.05, tenor=5.0, price=99.0)
+    calls = (lambda: price_from_yield(0.05, 5.0, 0.03, m),
+             lambda: yield_from_price(0.05, 5.0, 99.0, m),
+             lambda: riskfree_schedule_price(0.05, 5.0, FLAT2, m),
+             lambda: z_spread(bond, FLAT2, m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="compounding m must be a positive integer"):
+                call()
 
 
 def test_z_spread_zero_for_riskfree_priced_bond():
