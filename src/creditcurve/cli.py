@@ -20,6 +20,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import analytics as an
 from . import fitting as ft
@@ -221,11 +222,17 @@ def value(a, b, c, **kw):
     with _exits():
         st, snap = _load(kw)
         params = SurvivalParams(a=a, b=b, c=c)
+    # every instrument read off one grid of the curve, one price-gap pass
+    at_tenor = vl.kernels_at(snap.riskfree, params, [inst.tenor for inst in snap.instruments],
+                             st.grid_step)
+    pi, xi, rhat = (np.array([getattr(k, name) for k in at_tenor])
+                    for name in ("pi", "xi", "rhat"))
+    # model - market for a bond, 100 * (u_mkt - u_model) for a CDS
+    deltas = vl._dp(pi, xi, rhat, 0.0,
+                    *vl._quotes(snap.instruments, snap.riskfree, None, st.grid_step))
     rows = []
-    for inst in snap.instruments:
+    for inst, delta in zip(snap.instruments, deltas.tolist()):
         market = vl.market_price(inst, snap.riskfree, st.grid_step)
-        # model - market for a bond, 100 * (u_mkt - u_model) for a CDS
-        delta = ft.price_residual(inst, params, snap.riskfree, None, st.grid_step)
         rows.append([inst.identifier, _fmt(inst.tenor), _fmt(market),
                      _fmt(market + delta), _fmt(delta)])
     _write(st.out / "value.csv",
@@ -245,15 +252,18 @@ def spread(**kw):
 
     The par-adjusted spread is computed on the flat-hazard curve that
     exactly reprices the instrument at its recovery; it then equals that
-    curve's par CDS spread.
+    curve's par CDS spread.  A cell that cannot be computed is left
+    blank: every row is written, each failure is named on stderr, and
+    the verb then exits 3.
     """
     with _exits():
         st, snap = _load(kw)
     rows = []
+    failures = []
     base = SurvivalParams.flat(0.02)
     m = st.compounding_m
     for inst in snap.instruments:
-        quotes = ["", "", ""]
+        quotes, adjusted = ["", "", ""], ["", ""]
         try:
             if isinstance(inst, vl.BondSpec):
                 quotes = [_fmt(inst.price),
@@ -262,14 +272,20 @@ def spread(**kw):
             fitted = vl.exact_fit_to_instrument(inst, base, snap.riskfree,
                                                 grid_step=st.grid_step)
         except ArithmeticError as exc:
-            _fail(f"{inst.identifier}: {exc}", EXIT_NOCONV)
-        k = vl.kernels(snap.riskfree, fitted, inst.tenor, st.grid_step)
-        sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree, st.grid_step)
-        rows.append([inst.identifier, _fmt(inst.tenor), *quotes, _bp(sbar), _fmt(fitted.a)])
+            failures.append(f"{inst.identifier}: {exc}")
+        else:
+            k = vl.kernels(snap.riskfree, fitted, inst.tenor, st.grid_step)
+            sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree, st.grid_step)
+            adjusted = [_bp(sbar), _fmt(fitted.a)]
+        rows.append([inst.identifier, _fmt(inst.tenor), *quotes, *adjusted])
     _write(st.out / "spreads.csv",
            ["id", "tenor_years", "price_pts", "yield_bp", "z_spread_bp",
             "par_adjusted_spread_bp", "implied_flat_hazard"], rows)
     click.echo(f"wrote {st.out / 'spreads.csv'} ({len(rows)} instruments)")
+    for f in failures:
+        click.echo(f"error: {f}", err=True)
+    if failures:
+        sys.exit(EXIT_NOCONV)
 
 
 # -- fit / fit-grid ----------------------------------------------------

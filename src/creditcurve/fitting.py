@@ -10,20 +10,20 @@ objective is a weighted sum of a robust penalty rho(dP) with
 rho(x) = sqrt(1 + x^2) - 1, which grows like x^2/2 near zero and like
 |x| for outliers; plain squared loss is available as an option.
 
-The optimizer is trust-region robust least squares: the trust-region
-reflective method of Branch, Coleman & Li (1999) as implemented by
-``scipy.optimize.least_squares``, run on the residual vector dP with a
-loss that folds in the weights, so that half its sum is the objective.
-It works over transformed coordinates: logs for the positive hazard
+The optimizer is trust-region robust least squares, run on the residual
+vector dP with a loss that folds in the weights, so that half its sum is
+the objective.  The solver (:func:`_trust_region`) is in this module and
+needs numpy alone: Levenberg-Marquardt in its trust-region form (More
+1978) with one SVD of the Jacobian per iteration, and the robust loss
+entered through the rescaling of Triggs et al. (2000).  It is a
+step-for-step port of the unbounded branch of the trust-region
+reflective method (Branch, Coleman & Li 1999) in
+``scipy.optimize.least_squares``, for the settings the fits use.  It
+works over transformed coordinates: logs for the positive hazard
 parameters, a logistic map into the box for the shape parameter and the
 sovereign coefficient, and positive increments between rating anchors so
 that fitted grids can never cross.  Multistart with a seeded generator
 keeps results reproducible bit for bit; the lowest objective wins.
-
-scipy is imported when the first fit runs, not with this module, so the
-verbs that never fit start without it.  ``least_squares`` is a lazy
-module attribute (PEP 562 ``__getattr__``) that the solve looks up
-through the module, so ``fitting.least_squares`` can still be patched.
 
 The solver's Jacobian is exact.  dP is affine in the kernels (Pi, Xi,
 rhat*Pi) and the kernels are linear in Q, so each evaluation runs the
@@ -47,9 +47,8 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -97,15 +96,6 @@ STATIONARY_GRAD = 1e-4
 FALLBACK_DP = 1e6
 # a free parameter this close to an edge of its box is reported as at its bound
 AT_BOUND = 1e-9
-
-
-def __getattr__(name: str):
-    # the solver's lazy import (see the module docstring)
-    if name == "least_squares":
-        from scipy.optimize import least_squares
-        globals()[name] = least_squares
-        return least_squares
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -270,14 +260,14 @@ class _MarketSide:
     def objective(self, dp: np.ndarray) -> float:
         return float(self.weights @ self._rho(dp))
 
-    def solver_loss(self, z: np.ndarray) -> np.ndarray:
-        """rho(z) with its first two derivatives for ``least_squares``,
-        where z = dP^2; half their sum is the weighted objective."""
+    def solver_loss(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """rho(z) with its first two derivatives for the solver, where
+        z = dP^2; half the sum of rho is the weighted objective."""
         w = self.weights
         if self.config.loss == "squared":
-            return np.stack([2.0 * w * z, 2.0 * w, np.zeros_like(z)])
+            return 2.0 * w * z, 2.0 * w, np.zeros_like(z)
         root = np.sqrt(1.0 + z)
-        return np.stack([2.0 * w * z / (1.0 + root), w / root, -0.5 * w / root ** 3])
+        return 2.0 * w * z / (1.0 + root), w / root, -0.5 * w / root ** 3
 
 
 # -- trust-region least-squares solver ----------------------------------
@@ -405,9 +395,168 @@ class _CountedResiduals:
         return self._last[1].copy()
 
 
+class _TrustRegionResult(NamedTuple):
+    x: np.ndarray       # the last accepted point
+    fun: np.ndarray     # the residuals there
+    grad: np.ndarray    # the gradient of half the loss sum there
+    status: int         # 0 max_nfev, 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol
+    nfev: int
+    njev: int
+
+
+def _lm_step(m: int, n: int, uf: np.ndarray, s: np.ndarray, V: np.ndarray, Delta: float,
+             alpha: float):
+    """The step p minimising |J p + f| subject to |p| <= Delta (More 1978),
+    from the thin SVD J = U diag(s) V^T of the (m, n) Jacobian and
+    uf = U^T f, with ``alpha`` the last Levenberg-Marquardt parameter.
+
+    The Gauss-Newton step when J has full column rank and the step lies
+    in the region; otherwise p solves (J^T J + alpha I) p = -J^T f with
+    alpha found by at most 10 safeguarded Newton iterations on
+    |p(alpha)| = Delta (to 1% of Delta), and is then scaled onto the
+    boundary.  Returns p, alpha and the number of Newton iterations (0:
+    the Gauss-Newton step).
+    """
+    def phi_and_derivative(alpha):
+        # |p(alpha)| - Delta and its derivative in alpha
+        denom = s ** 2 + alpha
+        p = suf / denom
+        p_norm = math.sqrt(p.dot(p))
+        return p_norm - Delta, -(suf ** 2 / denom ** 3).sum() / p_norm
+
+    suf = s * uf
+    full_rank = m >= n and s[-1] > EPS * m * s[0]
+    if full_rank:
+        p = -V.dot(uf / s)
+        if math.sqrt(p.dot(p)) <= Delta:
+            return p, 0.0, 0
+
+    alpha_upper = math.sqrt(suf.dot(suf)) / Delta
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    else:
+        alpha_lower = 0.0
+    if not full_rank and alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+
+    for it in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper) ** 0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + Delta) * ratio / Delta
+        if abs(phi) < 0.01 * Delta:
+            break
+
+    p = -V.dot(suf / (s ** 2 + alpha))
+    # onto the boundary exactly; p moves only slightly
+    p *= Delta / math.sqrt(p.dot(p))
+    return p, alpha, it + 1
+
+
+def _trust_region(fun, jac, x0: np.ndarray, loss, ftol: float, xtol: float, gtol: float,
+                  max_nfev: int) -> _TrustRegionResult:
+    """Minimise half the sum of ``loss(fun(x)^2)[0]`` from ``x0``.
+
+    Levenberg-Marquardt in its trust-region form (More 1978) with one SVD
+    of the Jacobian per iteration (:func:`_lm_step`); the robust loss
+    enters through the rescaling of Triggs et al. (2000), which turns
+    each iteration into a plain least-squares model.  A step-for-step
+    port of the unbounded branch of ``scipy.optimize.least_squares``
+    with ``method="trf"``, exact trust-region solves, unit variable
+    scale and f_scale = 1.  ``loss(z)`` gives rho and its first two
+    derivatives in z; ``jac(x)`` is asked for at each accepted point,
+    just after ``fun(x)``, and must return an array the solver may
+    overwrite.  Stops at ``max_nfev`` evaluations of ``fun`` (status 0)
+    or when the gradient's sup-norm is below ``gtol`` (1), the relative
+    loss decrease of a good step is below ``ftol`` (2), the step is below
+    ``xtol`` relative to |x| (3), or both of the last two (4).
+    """
+    def scaled(f, J, rho):
+        # rescale f and J (in place) so that the model's gradient and
+        # curvature match those of the loss
+        _, rho1, rho2 = rho
+        scale = np.sqrt(np.maximum(rho1 + 2.0 * rho2 * f ** 2, EPS))
+        J *= scale[:, np.newaxis]
+        return f * (rho1 / scale), J
+
+    x = x0
+    f = fun(x)
+    J = jac(x)
+    nfev = njev = 1
+    m, n = J.shape
+    rho = loss(f ** 2)
+    cost = 0.5 * rho[0].sum()
+    f_s, J = scaled(f, J, rho)
+    g = J.T.dot(f_s)
+    Delta = math.sqrt(x0.dot(x0)) or 1.0
+    alpha = 0.0
+    status = None
+
+    while True:
+        if np.abs(g).max() < gtol:
+            status = 1
+        if status is not None or nfev == max_nfev:
+            break
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        V = Vt.T
+        uf = U.T.dot(f_s)
+
+        actual_reduction = -1.0
+        while actual_reduction <= 0 and nfev < max_nfev:
+            step, alpha, _ = _lm_step(m, n, uf, s, V, Delta, alpha)
+            Js = J.dot(step)
+            predicted_reduction = -(0.5 * Js.dot(Js) + step.dot(g))
+            x_new = x + step
+            f_new = fun(x_new)
+            nfev += 1
+            step_norm = math.sqrt(step.dot(step))
+            if not np.isfinite(f_new).all():
+                Delta = 0.25 * step_norm
+                continue
+
+            rho_new = loss(f_new ** 2)
+            cost_new = 0.5 * rho_new[0].sum()
+            actual_reduction = cost - cost_new
+            # the radius update: ratio of actual to predicted reduction
+            if predicted_reduction > 0:
+                ratio = actual_reduction / predicted_reduction
+            elif predicted_reduction == actual_reduction == 0:
+                ratio = 1
+            else:
+                ratio = 0
+            Delta_new = Delta
+            if ratio < 0.25:
+                Delta_new = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * Delta:
+                Delta_new *= 2.0
+            # the termination test
+            ftol_met = actual_reduction < ftol * cost and ratio > 0.25
+            xtol_met = step_norm < xtol * (xtol + math.sqrt(x.dot(x)))
+            if ftol_met or xtol_met:
+                status = 4 if ftol_met and xtol_met else 2 if ftol_met else 3
+                break
+            alpha *= Delta / Delta_new
+            Delta = Delta_new
+
+        if actual_reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jac(x)
+            njev += 1
+            f_s, J = scaled(f, J, rho_new)
+            g = J.T.dot(f_s)
+
+    return _TrustRegionResult(x=x, fun=f, grad=g, status=0 if status is None else status,
+                              nfev=nfev, njev=njev)
+
+
 def _solve(side: _MarketSide, chart, tail: _ShapeAlpha, x0: list[float], scale: float,
            config: FitConfig, **diagnostics) -> FitResult:
-    """Multistart trust-region reflective least squares of the residuals
+    """Multistart trust-region least squares of the residuals
     over the chart's coordinates, under the weighted loss, from ``x0``
     and seeded jitters of it of size ``scale``; the lowest objective
     wins.  ``diagnostics`` are added to the solver's own."""
@@ -416,13 +565,11 @@ def _solve(side: _MarketSide, chart, tail: _ShapeAlpha, x0: list[float], scale: 
     x0 = np.array(x0)
     starts = [x0] + [x0 + rng.normal(0.0, scale, len(x0))
                      for _ in range(config.multistart_count - 1)]
-    # through the module, so that the lazy import and a patched solver both apply
-    least_squares = sys.modules[__name__].least_squares
     runs = []
     for start in starts:
-        res = least_squares(residuals, start, jac=residuals.jacobian, method="trf",
-                            loss=side.solver_loss, ftol=max(config.ftol, EPS),
-                            xtol=config.xtol, gtol=GTOL, max_nfev=config.max_iter)
+        res = _trust_region(residuals, residuals.jacobian, start, side.solver_loss,
+                            ftol=max(config.ftol, EPS), xtol=config.xtol, gtol=GTOL,
+                            max_nfev=config.max_iter)
         runs.append((side.objective(res.fun), res))
     objectives = tuple(f for f, _ in runs)
     fun, best = runs[objectives.index(min(objectives))]

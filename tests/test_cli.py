@@ -16,10 +16,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import creditcurve as cc
-from creditcurve.cli import ANCHOR_NAMES, main
+from creditcurve.cli import ANCHOR_NAMES, Settings, _fmt, main
+from creditcurve.fitting import price_residual
 from creditcurve.survival import RATING_SYMBOLS, RatingGrid, RecoverySchedule, SurvivalParams
 from creditcurve.universe import load_universe
-from creditcurve.valuation import BondSpec, bond_model_price, kernels
+from creditcurve.valuation import BondSpec, CdsSpec, bond_model_price, kernels
 
 RISKFREE = "tenor_years,zero_rate\n1,0.015\n10,0.015\n30,0.015\n"
 
@@ -416,6 +417,74 @@ def test_spread_sample_data_runs(tmp_path, runner, colom_dir):
     assert (out / "spreads.csv").exists()
 
 
+@pytest.fixture
+def gen(monkeypatch):
+    """The benchmark's seeded snapshot generator."""
+    monkeypatch.syspath_prepend(str(Path(cc.__file__).resolve().parents[2]))
+    from perfbench import gen
+
+    return gen
+
+
+def test_value_rows_are_each_instruments_price_residual(tmp_path, runner, gen):
+    # a desk snapshot: bonds, and CDS quoted by spread and by upfront
+    meta = gen.generate("desk_cold", 1, tmp_path / "in")["snapshots"][0]
+    snap = tmp_path / "in" / meta["name"]
+    files = [str(snap / "riskfree.csv"), str(snap / "bonds.csv"), str(snap / "cds.csv")]
+    params = SurvivalParams(0.012, 0.04, 0.15)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "value", "--riskfree", files[0], "--bonds", files[1], "--cds", files[2],
+        "--as-of", meta["as_of"], "--recovery", meta["recovery"],
+        "--a", "0.012", "--b", "0.04", "--c", "0.15", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    st = Settings(None, {"as_of": meta["as_of"], "recovery": meta["recovery"]})
+    loaded = st.load(*files)
+    assert any(isinstance(i, CdsSpec) for i in loaded.instruments)
+    rows = [line.split(",") for line in (out / "value.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == [i.identifier for i in loaded.instruments]
+    for row, inst in zip(rows, loaded.instruments):
+        assert row[-1] == _fmt(price_residual(inst, params, loaded.riskfree, None))
+
+
+def test_spread_writes_every_row_past_an_instrument_it_cannot_reprice(tmp_path, runner, gen):
+    # the benchmark's first issuer snapshot holds a bond priced above every
+    # positive-hazard curve
+    meta = gen.generate("issuer_daily", 1, tmp_path / "in")["snapshots"][0]
+    snap = tmp_path / "in" / meta["name"]
+
+    def spread(bonds: Path, out: Path):
+        result = runner.invoke(main, [
+            "spread", "--riskfree", str(snap / "riskfree.csv"), "--bonds", str(bonds),
+            "--as-of", meta["as_of"], "--recovery", meta["recovery"], "--out", str(out)])
+        lines = (out / "spreads.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        return result, {line.split(",")[0]: dict(zip(header, line.split(",")))
+                        for line in lines[1:]}
+
+    result, rows = spread(snap / "bonds.csv", tmp_path / "all")
+    assert result.exit_code == 3, result.output
+    assert len(rows) == meta["n_bonds"]
+    failed = [i for i, row in rows.items() if row["par_adjusted_spread_bp"] == ""]
+    assert failed, "the snapshot should hold an instrument that cannot be repriced"
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error: ")]
+    assert errors == [f"error: {i}: no positive-hazard curve reprices the instrument "
+                      "(price outside the attainable range)" for i in failed]
+    for i, row in rows.items():
+        # a bond keeps its price, yield and Z-spread whether or not it reprices
+        assert all(math.isfinite(float(row[k])) for k in ("price_pts", "yield_bp",
+                                                          "z_spread_bp"))
+        assert (row["implied_flat_hazard"] == "") == (i in failed)
+
+    # the other rows are those of a run without the failing bonds
+    kept = [line for line in (snap / "bonds.csv").read_text().splitlines()
+            if line.split(",")[0] not in failed]
+    (tmp_path / "kept.csv").write_text("\n".join(kept) + "\n")
+    result, kept_rows = spread(tmp_path / "kept.csv", tmp_path / "kept")
+    assert result.exit_code == 0, result.output
+    assert kept_rows == {i: row for i, row in rows.items() if i not in failed}
+
+
 COLD_VERBS_SCRIPT = """
 import json, sys
 import creditcurve.cli as cli
@@ -432,13 +501,13 @@ print(json.dumps({"cold": cold, "fit": "scipy" in sys.modules}))
 
 
 def test_cold_verbs_run_without_scipy(tmp_path, colom_dir):
-    # a fresh interpreter: value and spread never import scipy, a fit does
+    # a fresh interpreter: no verb imports scipy, a fit included
     env = dict(os.environ, PYTHONPATH=str(Path(cc.__file__).resolve().parent.parent))
     proc = subprocess.run([sys.executable, "-c", COLD_VERBS_SCRIPT, str(colom_dir),
                            str(tmp_path / "out")], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"cold": False, "fit": True}
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"cold": False, "fit": False}
     assert (tmp_path / "out" / "value.csv").exists()
     assert (tmp_path / "out" / "spreads.csv").exists()
 

@@ -451,11 +451,11 @@ def solver_problem(monkeypatch, fit):
     """The residual function, start and Jacobian a fit hands the solver."""
     seen = []
 
-    def spy(fun, x0, jac, **kwargs):
+    def spy(fun, jac, x0, *args, **kwargs):
         seen.append((fun, np.asarray(x0, dtype=float), jac))
         raise _Captured
 
-    monkeypatch.setattr(ft, "least_squares", spy)
+    monkeypatch.setattr(ft, "_trust_region", spy)
     with pytest.raises(_Captured):
         fit()
     return seen[0]
@@ -706,15 +706,109 @@ def test_each_group_grid_ends_at_its_longest_tenor():
 
 def test_jacobian_evals_count_every_solver_request(monkeypatch):
     njev = []
-    solve = ft.least_squares
+    solve = ft._trust_region
 
     def counted(*args, **kwargs):
         res = solve(*args, **kwargs)
         njev.append(res.njev)
         return res
 
-    monkeypatch.setattr(ft, "least_squares", counted)
+    monkeypatch.setattr(ft, "_trust_region", counted)
     res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig())
     assert res.diagnostics["jacobian_evals"] == sum(njev) > 0
     # each request came at the point just evaluated, so none cost an extra evaluation
     assert res.diagnostics["evaluations"] < 2 * res.diagnostics["jacobian_evals"]
+
+
+# -- the trust-region solver ----------------------------------------------
+
+
+def scipy_trust_region(fun, jac, x0, loss, ftol, xtol, gtol, max_nfev):
+    """The reference: scipy's trust-region reflective solver on the same problem."""
+    from scipy.optimize import least_squares
+
+    return least_squares(fun, x0, jac=jac, method="trf", loss=lambda z: np.array(loss(z)),
+                         ftol=ftol, xtol=xtol, gtol=gtol, max_nfev=max_nfev)
+
+
+def grid_case_fit(case):
+    instruments, config = GRID_CASES[case]
+    return lambda: fit_rating_grid(instruments(), CURVE, SCHED, config)
+
+
+SCIPY_CASES = {"colom": colom_fit, **{f"grid-{case}": grid_case_fit(case) for case in GRID_CASES}}
+
+
+@pytest.mark.parametrize("case", sorted(SCIPY_CASES))
+def test_trust_region_matches_scipy_least_squares(monkeypatch, case):
+    ours = SCIPY_CASES[case]()
+    monkeypatch.setattr(ft, "_trust_region", scipy_trust_region)
+    theirs = SCIPY_CASES[case]()
+    # free-c and em-fit are priced exactly off their grid: both objectives are
+    # rounding noise (below 1e-19), where only an absolute floor means anything
+    assert ours.objective == pytest.approx(theirs.objective, rel=1e-10, abs=1e-16)
+    assert ours.diagnostics["status"] > 0 and theirs.diagnostics["status"] > 0
+    assert ours.diagnostics["converged"] == theirs.diagnostics["converged"]
+
+
+def lm_problem(rank_deficient=False):
+    rng = np.random.default_rng(5)
+    J, f = rng.normal(size=(6, 3)), rng.normal(size=6)
+    if rank_deficient:
+        J[:, 2] = J[:, 0]
+    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    return J, f, (*J.shape, U.T @ f, s, Vt.T)
+
+
+def test_lm_step_takes_the_gauss_newton_step_inside_the_region():
+    J, f, svd = lm_problem()
+    gauss_newton = np.linalg.lstsq(J, -f, rcond=None)[0]
+    p, alpha, n_iter = ft._lm_step(*svd, 2.0 * np.linalg.norm(gauss_newton), 0.0)
+    assert (alpha, n_iter) == (0.0, 0)
+    np.testing.assert_allclose(p, gauss_newton, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("rank_deficient", [False, True])
+def test_lm_step_lands_on_the_boundary_outside_the_region(rank_deficient):
+    J, f, svd = lm_problem(rank_deficient)
+    Delta = 0.1 * np.linalg.norm(np.linalg.lstsq(J, -f, rcond=None)[0])
+    p, alpha, n_iter = ft._lm_step(*svd, Delta, 0.0)
+    assert n_iter > 0 and alpha > 0.0
+    assert abs(np.linalg.norm(p) - Delta) <= 1e-12 * Delta
+    # along the damped least-squares step (J^T J + alpha I) p = -J^T f
+    damped = np.linalg.solve(J.T @ J + alpha * np.eye(3), -J.T @ f)
+    np.testing.assert_allclose(p, damped * Delta / np.linalg.norm(damped), rtol=1e-10)
+
+
+def rosenbrock(x):
+    return np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]])
+
+
+def rosenbrock_jacobian(x):
+    return np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]])
+
+
+def squared_loss(z):
+    return z, np.ones_like(z), np.zeros_like(z)
+
+
+def test_trust_region_stops_at_max_nfev_with_status_0():
+    x0 = np.array([-1.2, 1.0])
+    solved = ft._trust_region(rosenbrock, rosenbrock_jacobian, x0, squared_loss,
+                              ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=1000)
+    assert solved.status > 0 and np.allclose(solved.x, 1.0)
+    stopped = ft._trust_region(rosenbrock, rosenbrock_jacobian, x0, squared_loss,
+                               ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=4)
+    assert (stopped.status, stopped.nfev) == (0, 4)
+    assert solved.nfev > 4
+
+
+def test_fallback_only_run_stops_with_zero_gradient():
+    side = ft._MarketSide(make_bonds(), CURVE, 0.4, FitConfig())
+    n = len(side.instruments)
+    res = ft._trust_region(lambda u: np.full(n, ft.FALLBACK_DP), lambda u: np.zeros((n, 2)),
+                           np.array([0.3, -0.2]), side.solver_loss,
+                           ftol=ft.EPS, xtol=1e-10, gtol=ft.GTOL, max_nfev=100)
+    assert (res.status, res.nfev, res.njev) == (1, 1, 1)
+    assert np.max(np.abs(res.grad)) == 0.0
+    assert np.array_equal(res.x, [0.3, -0.2])
