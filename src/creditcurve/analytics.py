@@ -129,6 +129,8 @@ class TransitionInputs:
         p = np.asarray(self.probabilities, dtype=float)
         if len(p) != 19:
             raise ValueError("need 19 probabilities: ratings 1..18 plus default")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probabilities must be finite")
         if np.any(p < 0):
             raise ValueError("probabilities must be >= 0")
         if abs(p.sum() - 1.0) > 1e-9:

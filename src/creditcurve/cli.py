@@ -269,12 +269,10 @@ def spread(**kw):
                 quotes = [_fmt(inst.price),
                           _bp(vl.yield_from_price(inst.coupon, inst.tenor, inst.price, m)),
                           _bp(vl.z_spread(inst, snap.riskfree, m))]
-            fitted = vl.exact_fit_to_instrument(inst, base, snap.riskfree,
-                                                grid_step=st.grid_step)
+            fitted, k = vl._exact_fit(inst, base, snap.riskfree, grid_step=st.grid_step)
         except ArithmeticError as exc:
             failures.append(f"{inst.identifier}: {exc}")
         else:
-            k = vl.kernels(snap.riskfree, fitted, inst.tenor, st.grid_step)
             sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree, st.grid_step)
             adjusted = [_bp(sbar), _fmt(fitted.a)]
         rows.append([inst.identifier, _fmt(inst.tenor), *quotes, *adjusted])

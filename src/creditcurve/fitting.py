@@ -31,8 +31,11 @@ kernel sums once over the survival jet [Q, dQ/da, dQ/db, dQ/dc] and gets
 the residuals together with their derivatives in (a, b, c); alpha enters
 as -100 * sov * Pi.  Each rating group's kernel pass runs on its own
 prefix of one discount grid, ending at the group's longest tenor, with
-Q at the group's tenors taken in the same jet call; the groups' kernel
-rows then go through one price-gap pass per evaluation.
+Q at the group's tenors taken in the same jet call.  The instruments are
+laid out group by group once per fit, so each group's kernel rows and its
+chain into u are one slice; the groups' kernel rows go through one
+price-gap pass per evaluation, and the residuals and their Jacobian are
+put back in instrument order at the end.
 
 Each fit has one chart: a map from the solver's coordinates u to the
 curve, alpha and, for each rating group, the group's (a, b, c) together
@@ -209,7 +212,9 @@ class _MarketSide:
     prices, SNAC upfronts, weights, recoveries, grid indices) is
     computed once; per candidate only the survival values move.  Each
     rating group reads its tenors off its own prefix of one discount
-    grid, which ends at the group's longest tenor.
+    grid, which ends at the group's longest tenor.  Per candidate the
+    work runs in the grouped layout, group after group (``slices``),
+    and its results are put back in instrument order.
     """
 
     def __init__(self, instruments: Sequence[Instrument], curve: RiskfreeCurve,
@@ -240,6 +245,15 @@ class _MarketSide:
             self.groups = {None: np.arange(len(self.instruments))}
         self._readouts = {key: self.cache.readout(self.tenors[idx])
                           for key, idx in self.groups.items()}
+        # the grouped layout: group after group, each in instrument order,
+        # so that every group's rows are one slice
+        order = np.concatenate(list(self.groups.values()))
+        bounds = np.cumsum([0] + [len(idx) for idx in self.groups.values()]).tolist()
+        self.slices = {key: slice(lo, hi)
+                       for key, lo, hi in zip(self.groups, bounds, bounds[1:])}
+        self._order, self._back = order, np.argsort(order)
+        self._grouped_quotes = tuple(q[order] for q in self._quotes)
+        self._grouped_sov = self.sov[order]
 
     def dp(self, params_by_group: dict, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """Price residuals in points, in instrument order, and their
@@ -247,15 +261,25 @@ class _MarketSide:
         where a, b are those of the instrument's own group."""
         # every group's kernel rows side by side, for one pass of the price gap
         pi, xi, rhat = (np.empty((4, len(self.instruments))) for _ in range(3))
-        for key, idx in self.groups.items():
+        for key, rows in self.slices.items():
             kg = self._readouts[key].kernel_grid(params_by_group[key], jet=True)
-            pi[:, idx], xi[:, idx], rhat[:, idx], _ = kg.at_many()
-        rows = _dp(pi, xi, rhat, alpha * self.sov, *self._quotes)
+            pi[:, rows], xi[:, rows], rhat[:, rows], _ = kg.at_many()
+        sov = self._grouped_sov
+        gap = _dp(pi, xi, rhat, alpha * sov, *self._grouped_quotes)
         jac = np.empty((len(self.instruments), 4))
-        jac[:, :3] = rows[1:].T
+        jac[:, :3] = gap[1:].T
         # alpha widens the model spread by alpha * sov, which moves dP by -100 * Pi
-        jac[:, 3] = -100.0 * self.sov * pi[0]
-        return rows[0], jac
+        jac[:, 3] = -100.0 * sov * pi[0]
+        return gap[0].take(self._back), jac.take(self._back, axis=0)
+
+    def chain(self, d_params: np.ndarray, groups: dict) -> np.ndarray:
+        """d dP/du in instrument order, from ``d_params`` (as :meth:`dp`
+        gives them) and the chart's {group: (params, d(a, b, c, alpha)/du)};
+        each group's rows are one slice of the grouped layout."""
+        grouped = d_params.take(self._order, axis=0)
+        jac = np.concatenate([grouped[rows] @ groups[key][1]
+                              for key, rows in self.slices.items()])
+        return jac.take(self._back, axis=0)
 
     def objective(self, dp: np.ndarray) -> float:
         return float(self.weights @ self._rho(dp))
@@ -364,7 +388,6 @@ class _CountedResiduals:
     def __call__(self, u: np.ndarray) -> np.ndarray:
         self.evals += 1
         n = len(self.side.instruments)
-        jac = np.zeros((n, len(u)))
         try:
             _, alpha, groups = self.chart(u)
             dp, d_params = self.side.dp({key: p for key, (p, _) in groups.items()}, alpha)
@@ -373,10 +396,9 @@ class _CountedResiduals:
         if dp is None or not (np.all(np.isfinite(dp)) and np.all(np.isfinite(d_params))):
             self.fallback_evals += 1
             dp = np.full(n, FALLBACK_DP)
+            jac = np.zeros((n, len(u)))
         else:
-            for key, (_, chain) in groups.items():
-                idx = self.side.groups[key]
-                jac[idx] = d_params[idx] @ chain
+            jac = self.side.chain(d_params, groups)
         self._last = (np.array(u, dtype=float), jac)
         f = self.side.objective(dp)
         if f < self.best:

@@ -19,11 +19,15 @@ is no separate accrued-interest concept.
 
 A :class:`DiscountGridCache` holds the grid and its discount factors;
 each tenor set read off it (a :class:`KernelReadout`, one per rating
-group in a fit) uses the prefix of the grid that ends at its longest
-tenor.  A cumsum prefix does not depend on where the sum stops, so
-every tenor gets the same bits as from a one-shot grid of its own.  A
-:class:`KernelGrid` is built for one read-out and evaluates Q at the
-grid prefix and the read-out tenors in one call.
+group in a fit) uses the prefix of the grid that ends at the last node
+at or before its longest tenor.  A cumsum prefix does not depend on
+where the sum stops, so every tenor gets the same bits as from a
+one-shot grid of its own.  A :class:`KernelGrid` is built for one
+read-out: it evaluates Q at the grid prefix and the read-out tenors in
+one call, and computes the increments of every grid step and of each
+tenor's short last step in one pass, from step end points and B-only
+factors that the read-out fixes once.  The running sums cover the grid
+steps; a tenor's kernels are the sum at its node plus its last step.
 
 The root solves (yield, Z-spread, exact fit) use :func:`_brentq`, a port
 of scipy's ``brentq`` that finds the same roots bit for bit, so this
@@ -40,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .ratecurve import RiskfreeCurve
+from .ratecurve import RiskfreeCurve, _from_continuous
 from .survival import RecoverySchedule, SurvivalParams
 
 __all__ = [
@@ -95,9 +99,8 @@ class DiscountGridCache:
     """Grid times and discount factors shared across survival candidates.
 
     Fitting evaluates thousands of candidate curves against one
-    riskfree curve; B on the grid never changes, so compute it once,
-    with the B-only factors of the trapezium increments.  Each tenor set
-    then reads from a prefix of this grid (:meth:`readout`).
+    riskfree curve; B on the grid never changes, so compute it once.
+    Each tenor set then reads from a prefix of this grid (:meth:`readout`).
     """
 
     def __init__(self, curve: RiskfreeCurve, t_max: float,
@@ -111,49 +114,52 @@ class DiscountGridCache:
         n = int(math.ceil(t_max / self.h - 1e-12))
         self.t = np.arange(n + 1) * self.h
         self.B = np.asarray(curve.discount_factor(self.t))
-        self.B_mid = (self.B[:-1] + self.B[1:]) / 2.0
-        self.B_drop = self.B[:-1] - self.B[1:]
 
     def readout(self, tenors) -> "KernelReadout":
-        """The read-out of a fixed tenor set: grid indices and discounts,
-        on the prefix of the grid that ends at the last node at or before
-        the longest tenor."""
+        """The read-out of a fixed tenor set, on the prefix of the grid
+        that ends at the last node at or before the longest tenor: its
+        trapezium steps (each grid step, then each tenor's short last
+        step) with their B-only factors."""
         tenors = np.asarray(tenors, dtype=float)
         if not (tenors.min() > 0.0 and tenors.max() <= self.t[-1] + 1e-9):
             raise ValueError("tenors must lie in (0, t_max]")
         # truncation is the floor here, as every tenor is positive
         k = np.minimum((tenors / self.h + 1e-9).astype(int), len(self.t) - 1)
         n = int(k.max()) + 1
-        B_k, B_T = self.B[k], np.asarray(self.curve.discount_factor(tenors))
-        return KernelReadout(cache=self, t=self.t[:n], B=self.B[:n],
-                             B_mid=self.B_mid[:n - 1], B_drop=self.B_drop[:n - 1],
-                             points=np.concatenate([self.t[:n], tenors]), tenors=tenors,
-                             k=k, dt=tenors - self.t[k], B_k=B_k, B_T=B_T,
-                             B_mid_T=(B_k + B_T) / 2.0, B_drop_T=B_k - B_T)
+        B = self.B[:n]
+        points = np.concatenate([self.t[:n], tenors])
+        # step j runs from points[ends[0, j]] to points[ends[1, j]]
+        grid_steps = np.arange(n - 1)
+        ends = np.array([np.concatenate([grid_steps, k]),
+                         np.concatenate([grid_steps + 1, n + np.arange(len(tenors))])])
+        B_ends = np.concatenate([B, np.asarray(self.curve.discount_factor(tenors))])[ends]
+        factors = np.array([np.concatenate([np.full(n - 1, self.h), tenors - self.t[k]]),
+                            (B_ends[0] + B_ends[1]) / 2.0,
+                            B_ends[0] - B_ends[1]])
+        return KernelReadout(cache=self, t=self.t[:n], B=B, points=points, tenors=tenors,
+                             k=k, ends=ends, B_ends=B_ends, factors=factors)
 
 
 @dataclass(frozen=True, eq=False)
 class KernelReadout:
     """A tenor set on a :class:`DiscountGridCache`: the grid prefix its
-    kernels need, where each tenor sits on it, and the discounts there.
+    kernels need, where each tenor sits on it, and the trapezium steps.
 
-    A :class:`KernelGrid` is built for one read-out, and evaluates Q at
+    The steps are the n - 1 grid steps of the prefix followed by one
+    short last step per tenor, from its last grid node to the tenor.  A
+    :class:`KernelGrid` is built for one read-out, and evaluates Q at
     the grid prefix and the tenors (``points``) in one call.
     """
 
     cache: DiscountGridCache
     t: np.ndarray          # grid prefix, up to the last node at or before the longest tenor
     B: np.ndarray
-    B_mid: np.ndarray      # (B[:-1] + B[1:]) / 2 on the prefix
-    B_drop: np.ndarray     # B[:-1] - B[1:] on the prefix
     points: np.ndarray     # t followed by the tenors
     tenors: np.ndarray
     k: np.ndarray          # each tenor's last grid node
-    dt: np.ndarray         # and the short step from it to the tenor
-    B_k: np.ndarray
-    B_T: np.ndarray
-    B_mid_T: np.ndarray    # (B_k + B_T) / 2
-    B_drop_T: np.ndarray   # B_k - B_T
+    ends: np.ndarray       # (2, steps): where each step starts and ends, as indices into points
+    B_ends: np.ndarray     # (2, steps): B there
+    factors: np.ndarray    # (3, steps): the step length, (B_start + B_end) / 2, B_start - B_end
 
     def kernel_grid(self, params: SurvivalParams, jet: bool = False) -> "KernelGrid":
         cache = self.cache
@@ -173,9 +179,11 @@ class KernelGrid:
 
     Built for one :class:`KernelReadout` (``_cache``; by default the
     read-out of ``t_max`` alone on a fresh grid to ``t_max``).  Q is
-    evaluated once, at the grid prefix and the read-out tenors together;
-    :meth:`at_many` then reads the kernels off at those tenors, with the
-    final short step handled exactly as in the one-shot definition.
+    evaluated once, at the grid prefix and the read-out tenors together,
+    and the trapezium increments of every grid step and every tenor's
+    short last step are computed in one pass; the running sums cover the
+    grid steps, and :meth:`at_many` adds each tenor's last step to the
+    sum at its node, exactly as in the one-shot definition.
 
     With ``jet=True`` Q is the survival jet [Q, dQ/da, dQ/db, dQ/dc]
     (:meth:`SurvivalParams.jet`).  The grid is the last axis of every
@@ -192,16 +200,20 @@ class KernelGrid:
         self._ro = ro = _cache
         n = len(ro.t)
         Q_all = np.asarray((params.jet if jet else params.survival_probability)(ro.points))
-        Q = self._Q = Q_all[..., :n]
-        self._Q_T = Q_all[..., n:]
-        BQ = ro.B * Q
-        # the trapezium increments of Pi, Xi and rhat * Pi, summed in one pass
-        inc = np.empty((3,) + Q.shape[:-1] + (n - 1,))
-        np.multiply(BQ[..., :-1] + BQ[..., 1:], ro.cache.h, out=inc[0])
-        np.multiply(ro.B_mid, Q[..., :-1] - Q[..., 1:], out=inc[1])
-        np.multiply(ro.B_drop, Q[..., :-1] + Q[..., 1:], out=inc[2])
+        self._Q = Q_all[..., :n]
+        # Q and B * Q at both ends of every step, as (..., 2, steps)
+        Q_ends = Q_all.take(ro.ends, axis=-1)
+        BQ_ends = ro.B_ends * Q_ends
+        # the trapezium increments of Pi, Xi and rhat * Pi, all steps in one pass
+        inc = np.empty((3,) + Q_all.shape[:-1] + ro.ends.shape[1:])
+        np.add(BQ_ends[..., 0, :], BQ_ends[..., 1, :], out=inc[0])
+        np.subtract(Q_ends[..., 0, :], Q_ends[..., 1, :], out=inc[1])
+        np.add(Q_ends[..., 0, :], Q_ends[..., 1, :], out=inc[2])
+        inc *= ro.factors if Q_all.ndim == 1 else ro.factors[:, np.newaxis]
         inc[::2] /= 2.0
-        self._cum = _running_sum(inc)
+        self._cum = _running_sum(inc[..., :n - 1])
+        self._last = inc[..., n - 1:]
+        self._bq_T = BQ_ends[..., 1, n - 1:]
 
     def at(self, tenor: float) -> RiskyKernels:
         """Kernels at one tenor in (0, t_max]: the one-tenor read-out on
@@ -210,28 +222,19 @@ class KernelGrid:
         return kg.kernels()[0]
 
     def at_many(self) -> tuple[np.ndarray, ...]:
-        """Vectorised kernels (pi, xi, rhat, bq_T) at the read-out tenors.
-
-        The partial-step terms vanish identically when a tenor sits on
-        the grid.  On a jet grid each kernel comes with its derivative
-        rows; rhat's follow the quotient rule from those of rhat * pi.
+        """Vectorised kernels (pi, xi, rhat, bq_T) at the read-out tenors:
+        the running sum at each tenor's node plus its short last step,
+        which vanishes when the tenor sits on the grid.  On a jet grid
+        each kernel comes with its derivative rows; rhat's follow the
+        quotient rule from those of rhat * pi.
         """
-        ro, Q_T = self._ro, self._Q_T
-        Q_k = self._Q.take(ro.k, axis=-1)
-        bq_T = ro.B_T * Q_T
-        # the partial last steps of Pi, Xi and rhat * Pi, added in one pass
-        part = np.empty((3,) + Q_T.shape)
-        np.multiply(ro.dt, ro.B_k * Q_k + bq_T, out=part[0])
-        np.multiply(ro.B_mid_T, Q_k - Q_T, out=part[1])
-        np.multiply(ro.B_drop_T, Q_k + Q_T, out=part[2])
-        part[::2] /= 2.0
-        pi, xi, rp = self._cum.take(ro.k, axis=-1) + part
+        pi, xi, rp = self._cum.take(self._ro.k, axis=-1) + self._last
         if rp.ndim == 1:
-            return pi, xi, rp / pi, bq_T
+            return pi, xi, rp / pi, self._bq_T
         rhat = np.empty_like(rp)
         np.divide(rp[0], pi[0], out=rhat[0])
         np.divide(rp[1:] - rhat[0] * pi[1:], pi[0], out=rhat[1:])
-        return pi, xi, rhat, bq_T
+        return pi, xi, rhat, self._bq_T
 
     def kernels(self) -> list[RiskyKernels]:
         """:meth:`at_many` of a plain grid as one :class:`RiskyKernels`
@@ -481,11 +484,12 @@ def yield_from_price(coupon: float, tenor: float, price: float, m: int = 2) -> f
 
     lo, hi = -0.5, 1.0
     for _ in range(60):
-        if f(lo) > 0 > f(hi):
+        f_lo, f_hi = f(lo), f(hi)
+        if f_lo > 0 > f_hi:
             break
-        if f(hi) >= 0:
+        if f_hi >= 0:
             hi *= 2.0
-        if f(lo) <= 0:
+        if f_lo <= 0:
             lo = (lo - m) / 2.0 if lo > -m * 0.999 else lo
     else:
         raise ArithmeticError("could not bracket the yield")
@@ -514,10 +518,11 @@ def riskfree_schedule_price(coupon: float, tenor: float, curve: RiskfreeCurve,
 
 def _zero_schedule(coupon: float, tenor: float, curve: RiskfreeCurve,
                    m: int) -> tuple[list[float], list[float], list[float]]:
-    # the schedule's times and flows with the curve's zero rate at each time
+    # the schedule's times and flows with the curve's zero rate at each
+    # time, as zero_rate gives it, from one log-discount call
     times, flows = _schedule(coupon, tenor, m)
-    times = times.tolist()
-    return times, flows.tolist(), [curve.zero_rate(t, m) for t in times]
+    logs, times = curve.log_discount(times).tolist(), times.tolist()
+    return times, flows.tolist(), [_from_continuous(y / t, m) for y, t in zip(logs, times)]
 
 
 def _schedule_pv(times: list[float], flows: list[float], zeros: list[float],
@@ -539,11 +544,12 @@ def z_spread(spec: BondSpec, curve: RiskfreeCurve, m: int = 2) -> float:
 
     lo, hi = -0.25, 0.5
     for _ in range(60):
-        if f(lo) > 0 > f(hi):
+        f_lo, f_hi = f(lo), f(hi)
+        if f_lo > 0 > f_hi:
             break
-        if f(hi) >= 0:
+        if f_hi >= 0:
             hi *= 2.0
-        if f(lo) <= 0:
+        if f_lo <= 0:
             lo -= 0.25
             if lo < -m * 0.5:
                 raise ArithmeticError("z-spread root-finding failed to bracket")
@@ -669,16 +675,19 @@ def _dp(pi, xi, rhat, s_extra, recs, coupons, prices, upfronts, is_bond) -> np.n
     - rhat * Pi] for a bond and 100 * [u + (coupon - s_extra) * Pi
     - (1 - R) * Xi] for a CDS, so each derivative is that linear part
     applied to the kernels' derivative rows."""
-    if np.ndim(pi) > 1:
-        d_rp = rhat[0] * pi[1:] + pi[0] * rhat[1:]
-        slope = 100.0 * ((coupons - s_extra) * pi[1:] - (1.0 - recs) * xi[1:]
-                         - np.where(is_bond, d_rp, 0.0))
-        value = _dp(pi[0], xi[0], rhat[0], s_extra, recs, coupons, prices, upfronts, is_bond)
-        return np.vstack([value, slope])
-    s_model = (1.0 - recs) * xi / pi + s_extra
-    dp_bond = 100.0 - prices + 100.0 * (coupons - rhat - s_model) * pi
-    dp_cds = 100.0 * (upfronts + (coupons - s_model) * pi)
-    return np.where(is_bond, dp_bond, dp_cds)
+    jet = np.ndim(pi) > 1
+    pi0, xi0, rhat0 = (pi[0], xi[0], rhat[0]) if jet else (pi, xi, rhat)
+    s_model = (1.0 - recs) * xi0 / pi0 + s_extra
+    dp_bond = 100.0 - prices + 100.0 * (coupons - rhat0 - s_model) * pi0
+    dp_cds = 100.0 * (upfronts + (coupons - s_model) * pi0)
+    if not jet:
+        return np.where(is_bond, dp_bond, dp_cds)
+    out = np.empty(np.shape(pi))
+    out[0] = np.where(is_bond, dp_bond, dp_cds)
+    d_rp = rhat0 * pi[1:] + pi0 * rhat[1:]
+    np.multiply(100.0, (coupons - s_extra) * pi[1:] - (1.0 - recs) * xi[1:]
+                - np.where(is_bond, d_rp, 0.0), out=out[1:])
+    return out
 
 
 def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
@@ -692,6 +701,14 @@ def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
     shape and keeps the parameters positive.  Repricing is to
     |dP| <= 1e-8 per 100 face.
     """
+    return _exact_fit(spec, base, curve, recovery, grid_step)[0]
+
+
+def _exact_fit(spec: BondSpec | CdsSpec, base: SurvivalParams, curve: RiskfreeCurve,
+               recovery: float | None = None,
+               grid_step: float = DEFAULT_GRID_STEP) -> tuple[SurvivalParams, RiskyKernels]:
+    """:func:`exact_fit_to_instrument` with the fitted curve's kernels at
+    the instrument's tenor, as :func:`kernels` gives them."""
     # as Python scalars: the same arithmetic, without array overhead in the root solve
     quotes = [q.item() for q in _quotes([spec], curve, recovery, grid_step)]
     # the discount grid and the tenor read-out do not move with the factor
@@ -719,6 +736,7 @@ def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
         raise ArithmeticError("exact-fit bracketing failed")
     factor = _brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
     fitted = base.scaled(factor)
-    if abs(gap(factor)) > 1e-8:
+    k = readout.kernel_grid(fitted).kernels()[0]
+    if abs(float(_dp(k.pi, k.xi, k.rhat, 0.0, *quotes))) > 1e-8:
         raise ArithmeticError("exact fit did not converge to |dP| <= 1e-8")
-    return fitted
+    return fitted, k

@@ -216,6 +216,16 @@ def test_transition_inputs_validation():
         TransitionInputs(tuple(bad))                      # negative entry
 
 
+@pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", ["all", "one"])
+def test_transition_inputs_reject_non_finite(entry, where):
+    # NaN passed both the sign and the sum test, and the expected return was NaN
+    p = [entry] * 19 if where == "all" else list(TransitionInputs.stay(9).probabilities)
+    p[3] = entry
+    with pytest.raises(ValueError, match="finite"):
+        TransitionInputs(tuple(p))
+
+
 def test_decompose_validates_horizon():
     with pytest.raises(ValueError):
         decompose_return(0.04, 0.03, 5.0, 5.0, CURVE, SurvivalParams.flat(0.02), 0.4)

@@ -23,6 +23,7 @@ from creditcurve.fitting import (
 from creditcurve.survival import RatingGrid, RecoverySchedule, SurvivalParams
 from creditcurve.universe import load_universe
 from creditcurve.valuation import BondSpec, CdsSpec, _dp, bond_model_price, kernels
+from kernel_reference import parent_dp, parent_jet_kernels
 
 CURVE = cc.RiskfreeCurve.flat(0.02)
 TRUE = SurvivalParams(0.01, 0.05, 0.1)
@@ -639,31 +640,6 @@ def staggered_grid_universe():
     return with_sovereign(instruments)
 
 
-def parent_jet_kernels(curve, params, t_max, tenors, h):
-    # the jet kernels as first written: a full grid to t_max, three
-    # separate running sums, and Q evaluated again at the tenors
-    n = int(math.ceil(t_max / h - 1e-12))
-    t = np.arange(n + 1) * h
-    B = np.asarray(curve.discount_factor(t))
-    Q = params.jet(t)
-    BQ = B * Q
-
-    def running_sum(x):
-        return np.concatenate([np.zeros(x.shape[:-1] + (1,)), np.cumsum(x, axis=-1)], axis=-1)
-
-    cum_pi = running_sum(h * (BQ[..., :-1] + BQ[..., 1:]) / 2.0)
-    cum_xi = running_sum((B[:-1] + B[1:]) / 2.0 * (Q[..., :-1] - Q[..., 1:]))
-    cum_rp = running_sum((B[:-1] - B[1:]) * (Q[..., :-1] + Q[..., 1:]) / 2.0)
-    k = np.minimum((tenors / h + 1e-9).astype(int), n)
-    dt, B_k, B_T = tenors - t[k], B[k], np.asarray(curve.discount_factor(tenors))
-    Q_T, Q_k = params.jet(tenors), Q[..., k]
-    pi = cum_pi[..., k] + dt * (B_k * Q_k + B_T * Q_T) / 2.0
-    xi = cum_xi[..., k] + (B_k + B_T) / 2.0 * (Q_k - Q_T)
-    rp = cum_rp[..., k] + (B_k - B_T) * (Q_k + Q_T) / 2.0
-    rhat = rp[0] / pi[0]
-    return pi, xi, np.vstack([rhat, (rp[1:] - rhat * pi[1:]) / pi[0]])
-
-
 def test_grouped_price_gap_is_bit_identical_to_the_parent_formulation():
     instruments = staggered_grid_universe()
     config = FitConfig(em_mode="fixed")
@@ -683,6 +659,43 @@ def test_grouped_price_gap_is_bit_identical_to_the_parent_formulation():
         expected_jac[idx, 3] = -100.0 * sov[idx] * pi[0]
     assert np.array_equal(dp, expected)
     assert np.array_equal(jac, expected_jac)
+
+
+STAGGERED = staggered_grid_universe()
+
+
+@settings(max_examples=10, deadline=None)
+@given(order=st.permutations(range(len(STAGGERED))), alpha=st.floats(0.0, 1.0))
+def test_price_gap_of_interleaved_ratings_is_the_per_group_parent_formulation(order, alpha):
+    # ratings arrive interleaved, so the grouped layout is put back in instrument order
+    instruments = [STAGGERED[i] for i in order]
+    config = FitConfig(em_mode="fixed")
+    side = ft._MarketSide(instruments, CURVE, SCHED, config, group_by_rating=True)
+    by_group = {r: GRID_TRUE.params_for_rating(r).scaled(0.7 + 0.05 * r) for r in side.groups}
+    dp, jac = side.dp(by_group, alpha)
+
+    quotes = ft._quotes(instruments, CURVE, SCHED, config.grid_step)
+    sov = np.array([i.sovereign_spread for i in instruments])
+    expected, expected_jac = np.empty(len(instruments)), np.empty((len(instruments), 4))
+    groups = {r: np.array([j for j, inst in enumerate(instruments) if inst.rating == r])
+              for r in sorted({inst.rating for inst in instruments})}
+    for r, idx in groups.items():
+        pi, xi, rhat = parent_jet_kernels(CURVE, by_group[r], 30.0, side.tenors[idx],
+                                          config.grid_step)
+        rows = parent_dp(pi, xi, rhat, alpha * sov[idx], *(q[idx] for q in quotes))
+        expected[idx] = rows[0]
+        expected_jac[idx, :3] = rows[1:].T
+        expected_jac[idx, 3] = -100.0 * sov[idx] * pi[0]
+    assert np.array_equal(dp, expected)
+    assert np.array_equal(jac, expected_jac)
+
+    # and the chain into the solver's coordinates, one group at a time
+    chains = {r: np.random.default_rng(r).normal(size=(4, 7)) for r in groups}
+    expected_du = np.empty((len(instruments), 7))
+    for r, idx in groups.items():
+        expected_du[idx] = jac[idx] @ chains[r]
+    du = side.chain(jac, {r: (by_group[r], chains[r]) for r in groups})
+    assert np.array_equal(du, expected_du)
 
 
 def test_each_group_grid_ends_at_its_longest_tenor():

@@ -38,6 +38,7 @@ from creditcurve.valuation import (
     yield_from_price,
     z_spread,
 )
+from kernel_reference import parent_jet_kernels
 
 FLAT2 = RiskfreeCurve.flat(0.02)
 FLAT0 = RiskfreeCurve.flat(0.0)
@@ -133,6 +134,33 @@ def test_at_many_matches_at():
         assert xi[i] == pytest.approx(k.xi, rel=1e-12)
         assert rhat[i] == pytest.approx(k.rhat, rel=1e-12)
         assert bq[i] == pytest.approx(k.bq_T, rel=1e-12)
+
+
+H = DEFAULT_GRID_STEP
+
+
+@st.composite
+def tenor_sets(draw, t_max=20.0):
+    """Tenors on grid nodes, on short last steps and at the grid end, with duplicates."""
+    node = st.integers(1, int(round(t_max / H))).map(lambda k: k * H)
+    off = st.floats(0.01, t_max)
+    tenors = draw(st.lists(st.one_of(node, off, st.just(t_max)), min_size=1, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(tenors), max_size=3))
+    return np.array(draw(st.permutations(tenors + repeats)))
+
+
+@given(tenors=tenor_sets(), a=st.floats(1e-4, 0.2), b=st.floats(1e-4, 0.2),
+       c=st.floats(0.02, 0.5))
+@settings(max_examples=40, deadline=None)
+def test_folded_readout_is_the_parent_jet_kernels(tenors, a, b, c):
+    params = SurvivalParams(a, b, c)
+    ro = DiscountGridCache(GOLDEN_CURVE, 20.0).readout(tenors)
+    expected = parent_jet_kernels(GOLDEN_CURVE, params, 20.0, tenors, H)
+    jet = ro.kernel_grid(params, jet=True).at_many()
+    plain = ro.kernel_grid(params).at_many()
+    for got, want, value in zip(jet, expected, plain):
+        assert np.array_equal(got, want)
+        assert np.array_equal(value, want[0])
 
 
 def test_jet_grid_value_rows_are_the_plain_kernels():
@@ -571,20 +599,22 @@ def test_brent_port_errors_match_scipy():
 # curve-only work (zero rates, discount grid) redone at every trial point.
 
 
-def parent_z_spread(spec, curve, m=2):
-    def price(s):
-        n = max(1, int(math.ceil(m * spec.tenor - 1e-9)))
-        times = spec.tenor - (n - 1 - np.arange(n)) / m
-        flows = np.full(n, 100.0 * spec.coupon / m)
-        flows[-1] += 100.0
-        pv = 0.0
-        for t, cf in zip(times, flows):
-            z = curve.zero_rate(float(t), m)
-            pv += cf * math.exp(-m * t * math.log1p((z + s) / m))
-        return pv
+def parent_schedule_price(coupon, tenor, curve, m, spread=0.0):
+    # the curve's zero rate read one cashflow time at a time
+    n = max(1, int(math.ceil(m * tenor - 1e-9)))
+    times = tenor - (n - 1 - np.arange(n)) / m
+    flows = np.full(n, 100.0 * coupon / m)
+    flows[-1] += 100.0
+    pv = 0.0
+    for t, cf in zip(times, flows):
+        z = curve.zero_rate(float(t), m)
+        pv += cf * math.exp(-m * t * math.log1p((z + spread) / m))
+    return pv
 
+
+def parent_z_spread(spec, curve, m=2):
     def f(s):
-        return price(s) - spec.price
+        return parent_schedule_price(spec.coupon, spec.tenor, curve, m, s) - spec.price
 
     lo, hi = -0.25, 0.5
     for _ in range(60):
@@ -621,10 +651,16 @@ GOLDEN_CURVE = RiskfreeCurve(pillars=((0.5, 0.012), (2.0, 0.018), (7.0, 0.026), 
 
 @pytest.mark.parametrize("m", [1, 2, 4])
 def test_z_spread_equals_parent_formulation(m):
+    # tenors inside the pillars, on the last one and past it (flat extrapolation)
     for coupon, tenor, price in ((0.0, 3.0, 91.0), (0.05, 0.8, 101.2), (0.0725, 7.3, 96.4),
-                                 (0.04, 12.25, 108.0), (0.09, 28.0, 71.5)):
+                                 (0.04, 12.25, 108.0), (0.05, 20.0, 99.0), (0.09, 28.0, 71.5),
+                                 (0.06, 40.5, 83.0)):
         spec = BondSpec(coupon=coupon, tenor=tenor, price=price)
-        assert z_spread(spec, GOLDEN_CURVE, m) == parent_z_spread(spec, GOLDEN_CURVE, m)
+        assert (z_spread(spec, GOLDEN_CURVE, m).hex()
+                == parent_z_spread(spec, GOLDEN_CURVE, m).hex())
+        for spread in (0.0, 0.013):
+            assert (riskfree_schedule_price(coupon, tenor, GOLDEN_CURVE, m, spread).hex()
+                    == parent_schedule_price(coupon, tenor, GOLDEN_CURVE, m, spread).hex())
 
 
 def test_exact_fit_equals_parent_formulation():
