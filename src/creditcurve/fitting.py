@@ -40,10 +40,10 @@ put back in instrument order at the end.
 Each fit has one chart: a map from the solver's coordinates u to the
 curve, alpha and, for each rating group, the group's (a, b, c) together
 with d(a, b, c, alpha)/du through the coordinate maps (exp, logistic,
-softplus increments, log-linear rating interpolation).  The residual
-call evaluates the chart once and chains the derivatives into u at the
-point it evaluates; the solver asks for the Jacobian at that point, so
-a Jacobian costs no extra evaluation.
+softplus increments, log-linear rating interpolation).  One call per
+solver point evaluates the chart once and returns the residuals together
+with their derivatives chained into u, so a Jacobian costs no extra
+evaluation.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class FitConfig:
     grid_step: float = DEFAULT_GRID_STEP
     xtol: float = 1e-10                   # relative step size at which a start stops
     ftol: float = 1e-16                   # relative objective change (machine eps at least)
-    max_iter: int = 20000                 # solver evaluations per start, Jacobian excluded
+    max_iter: int = 20000                 # solver evaluations per start
     em_mode: str = "off"                  # off | fit | fixed
     em_alpha_fixed: float = 0.5
     em_rating_scaling: bool = False       # alpha(r) = alpha * min(1, r/9)
@@ -134,9 +134,11 @@ class FitConfig:
         for name in ("multistart_count", "max_iter"):
             n = getattr(self, name)
             if not (n >= 1 and math.isfinite(n)):
-                raise ValueError("multistart_count and max_iter must be finite and >= 1")
+                raise ValueError(f"{name} must be finite and >= 1, got {n!r}")
             if not isinstance(n, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {n!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         for name in ("xtol", "ftol", "grid_step"):
             x = getattr(self, name)
             if not (x > 0 and math.isfinite(x)):
@@ -251,35 +253,28 @@ class _MarketSide:
         bounds = np.cumsum([0] + [len(idx) for idx in self.groups.values()]).tolist()
         self.slices = {key: slice(lo, hi)
                        for key, lo, hi in zip(self.groups, bounds, bounds[1:])}
-        self._order, self._back = order, np.argsort(order)
+        self._back = np.argsort(order)
         self._grouped_quotes = tuple(q[order] for q in self._quotes)
         self._grouped_sov = self.sov[order]
 
-    def dp(self, params_by_group: dict, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """Price residuals in points, in instrument order, and their
-        derivatives in (a, b, c, alpha) as an (instruments, 4) array,
-        where a, b are those of the instrument's own group."""
+    def residuals(self, groups: dict, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """Price residuals in points and their derivatives in the solver's
+        coordinates u, in instrument order, from the chart's {group:
+        (params, d(a, b, c, alpha)/du)}; fresh arrays on every call."""
         # every group's kernel rows side by side, for one pass of the price gap
         pi, xi, rhat = (np.empty((4, len(self.instruments))) for _ in range(3))
         for key, rows in self.slices.items():
-            kg = self._readouts[key].kernel_grid(params_by_group[key], jet=True)
+            kg = self._readouts[key].kernel_grid(groups[key][0], jet=True)
             pi[:, rows], xi[:, rows], rhat[:, rows], _ = kg.at_many()
         sov = self._grouped_sov
         gap = _dp(pi, xi, rhat, alpha * sov, *self._grouped_quotes)
-        jac = np.empty((len(self.instruments), 4))
-        jac[:, :3] = gap[1:].T
+        d_params = np.empty((len(self.instruments), 4))
+        d_params[:, :3] = gap[1:].T
         # alpha widens the model spread by alpha * sov, which moves dP by -100 * Pi
-        jac[:, 3] = -100.0 * sov * pi[0]
-        return gap[0].take(self._back), jac.take(self._back, axis=0)
-
-    def chain(self, d_params: np.ndarray, groups: dict) -> np.ndarray:
-        """d dP/du in instrument order, from ``d_params`` (as :meth:`dp`
-        gives them) and the chart's {group: (params, d(a, b, c, alpha)/du)};
-        each group's rows are one slice of the grouped layout."""
-        grouped = d_params.take(self._order, axis=0)
-        jac = np.concatenate([grouped[rows] @ groups[key][1]
+        d_params[:, 3] = -100.0 * sov * pi[0]
+        jac = np.concatenate([d_params[rows] @ groups[key][1]
                               for key, rows in self.slices.items()])
-        return jac.take(self._back, axis=0)
+        return gap[0].take(self._back), jac.take(self._back, axis=0)
 
     def objective(self, dp: np.ndarray) -> float:
         return float(self.weights @ self._rho(dp))
@@ -366,13 +361,13 @@ class _CountedResiduals:
     """Residual vector of the solver's coordinates u, with its Jacobian.
 
     ``chart(u)`` gives (curve, alpha, {group: (SurvivalParams,
-    d(a, b, c, alpha)/du)}).  Each residual call evaluates the chart once
-    and chains the residuals' derivatives in (a, b, c, alpha) into u.
-    Counts every residual call and every Jacobian request, and records
-    each improvement of the objective as (eval#, f).  A point whose
-    parameters overflow or are rejected, or whose residuals are not
-    finite, gets the constant FALLBACK_DP and a zero Jacobian instead,
-    and is counted as a fallback.
+    d(a, b, c, alpha)/du)}).  Each call evaluates the chart once and
+    returns the residuals dP together with d dP/du, as fresh arrays that
+    the solver may rescale in place.  Counts every call and records each
+    improvement of the objective as (eval#, f).  A point whose parameters
+    overflow or are rejected, or whose residuals or their derivatives are
+    not finite, gets the constant FALLBACK_DP and a zero Jacobian
+    instead, and is counted as a fallback.
     """
 
     def __init__(self, side: _MarketSide, chart):
@@ -380,41 +375,25 @@ class _CountedResiduals:
         self.chart = chart
         self.evals = 0
         self.fallback_evals = 0
-        self.jacobian_evals = 0
         self.best = math.inf
         self.improvements: list[tuple[int, float]] = []
-        self._last: tuple[np.ndarray, np.ndarray] | None = None
 
-    def __call__(self, u: np.ndarray) -> np.ndarray:
+    def __call__(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self.evals += 1
-        n = len(self.side.instruments)
         try:
             _, alpha, groups = self.chart(u)
-            dp, d_params = self.side.dp({key: p for key, (p, _) in groups.items()}, alpha)
+            dp, jac = self.side.residuals(groups, alpha)
         except (OverflowError, ValueError):
-            dp = d_params = None
-        if dp is None or not (np.all(np.isfinite(dp)) and np.all(np.isfinite(d_params))):
+            dp = jac = None
+        if dp is None or not (np.all(np.isfinite(dp)) and np.all(np.isfinite(jac))):
             self.fallback_evals += 1
-            dp = np.full(n, FALLBACK_DP)
-            jac = np.zeros((n, len(u)))
-        else:
-            jac = self.side.chain(d_params, groups)
-        self._last = (np.array(u, dtype=float), jac)
+            n = len(self.side.instruments)
+            dp, jac = np.full(n, FALLBACK_DP), np.zeros((n, len(u)))
         f = self.side.objective(dp)
         if f < self.best:
             self.best = f
             self.improvements.append((self.evals, f))
-        return dp
-
-    def jacobian(self, u: np.ndarray) -> np.ndarray:
-        """d dP/du at ``u``, zero at a fallback point; the residuals are
-        evaluated (and counted) first unless ``u`` is the last point
-        evaluated.  Each request gets its own array, since the solver
-        rescales the Jacobian in place under a robust loss."""
-        self.jacobian_evals += 1
-        if self._last is None or not np.array_equal(self._last[0], u):
-            self(u)
-        return self._last[1].copy()
+        return dp, jac
 
 
 class _TrustRegionResult(NamedTuple):
@@ -480,9 +459,9 @@ def _lm_step(m: int, n: int, uf: np.ndarray, s: np.ndarray, V: np.ndarray, Delta
     return p, alpha, it + 1
 
 
-def _trust_region(fun, jac, x0: np.ndarray, loss, ftol: float, xtol: float, gtol: float,
+def _trust_region(fun, x0: np.ndarray, loss, ftol: float, xtol: float, gtol: float,
                   max_nfev: int) -> _TrustRegionResult:
-    """Minimise half the sum of ``loss(fun(x)^2)[0]`` from ``x0``.
+    """Minimise half the sum of ``loss(f^2)[0]`` from ``x0``; ``fun(x)`` gives (f, J).
 
     Levenberg-Marquardt in its trust-region form (More 1978) with one SVD
     of the Jacobian per iteration (:func:`_lm_step`); the robust loss
@@ -491,9 +470,9 @@ def _trust_region(fun, jac, x0: np.ndarray, loss, ftol: float, xtol: float, gtol
     port of the unbounded branch of ``scipy.optimize.least_squares``
     with ``method="trf"``, exact trust-region solves, unit variable
     scale and f_scale = 1.  ``loss(z)`` gives rho and its first two
-    derivatives in z; ``jac(x)`` is asked for at each accepted point,
-    just after ``fun(x)``, and must return an array the solver may
-    overwrite.  Stops at ``max_nfev`` evaluations of ``fun`` (status 0)
+    derivatives in z; J must be a fresh array, since the solver rescales
+    it in place, and ``njev`` counts the Jacobians used (1 plus the
+    accepted steps).  Stops at ``max_nfev`` calls of ``fun`` (status 0)
     or when the gradient's sup-norm is below ``gtol`` (1), the relative
     loss decrease of a good step is below ``ftol`` (2), the step is below
     ``xtol`` relative to |x| (3), or both of the last two (4).
@@ -507,8 +486,7 @@ def _trust_region(fun, jac, x0: np.ndarray, loss, ftol: float, xtol: float, gtol
         return f * (rho1 / scale), J
 
     x = x0
-    f = fun(x)
-    J = jac(x)
+    f, J = fun(x)
     nfev = njev = 1
     m, n = J.shape
     rho = loss(f ** 2)
@@ -534,7 +512,7 @@ def _trust_region(fun, jac, x0: np.ndarray, loss, ftol: float, xtol: float, gtol
             Js = J.dot(step)
             predicted_reduction = -(0.5 * Js.dot(Js) + step.dot(g))
             x_new = x + step
-            f_new = fun(x_new)
+            f_new, J_new = fun(x_new)
             nfev += 1
             step_norm = math.sqrt(step.dot(step))
             if not np.isfinite(f_new).all():
@@ -567,9 +545,8 @@ def _trust_region(fun, jac, x0: np.ndarray, loss, ftol: float, xtol: float, gtol
 
         if actual_reduction > 0:
             x, f, cost = x_new, f_new, cost_new
-            J = jac(x)
             njev += 1
-            f_s, J = scaled(f, J, rho_new)
+            f_s, J = scaled(f, J_new, rho_new)
             g = J.T.dot(f_s)
 
     return _TrustRegionResult(x=x, fun=f, grad=g, status=0 if status is None else status,
@@ -589,9 +566,8 @@ def _solve(side: _MarketSide, chart, tail: _ShapeAlpha, x0: list[float], scale: 
                      for _ in range(config.multistart_count - 1)]
     runs = []
     for start in starts:
-        res = _trust_region(residuals, residuals.jacobian, start, side.solver_loss,
-                            ftol=max(config.ftol, EPS), xtol=config.xtol, gtol=GTOL,
-                            max_nfev=config.max_iter)
+        res = _trust_region(residuals, start, side.solver_loss, ftol=max(config.ftol, EPS),
+                            xtol=config.xtol, gtol=GTOL, max_nfev=config.max_iter)
         runs.append((side.objective(res.fun), res))
     objectives = tuple(f for f, _ in runs)
     fun, best = runs[objectives.index(min(objectives))]
@@ -603,7 +579,7 @@ def _solve(side: _MarketSide, chart, tail: _ShapeAlpha, x0: list[float], scale: 
     converged = (best.status > 0 and not np.all(best.fun == FALLBACK_DP)
                  and grad_norm <= STATIONARY_GRAD * (1.0 + fun))
     curve, alpha, _ = chart(best.x)
-    info = dict(evaluations=residuals.evals, jacobian_evals=residuals.jacobian_evals,
+    info = dict(evaluations=residuals.evals, jacobian_evals=sum(res.njev for _, res in runs),
                 fallback_evals=residuals.fallback_evals,
                 converged=bool(converged), status=int(best.status),
                 grad_norm=grad_norm, objective_per_start=objectives,

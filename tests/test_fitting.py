@@ -266,15 +266,14 @@ def test_no_fallback_evaluations_on_colom_and_grid(colom_half):
 
 def test_evaluations_count_every_residual_call(monkeypatch):
     calls = []
-    dp = ft._MarketSide.dp
+    residuals = ft._MarketSide.residuals
 
     def counted(self, *args):
         calls.append(1)
-        return dp(self, *args)
+        return residuals(self, *args)
 
-    monkeypatch.setattr(ft._MarketSide, "dp", counted)
+    monkeypatch.setattr(ft._MarketSide, "residuals", counted)
     res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig(fix_c=0.1))
-    # residual calls made for a Jacobian request included
     assert res.diagnostics["evaluations"] == len(calls)
 
 
@@ -287,18 +286,18 @@ def test_fallback_evaluations_are_counted():
         return TRUE, 0.0, {None: (TRUE, np.zeros((4, 1)))}
 
     residuals = ft._CountedResiduals(side, chart)
-    assert np.all(residuals(np.array([1.0])) == ft.FALLBACK_DP)
-    assert np.all(np.abs(residuals(np.array([-1.0]))) < 1e-10)
+    assert np.all(residuals(np.array([1.0]))[0] == ft.FALLBACK_DP)
+    assert np.all(np.abs(residuals(np.array([-1.0]))[0]) < 1e-10)
     assert (residuals.evals, residuals.fallback_evals) == (2, 1)
 
 
 def test_fit_at_a_fallback_point_is_not_converged(tmp_path, monkeypatch):
     # every evaluation falls back: the residuals are constant, so the
     # gradient is exactly 0 and the solver stops at once
-    def overflow(self, params_by_group, alpha):
+    def overflow(self, groups, alpha):
         raise OverflowError("math range error")
 
-    monkeypatch.setattr(ft._MarketSide, "dp", overflow)
+    monkeypatch.setattr(ft._MarketSide, "residuals", overflow)
     res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig(multistart_count=2))
     assert res.diagnostics["fallback_evals"] == res.diagnostics["evaluations"] > 0
     assert res.diagnostics["grad_norm"] == 0.0
@@ -342,13 +341,17 @@ def test_fitconfig_validation():
         with pytest.raises(ValueError, match="c_bounds"):
             FitConfig(c_bounds=(0.05, x))
         for name in ("multistart_count", "max_iter"):
-            with pytest.raises(ValueError, match="must be finite and >= 1"):
+            with pytest.raises(ValueError, match=f"{name} must be finite and >= 1"):
                 FitConfig(**{name: x})
     for x in (2.5, 3.0):
         for name in ("multistart_count", "max_iter"):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):
                 FitConfig(**{name: x})
     assert FitConfig(multistart_count=np.int64(2)).multistart_count == 2
+    for seed in (-1, 1.5, 2.0, "3"):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            FitConfig(seed=seed)
+    assert FitConfig(seed=np.int64(7)).seed == 7
 
 
 # -- rating-grid fit -----------------------------------------------------
@@ -452,8 +455,8 @@ def solver_problem(monkeypatch, fit):
     """The residual function, start and Jacobian a fit hands the solver."""
     seen = []
 
-    def spy(fun, jac, x0, *args, **kwargs):
-        seen.append((fun, np.asarray(x0, dtype=float), jac))
+    def spy(fun, x0, *args, **kwargs):
+        seen.append((lambda u: fun(u)[0], np.asarray(x0, dtype=float), lambda u: fun(u)[1]))
         raise _Captured
 
     monkeypatch.setattr(ft, "_trust_region", spy)
@@ -547,9 +550,19 @@ def test_fallback_point_has_zero_jacobian(monkeypatch):
     huge = SurvivalParams(1e308, 0.05, 0.1)
     nan_dp = ft._CountedResiduals(side, lambda u: (huge, 0.0, {None: (huge, np.ones((4, 1)))}))
     with np.errstate(invalid="ignore"):
-        assert np.all(nan_dp(np.zeros(1)) == ft.FALLBACK_DP)
-    assert np.array_equal(nan_dp.jacobian(np.zeros(1)), np.zeros((len(make_bonds()), 1)))
-    assert (nan_dp.evals, nan_dp.fallback_evals, nan_dp.jacobian_evals) == (1, 1, 1)
+        dp, jac = nan_dp(np.zeros(1))
+    assert np.all(dp == ft.FALLBACK_DP)
+    assert np.array_equal(jac, np.zeros((len(make_bonds()), 1)))
+    assert (nan_dp.evals, nan_dp.fallback_evals) == (1, 1)
+
+    # finite residuals whose chain into u overflows
+    steep_chain = np.full((4, 1), 1e308)
+    steep = ft._CountedResiduals(side, lambda u: (TRUE, 0.0, {None: (TRUE, steep_chain)}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dp, jac = steep(np.zeros(1))
+    assert np.all(dp == ft.FALLBACK_DP)
+    assert np.array_equal(jac, np.zeros((len(make_bonds()), 1)))
+    assert (steep.evals, steep.fallback_evals) == (1, 1)
 
 
 def scaled_true_chart(u):
@@ -559,31 +572,17 @@ def scaled_true_chart(u):
     return params, 0.0, {None: (params, chain)}
 
 
-def test_jacobian_request_off_the_last_point_is_evaluated_and_counted():
-    side = ft._MarketSide(make_bonds(), CURVE, 0.4, FitConfig())
-    residuals = ft._CountedResiduals(side, scaled_true_chart)
-    residuals(np.array([0.1]))
-    at_last = residuals.jacobian(np.array([0.1]))
-    assert residuals.evals == 1
-    elsewhere = residuals.jacobian(np.array([-0.2]))
-    assert (residuals.evals, residuals.jacobian_evals) == (2, 2)
-    assert not np.array_equal(at_last, elsewhere)
-    params, _, groups = scaled_true_chart(np.array([-0.2]))
-    expected = side.dp({None: params}, 0.0)[1] @ groups[None][1]
-    assert np.array_equal(elsewhere, expected)
-
-
 def test_jacobian_requests_get_their_own_arrays():
     # the solver rescales a Jacobian in place under a robust loss
     side = ft._MarketSide(make_bonds(), CURVE, 0.4, FitConfig())
     residuals = ft._CountedResiduals(side, scaled_true_chart)
     u = np.array([0.1])
-    first = residuals.jacobian(u)
-    second = residuals.jacobian(u)
+    _, first = residuals(u)
+    _, second = residuals(u)
     assert first is not second and np.array_equal(first, second)
     first *= 2.0
-    assert np.array_equal(residuals.jacobian(u), second)
-    assert residuals.evals == 1
+    assert np.array_equal(residuals(u)[1], second)
+    assert residuals.evals == 3
 
 
 def test_grid_fit_builds_each_rating_once_per_evaluation(monkeypatch):
@@ -611,7 +610,7 @@ def test_jet_residuals_are_bit_identical_to_the_plain_path(grouped):
     side = ft._MarketSide(instruments, CURVE, SCHED, FitConfig(em_mode="fixed"),
                           group_by_rating=grouped)
     by_group = {key: GRID_TRUE.params_for_rating(key or 9).scaled(1.3) for key in side.groups}
-    dp, _ = side.dp(by_group, 0.4)
+    dp, _ = side.residuals({key: (p, np.eye(4)) for key, p in by_group.items()}, 0.4)
     expected = np.empty(len(instruments))
     for key, idx in side.groups.items():
         kg = side._readouts[key].kernel_grid(by_group[key])
@@ -645,7 +644,7 @@ def test_grouped_price_gap_is_bit_identical_to_the_parent_formulation():
     config = FitConfig(em_mode="fixed")
     side = ft._MarketSide(instruments, CURVE, SCHED, config, group_by_rating=True)
     by_group = {r: GRID_TRUE.params_for_rating(r).scaled(1.3) for r in side.groups}
-    dp, jac = side.dp(by_group, 0.4)
+    dp, jac = side.residuals({r: (p, np.eye(4)) for r, p in by_group.items()}, 0.4)
 
     quotes = ft._quotes(instruments, CURVE, SCHED, config.grid_step)
     sov = np.array([i.sovereign_spread for i in instruments])
@@ -672,7 +671,7 @@ def test_price_gap_of_interleaved_ratings_is_the_per_group_parent_formulation(or
     config = FitConfig(em_mode="fixed")
     side = ft._MarketSide(instruments, CURVE, SCHED, config, group_by_rating=True)
     by_group = {r: GRID_TRUE.params_for_rating(r).scaled(0.7 + 0.05 * r) for r in side.groups}
-    dp, jac = side.dp(by_group, alpha)
+    dp, jac = side.residuals({r: (p, np.eye(4)) for r, p in by_group.items()}, alpha)
 
     quotes = ft._quotes(instruments, CURVE, SCHED, config.grid_step)
     sov = np.array([i.sovereign_spread for i in instruments])
@@ -694,7 +693,7 @@ def test_price_gap_of_interleaved_ratings_is_the_per_group_parent_formulation(or
     expected_du = np.empty((len(instruments), 7))
     for r, idx in groups.items():
         expected_du[idx] = jac[idx] @ chains[r]
-    du = side.chain(jac, {r: (by_group[r], chains[r]) for r in groups})
+    _, du = side.residuals({r: (by_group[r], chains[r]) for r in groups}, alpha)
     assert np.array_equal(du, expected_du)
 
 
@@ -718,17 +717,20 @@ def test_each_group_grid_ends_at_its_longest_tenor():
 
 
 def test_jacobian_evals_count_every_solver_request(monkeypatch):
-    njev = []
+    nfev, njev = [], []
     solve = ft._trust_region
 
     def counted(*args, **kwargs):
         res = solve(*args, **kwargs)
+        nfev.append(res.nfev)
         njev.append(res.njev)
         return res
 
     monkeypatch.setattr(ft, "_trust_region", counted)
     res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig())
     assert res.diagnostics["jacobian_evals"] == sum(njev) > 0
+    # one residual call per solver point
+    assert res.diagnostics["evaluations"] == sum(nfev)
     # each request came at the point just evaluated, so none cost an extra evaluation
     assert res.diagnostics["evaluations"] < 2 * res.diagnostics["jacobian_evals"]
 
@@ -736,11 +738,12 @@ def test_jacobian_evals_count_every_solver_request(monkeypatch):
 # -- the trust-region solver ----------------------------------------------
 
 
-def scipy_trust_region(fun, jac, x0, loss, ftol, xtol, gtol, max_nfev):
+def scipy_trust_region(fun, x0, loss, ftol, xtol, gtol, max_nfev):
     """The reference: scipy's trust-region reflective solver on the same problem."""
     from scipy.optimize import least_squares
 
-    return least_squares(fun, x0, jac=jac, method="trf", loss=lambda z: np.array(loss(z)),
+    return least_squares(lambda x: fun(x)[0], x0, jac=lambda x: fun(x)[1], method="trf",
+                         loss=lambda z: np.array(loss(z)),
                          ftol=ftol, xtol=xtol, gtol=gtol, max_nfev=max_nfev)
 
 
@@ -807,10 +810,13 @@ def squared_loss(z):
 
 def test_trust_region_stops_at_max_nfev_with_status_0():
     x0 = np.array([-1.2, 1.0])
-    solved = ft._trust_region(rosenbrock, rosenbrock_jacobian, x0, squared_loss,
+    def fun(x):
+        return rosenbrock(x), rosenbrock_jacobian(x)
+
+    solved = ft._trust_region(fun, x0, squared_loss,
                               ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=1000)
     assert solved.status > 0 and np.allclose(solved.x, 1.0)
-    stopped = ft._trust_region(rosenbrock, rosenbrock_jacobian, x0, squared_loss,
+    stopped = ft._trust_region(fun, x0, squared_loss,
                                ftol=1e-12, xtol=1e-12, gtol=1e-12, max_nfev=4)
     assert (stopped.status, stopped.nfev) == (0, 4)
     assert solved.nfev > 4
@@ -819,7 +825,7 @@ def test_trust_region_stops_at_max_nfev_with_status_0():
 def test_fallback_only_run_stops_with_zero_gradient():
     side = ft._MarketSide(make_bonds(), CURVE, 0.4, FitConfig())
     n = len(side.instruments)
-    res = ft._trust_region(lambda u: np.full(n, ft.FALLBACK_DP), lambda u: np.zeros((n, 2)),
+    res = ft._trust_region(lambda u: (np.full(n, ft.FALLBACK_DP), np.zeros((n, 2))),
                            np.array([0.3, -0.2]), side.solver_loss,
                            ftol=ft.EPS, xtol=1e-10, gtol=ft.GTOL, max_nfev=100)
     assert (res.status, res.nfev, res.njev) == (1, 1, 1)
