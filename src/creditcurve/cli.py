@@ -43,57 +43,69 @@ def _bp(x: float) -> str:
     return f"{x * 1e4:.6f}"
 
 
+def _mode(text, plain: tuple[str, ...], v: float) -> tuple[str, float]:
+    # "name" for a name in ``plain`` (with the value ``v``) or "fixed:v"
+    text = str(text)
+    if text in plain:
+        return text, v
+    mode, sep, v_text = text.partition(":")
+    if mode != "fixed" or not sep:
+        raise ValueError(text)
+    return mode, float(v_text)
+
+
 class Settings:
     """Flag values merged over the optional run-config file.
 
     Grid fits default to the rating recovery schedule, every other verb
-    to a fixed 0.4.  The fit and analytics options are validated here, so
-    a bad value is an input error before any work starts.
+    to a fixed 0.4.  Every value is converted and the fit and analytics
+    options are validated here, so a bad value is an input error before
+    any work starts; it names the flag, or the config file and key, that
+    gave it.
     """
 
     def __init__(self, config_path: str | None, overrides: dict, grid: bool = False):
         merged = load_config(config_path) if config_path else {}
-        merged.update((key, val) for key, val in overrides.items() if val is not None)
-        self.as_of = dt.date.fromisoformat(str(merged["as_of"])) if "as_of" in merged else None
-        self.compounding = int(merged.get("compounding", 0))
-        self.grid_step = float(merged.get("grid_step", vl.DEFAULT_GRID_STEP))
-        self.horizon = float(merged.get("horizon", 0.25))
-        self.convergence_fraction = float(merged.get("convergence_fraction", 1.0))
-        self.seed = int(merged.get("seed", 0))
-        self.multistart = int(merged.get("multistart", 5))
+        flags = {key for key, val in overrides.items() if val is not None}
+        merged.update((key, overrides[key]) for key in flags)
+
+        def get(key, default, convert, what, ok=lambda v: True):
+            # the setting as ``convert`` reads it; an input error that names
+            # the flag, or the config file and key, if it does not read or is not ok
+            if key not in merged:
+                return default
+            raw = merged[key]
+            try:
+                val = convert(raw)
+                if ok(val):
+                    return val
+            except (TypeError, ValueError):
+                pass
+            name = "--" + key.replace("_", "-") if key in flags else f"{config_path}: {key}"
+            raise UniverseError(f"{name} must be {what}, got {raw!r}")
+
+        self.as_of = get("as_of", None, lambda text: dt.date.fromisoformat(str(text)),
+                         "a date YYYY-MM-DD")
+        self.compounding = get("compounding", 0, int, "an integer >= 0", lambda m: m >= 0)
+        self.grid_step = get("grid_step", vl.DEFAULT_GRID_STEP, float, "a number")
+        self.horizon = get("horizon", 0.25, float, "finite and > 0", lambda x: 0.0 < x < math.inf)
+        self.convergence_fraction = get("convergence_fraction", 1.0, float, "in [0, 1]",
+                                        lambda x: 0.0 <= x <= 1.0)
+        self.seed = get("seed", 0, int, "an integer")
+        self.multistart = get("multistart", 5, int, "an integer")
         self.weight_mode = str(merged.get("weight_mode", "issue_size"))
         self.loss = str(merged.get("loss", "robust"))
-        self.fix_c = float(merged["fix_c"]) if "fix_c" in merged else None
+        self.fix_c = get("fix_c", None, float, "a number")
         self.out = Path(merged.get("out", "out"))
-        self.compounding_m = int(merged.get("yield_compounding", 2))
-
-        rec = str(merged.get("recovery", "schedule" if grid else "fixed:0.4"))
-        if rec == "schedule":
-            self.recovery_mode, self.recovery_fixed = "schedule", 0.4
-        elif rec == "fixed":
-            self.recovery_mode, self.recovery_fixed = "fixed", 0.4
-        elif rec.startswith("fixed:"):
-            self.recovery_mode, self.recovery_fixed = "fixed", float(rec.split(":", 1)[1])
-        else:
-            raise UniverseError(f"--recovery must be 'fixed[:v]' or 'schedule', got {rec!r}")
-
-        em = str(merged.get("em_alpha", "off"))
-        if em == "off":
-            self.em_mode, self.em_alpha_fixed = "off", 0.5
-        elif em == "fit":
-            self.em_mode, self.em_alpha_fixed = "fit", 0.5
-        elif em.startswith("fixed:"):
-            self.em_mode, self.em_alpha_fixed = "fixed", float(em.split(":", 1)[1])
-        else:
-            raise UniverseError(f"--em-alpha must be 'fit', 'fixed:v' or 'off', got {em!r}")
+        self.compounding_m = get("yield_compounding", 2, int, ">= 1", lambda m: m >= 1)
+        self.recovery_mode, self.recovery_fixed = get(
+            "recovery", ("schedule" if grid else "fixed", 0.4),
+            lambda text: _mode(text, ("schedule", "fixed"), 0.4),
+            "'fixed[:v]' with v in [0, 1) or 'schedule'", lambda rec: 0.0 <= rec[1] < 1.0)
+        self.em_mode, self.em_alpha_fixed = get(
+            "em_alpha", ("off", 0.5), lambda text: _mode(text, ("off", "fit"), 0.5),
+            "'fit', 'fixed:v' or 'off'")
         self.fit_config()
-        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
-            raise UniverseError(f"--horizon must be finite and > 0, got {self.horizon!r}")
-        if not 0.0 <= self.convergence_fraction <= 1.0:
-            raise UniverseError("--convergence-fraction must be in [0, 1], "
-                                f"got {self.convergence_fraction!r}")
-        if self.compounding_m < 1:
-            raise UniverseError(f"--yield-compounding must be >= 1, got {self.compounding_m}")
 
     def fit_config(self) -> ft.FitConfig:
         return ft.FitConfig(

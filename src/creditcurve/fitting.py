@@ -30,12 +30,12 @@ rhat*Pi) and the kernels are linear in Q, so each evaluation runs the
 kernel sums once over the survival jet [Q, dQ/da, dQ/db, dQ/dc] and gets
 the residuals together with their derivatives in (a, b, c); alpha enters
 as -100 * sov * Pi.  Each rating group's kernel pass runs on its own
-prefix of one discount grid, ending at the group's longest tenor, with
-Q at the group's tenors taken in the same jet call.  The instruments are
-laid out group by group once per fit, so each group's kernel rows and its
-chain into u are one slice; the groups' kernel rows go through one
-price-gap pass per evaluation, and the residuals and their Jacobian are
-put back in instrument order at the end.
+grid, ending at the group's longest tenor, with Q at the group's tenors
+taken in the same jet call.  The instruments are laid out group by group
+once per fit, so each group's kernel rows and its chain into u are one
+slice; the groups' kernel rows go through one price-gap pass per
+evaluation, and the residuals and their Jacobian are put back in
+instrument order at the end.
 
 Each fit has one chart: a map from the solver's coordinates u to the
 curve, alpha and, for each rating group, the group's (a, b, c) together
@@ -68,7 +68,7 @@ from .valuation import (
     DEFAULT_GRID_STEP,
     BondSpec,
     CdsSpec,
-    DiscountGridCache,
+    KernelReadout,
     _dp,
     _quotes,
     kernels,
@@ -213,10 +213,10 @@ class _MarketSide:
     Everything that does not depend on the candidate curve (market
     prices, SNAC upfronts, weights, recoveries, grid indices) is
     computed once; per candidate only the survival values move.  Each
-    rating group reads its tenors off its own prefix of one discount
-    grid, which ends at the group's longest tenor.  Per candidate the
-    work runs in the grouped layout, group after group (``slices``),
-    and its results are put back in instrument order.
+    rating group has its own read-out, on a grid that ends at the
+    group's longest tenor.  Per candidate the work runs in the grouped
+    layout, group after group (``slices``), and its results are put back
+    in instrument order.
     """
 
     def __init__(self, instruments: Sequence[Instrument], curve: RiskfreeCurve,
@@ -237,7 +237,6 @@ class _MarketSide:
         if config.em_rating_scaling:
             self.sov = self.sov * np.minimum(
                 1.0, np.array([(i.effective_rating or 9) / 9.0 for i in self.instruments]))
-        self.cache = DiscountGridCache(curve, float(self.tenors.max()), config.grid_step)
         self._rho = _rho_vec(config.loss)
         if group_by_rating:
             ratings = np.array([i.effective_rating for i in self.instruments])
@@ -245,7 +244,7 @@ class _MarketSide:
             self.groups = {r: np.flatnonzero(ratings == r) for r in keys}
         else:
             self.groups = {None: np.arange(len(self.instruments))}
-        self._readouts = {key: self.cache.readout(self.tenors[idx])
+        self._readouts = {key: KernelReadout.of(curve, self.tenors[idx], config.grid_step)
                           for key, idx in self.groups.items()}
         # the grouped layout: group after group, each in instrument order,
         # so that every group's rows are one slice

@@ -17,17 +17,17 @@ which treats the coupon stream as continuously paid.  Bond prices fed
 into this module are therefore full invoice values per 100 face; there
 is no separate accrued-interest concept.
 
-A :class:`DiscountGridCache` holds the grid and its discount factors;
-each tenor set read off it (a :class:`KernelReadout`, one per rating
-group in a fit) uses the prefix of the grid that ends at the last node
-at or before its longest tenor.  A cumsum prefix does not depend on
-where the sum stops, so every tenor gets the same bits as from a
-one-shot grid of its own.  A :class:`KernelGrid` is built for one
-read-out: it evaluates Q at the grid prefix and the read-out tenors in
-one call, and computes the increments of every grid step and of each
-tenor's short last step in one pass, from step end points and B-only
-factors that the read-out fixes once.  The running sums cover the grid
-steps; a tenor's kernels are the sum at its node plus its last step.
+A :class:`KernelReadout` fixes what a tenor set needs from the
+riskfree curve (one per rating group in a fit): the grid up to the last
+node at or before its longest tenor, and B at the grid and the tenors
+from one curve call.  A cumsum prefix does not depend on where the sum
+stops, so every tenor gets the same bits as from a one-shot grid of its
+own.  A :class:`KernelGrid` is built for one read-out: it evaluates Q at
+the grid and the read-out tenors in one call, and computes the
+increments of every grid step and of each tenor's short last step in
+one pass, from step end points and B-only factors that the read-out
+fixes once.  The running sums cover the grid steps; a tenor's kernels
+are the sum at its node plus its last step.
 
 The root solves (yield, Z-spread, exact fit) use :func:`_brentq`, a port
 of scipy's ``brentq`` that finds the same roots bit for bit, so this
@@ -50,7 +50,6 @@ from .survival import RecoverySchedule, SurvivalParams
 __all__ = [
     "DEFAULT_GRID_STEP",
     "RiskyKernels",
-    "DiscountGridCache",
     "KernelReadout",
     "KernelGrid",
     "kernels",
@@ -95,65 +94,23 @@ class RiskyKernels:
         return self.bq_T + self.xi + self.rhat * self.pi - 1.0
 
 
-class DiscountGridCache:
-    """Grid times and discount factors shared across survival candidates.
-
-    Fitting evaluates thousands of candidate curves against one
-    riskfree curve; B on the grid never changes, so compute it once.
-    Each tenor set then reads from a prefix of this grid (:meth:`readout`).
-    """
-
-    def __init__(self, curve: RiskfreeCurve, t_max: float,
-                 grid_step: float = DEFAULT_GRID_STEP):
-        if t_max <= 0.0:
-            raise ValueError("t_max must be > 0")
-        if grid_step <= 0.0:
-            raise ValueError("grid_step must be > 0")
-        self.curve = curve
-        self.h = float(grid_step)
-        n = int(math.ceil(t_max / self.h - 1e-12))
-        self.t = np.arange(n + 1) * self.h
-        self.B = np.asarray(curve.discount_factor(self.t))
-
-    def readout(self, tenors) -> "KernelReadout":
-        """The read-out of a fixed tenor set, on the prefix of the grid
-        that ends at the last node at or before the longest tenor: its
-        trapezium steps (each grid step, then each tenor's short last
-        step) with their B-only factors."""
-        tenors = np.asarray(tenors, dtype=float)
-        if not (tenors.min() > 0.0 and tenors.max() <= self.t[-1] + 1e-9):
-            raise ValueError("tenors must lie in (0, t_max]")
-        # truncation is the floor here, as every tenor is positive
-        k = np.minimum((tenors / self.h + 1e-9).astype(int), len(self.t) - 1)
-        n = int(k.max()) + 1
-        B = self.B[:n]
-        points = np.concatenate([self.t[:n], tenors])
-        # step j runs from points[ends[0, j]] to points[ends[1, j]]
-        grid_steps = np.arange(n - 1)
-        ends = np.array([np.concatenate([grid_steps, k]),
-                         np.concatenate([grid_steps + 1, n + np.arange(len(tenors))])])
-        B_ends = np.concatenate([B, np.asarray(self.curve.discount_factor(tenors))])[ends]
-        factors = np.array([np.concatenate([np.full(n - 1, self.h), tenors - self.t[k]]),
-                            (B_ends[0] + B_ends[1]) / 2.0,
-                            B_ends[0] - B_ends[1]])
-        return KernelReadout(cache=self, t=self.t[:n], B=B, points=points, tenors=tenors,
-                             k=k, ends=ends, B_ends=B_ends, factors=factors)
-
-
 @dataclass(frozen=True, eq=False)
 class KernelReadout:
-    """A tenor set on a :class:`DiscountGridCache`: the grid prefix its
-    kernels need, where each tenor sits on it, and the trapezium steps.
+    """A tenor set on the grid {0, h, 2h, ...}: the grid up to the last
+    node at or before its longest tenor, where each tenor sits on it, and
+    the trapezium steps with their B-only factors.
 
-    The steps are the n - 1 grid steps of the prefix followed by one
-    short last step per tenor, from its last grid node to the tenor.  A
-    :class:`KernelGrid` is built for one read-out, and evaluates Q at
-    the grid prefix and the tenors (``points``) in one call.
+    The steps are the n - 1 grid steps followed by one short last step
+    per tenor, from its last grid node to the tenor.  B does not move
+    with the survival curve, so a fit builds one read-out per rating
+    group (:meth:`of`) and then one :class:`KernelGrid` on it per
+    candidate curve, which evaluates Q at the grid and the tenors
+    (``points``) in one call.
     """
 
-    cache: DiscountGridCache
-    t: np.ndarray          # grid prefix, up to the last node at or before the longest tenor
-    B: np.ndarray
+    curve: RiskfreeCurve
+    h: float
+    t: np.ndarray          # the grid, up to the last node at or before the longest tenor
     points: np.ndarray     # t followed by the tenors
     tenors: np.ndarray
     k: np.ndarray          # each tenor's last grid node
@@ -161,9 +118,36 @@ class KernelReadout:
     B_ends: np.ndarray     # (2, steps): B there
     factors: np.ndarray    # (3, steps): the step length, (B_start + B_end) / 2, B_start - B_end
 
+    @classmethod
+    def of(cls, curve: RiskfreeCurve, tenors,
+           grid_step: float = DEFAULT_GRID_STEP) -> "KernelReadout":
+        """The read-out of ``tenors`` on the grid of step ``grid_step``,
+        with B at the grid and the tenors from one curve call."""
+        h = float(grid_step)
+        if not (math.isfinite(h) and h > 0.0):
+            raise ValueError(f"grid_step must be finite and > 0, got {grid_step!r}")
+        tenors = np.asarray(tenors, dtype=float)
+        bad = tenors[~(np.isfinite(tenors) & (tenors > 0.0))]
+        if bad.size or not tenors.size:
+            raise ValueError(f"tenors must be finite and > 0, got {bad.tolist()}")
+        # truncation is the floor here, as every tenor is positive
+        k = (tenors / h + 1e-9).astype(int)
+        n = int(k.max()) + 1
+        t = np.arange(n) * h
+        points = np.concatenate([t, tenors])
+        # step j runs from points[ends[0, j]] to points[ends[1, j]]
+        grid_steps = np.arange(n - 1)
+        ends = np.array([np.concatenate([grid_steps, k]),
+                         np.concatenate([grid_steps + 1, n + np.arange(len(tenors))])])
+        B_ends = np.asarray(curve.discount_factor(points))[ends]
+        factors = np.array([np.concatenate([np.full(n - 1, h), tenors - t[k]]),
+                            (B_ends[0] + B_ends[1]) / 2.0,
+                            B_ends[0] - B_ends[1]])
+        return cls(curve=curve, h=h, t=t, points=points, tenors=tenors, k=k, ends=ends,
+                   B_ends=B_ends, factors=factors)
+
     def kernel_grid(self, params: SurvivalParams, jet: bool = False) -> "KernelGrid":
-        cache = self.cache
-        return KernelGrid(cache.curve, params, float(self.tenors.max()), cache.h,
+        return KernelGrid(self.curve, params, float(self.tenors.max()), self.h,
                           _cache=self, jet=jet)
 
 
@@ -175,11 +159,11 @@ def _running_sum(x: np.ndarray) -> np.ndarray:
 
 
 class KernelGrid:
-    """Cumulative kernels on a grid prefix, read out at a fixed tenor set.
+    """Cumulative kernels on a read-out's grid, read out at its tenors.
 
     Built for one :class:`KernelReadout` (``_cache``; by default the
-    read-out of ``t_max`` alone on a fresh grid to ``t_max``).  Q is
-    evaluated once, at the grid prefix and the read-out tenors together,
+    read-out of ``t_max`` alone, :meth:`KernelReadout.of`).  Q is
+    evaluated once, at the grid and the read-out tenors together,
     and the trapezium increments of every grid step and every tenor's
     short last step are computed in one pass; the running sums cover the
     grid steps, and :meth:`at_many` adds each tenor's last step to the
@@ -195,12 +179,11 @@ class KernelGrid:
                  t_max: float, grid_step: float = DEFAULT_GRID_STEP,
                  _cache: KernelReadout | None = None, jet: bool = False):
         if _cache is None:
-            _cache = DiscountGridCache(curve, t_max, grid_step).readout([t_max])
+            _cache = KernelReadout.of(curve, [t_max], grid_step)
         self.params = params
         self._ro = ro = _cache
         n = len(ro.t)
         Q_all = np.asarray((params.jet if jet else params.survival_probability)(ro.points))
-        self._Q = Q_all[..., :n]
         # Q and B * Q at both ends of every step, as (..., 2, steps)
         Q_ends = Q_all.take(ro.ends, axis=-1)
         BQ_ends = ro.B_ends * Q_ends
@@ -216,10 +199,12 @@ class KernelGrid:
         self._bq_T = BQ_ends[..., 1, n - 1:]
 
     def at(self, tenor: float) -> RiskyKernels:
-        """Kernels at one tenor in (0, t_max]: the one-tenor read-out on
-        this grid's discount cache, as :func:`kernels` gives them."""
-        kg = self._ro.cache.readout([tenor]).kernel_grid(self.params)
-        return kg.kernels()[0]
+        """Kernels at one tenor in (0, longest read-out tenor], as
+        :func:`kernels` gives them."""
+        longest = float(self._ro.tenors.max())
+        if not tenor <= longest:
+            raise ValueError(f"tenor must be in (0, {longest:g}], got {tenor!r}")
+        return kernels_at(self._ro.curve, self.params, [tenor], self._ro.h)[0]
 
     def at_many(self) -> tuple[np.ndarray, ...]:
         """Vectorised kernels (pi, xi, rhat, bq_T) at the read-out tenors:
@@ -256,8 +241,7 @@ def kernels_at(curve: RiskfreeCurve, params: SurvivalParams, tenors: Sequence[fl
     read off one grid to the longest of them."""
     if len(tenors) == 0:
         return []
-    ro = DiscountGridCache(curve, max(tenors), grid_step).readout(tenors)
-    return ro.kernel_grid(params).kernels()
+    return KernelReadout.of(curve, tenors, grid_step).kernel_grid(params).kernels()
 
 
 # -- instruments -----------------------------------------------------
@@ -711,8 +695,8 @@ def _exact_fit(spec: BondSpec | CdsSpec, base: SurvivalParams, curve: RiskfreeCu
     the instrument's tenor, as :func:`kernels` gives them."""
     # as Python scalars: the same arithmetic, without array overhead in the root solve
     quotes = [q.item() for q in _quotes([spec], curve, recovery, grid_step)]
-    # the discount grid and the tenor read-out do not move with the factor
-    readout = DiscountGridCache(curve, spec.tenor, grid_step).readout([spec.tenor])
+    # the tenor's read-out does not move with the factor
+    readout = KernelReadout.of(curve, [spec.tenor], grid_step)
 
     def gap(factor: float) -> float:
         pi, xi, rhat, _ = readout.kernel_grid(base.scaled(factor)).at_many()

@@ -352,6 +352,29 @@ def test_verbs_reject_invalid_settings(tmp_path, runner, colom_dir, bad):
     assert bad[1] in result.output and not out.exists()
 
 
+@pytest.mark.parametrize("config, flags, name", [
+    ("seed = abc", [], "seed"), ("multistart = 2.5", [], "multistart"),
+    ("compounding = x", [], "compounding"), ("as_of = 2016-13-01", [], "as_of"),
+    ("", ["--recovery", "fixed:abc"], "--recovery"),
+    ("", ["--compounding", "-1"], "--compounding"),
+    ("", ["--recovery", "fixed:1.5"], "--recovery"),
+], ids=["seed", "multistart", "compounding", "as-of", "recovery-text", "compounding-flag",
+        "recovery-range"])
+def test_bad_setting_is_named_with_its_source(tmp_path, runner, config, flags, name):
+    riskfree, bonds = write_universe(tmp_path)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config + "\n")
+    result = runner.invoke(main, ["fit", "--riskfree", str(riskfree), "--bonds", str(bonds),
+                                  "--config", str(cfg), "--out", str(tmp_path / "o"), *flags])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    # the setting, and the config file when the value came from it; not a data file
+    where = f"{cfg}: {name}" if config else name
+    assert f"error: {where} must be " in result.output, result.output
+    assert "bonds.csv" not in result.output and "riskfree.csv" not in result.output
+    assert "Traceback" not in result.output
+
+
 def test_history_skips_date_with_mixed_recoveries(tmp_path, runner):
     root = make_history_dir(tmp_path, (0.01, 0.015))
     bonds = sorted(root.iterdir())[1] / "bonds.csv"

@@ -700,18 +700,16 @@ def test_price_gap_of_interleaved_ratings_is_the_per_group_parent_formulation(or
 def test_each_group_grid_ends_at_its_longest_tenor():
     side = ft._MarketSide(staggered_grid_universe(), CURVE, SCHED, FitConfig(),
                           group_by_rating=True)
-    h = side.cache.h
+    h = side.config.grid_step
     lengths = []
     for r, idx in side.groups.items():
         ro = side._readouts[r]
         longest = side.tenors[idx].max()
         # the last node at or before the longest tenor; the short step is read out
         assert ro.t[-1] <= longest + 1e-9 and longest - ro.t[-1] < h
-        # a prefix of the shared grid, not a copy of it
-        assert np.shares_memory(ro.B, side.cache.B)
-        assert np.array_equal(ro.t, side.cache.t[:len(ro.t)])
-        kg = ro.kernel_grid(GRID_TRUE.params_for_rating(r), jet=True)
-        assert kg._Q.shape == (4, len(ro.t))
+        # the grid {0, h, 2h, ...}, then the group's tenors
+        assert np.array_equal(ro.t, np.arange(len(ro.t)) * h)
+        assert ro.points.shape == (len(ro.t) + len(idx),)
         lengths.append(len(ro.t))
     assert lengths == [361, 181, 148, 97, 61]
 

@@ -16,8 +16,8 @@ from creditcurve.valuation import (
     AssetSwapInputs,
     BondSpec,
     CdsSpec,
-    DiscountGridCache,
     KernelGrid,
+    KernelReadout,
     RiskyKernels,
     _brentq,
     _dp,
@@ -94,10 +94,17 @@ def test_kernels_parity_random_cases():
 
 
 def test_kernels_rejects_bad_args():
-    with pytest.raises(ValueError):
-        kernels(FLAT2, SurvivalParams.flat(0.01), 0.0)
-    with pytest.raises(ValueError):
-        kernels(FLAT2, SurvivalParams.flat(0.01), 5.0, grid_step=0.0)
+    # a non-finite or non-positive tenor or grid step, named
+    params = SurvivalParams.flat(0.01)
+    for bad in (math.inf, -math.inf, math.nan, 0.0, -1.0):
+        for call in (lambda: kernels(FLAT2, params, bad),
+                     lambda: kernels_at(FLAT2, params, [5.0, bad])):
+            with pytest.raises(ValueError, match=r"tenors must be finite and > 0"):
+                call()
+        for call in (lambda: kernels(FLAT2, params, 5.0, grid_step=bad),
+                     lambda: kernels_at(FLAT2, params, [5.0, 2.0], grid_step=bad)):
+            with pytest.raises(ValueError, match=r"grid_step must be finite and > 0"):
+                call()
 
 
 def test_kernel_grid_matches_one_shot():
@@ -109,6 +116,9 @@ def test_kernel_grid_matches_one_shot():
         assert many.pi == pytest.approx(one.pi, rel=1e-12)
         assert many.xi == pytest.approx(one.xi, rel=1e-9, abs=1e-15)
         assert many.rhat == pytest.approx(one.rhat, rel=1e-9)
+    for T in (0.0, 20.01, math.nan):
+        with pytest.raises(ValueError):
+            kg.at(T)
 
 
 def test_kernels_at_is_one_shot_kernels_bit_for_bit():
@@ -124,9 +134,8 @@ def test_kernels_at_is_one_shot_kernels_bit_for_bit():
 
 def test_at_many_matches_at():
     params = SurvivalParams(0.02, 0.08, 0.1)
-    cache = DiscountGridCache(FLAT2, 15.0)
     tenors = np.array([0.5, 2.0, 7.3, 12.0, 15.0])
-    kg = cache.readout(tenors).kernel_grid(params)
+    kg = KernelReadout.of(FLAT2, tenors).kernel_grid(params)
     pi, xi, rhat, bq = kg.at_many()
     for i, T in enumerate(tenors):
         k = kg.at(float(T))
@@ -154,7 +163,8 @@ def tenor_sets(draw, t_max=20.0):
 @settings(max_examples=40, deadline=None)
 def test_folded_readout_is_the_parent_jet_kernels(tenors, a, b, c):
     params = SurvivalParams(a, b, c)
-    ro = DiscountGridCache(GOLDEN_CURVE, 20.0).readout(tenors)
+    # the read-out stops at its own longest tenor, the reference at 20y
+    ro = KernelReadout.of(GOLDEN_CURVE, tenors)
     expected = parent_jet_kernels(GOLDEN_CURVE, params, 20.0, tenors, H)
     jet = ro.kernel_grid(params, jet=True).at_many()
     plain = ro.kernel_grid(params).at_many()
@@ -165,8 +175,7 @@ def test_folded_readout_is_the_parent_jet_kernels(tenors, a, b, c):
 
 def test_jet_grid_value_rows_are_the_plain_kernels():
     params = SurvivalParams(0.02, 0.08, 0.1)
-    cache = DiscountGridCache(FLAT2, 15.0)
-    ro = cache.readout(np.array([0.5, 2.0, 7.3, 12.0, 15.0]))
+    ro = KernelReadout.of(FLAT2, np.array([0.5, 2.0, 7.3, 12.0, 15.0]))
     plain = ro.kernel_grid(params).at_many()
     jet = ro.kernel_grid(params, jet=True).at_many()
     for p, j in zip(plain, jet):
@@ -177,8 +186,8 @@ def test_jet_grid_value_rows_are_the_plain_kernels():
 def test_jet_grid_rows_are_kernel_derivatives():
     # each kernel's rows 1-3 against central differences in (a, b, c)
     params = SurvivalParams(0.015, 0.07, 0.12)
-    cache = DiscountGridCache(RiskfreeCurve(pillars=((1.0, 0.01), (10.0, 0.03))), 20.0)
-    ro = cache.readout(np.array([0.7, 3.0, 9.5, 20.0]))
+    ro = KernelReadout.of(RiskfreeCurve(pillars=((1.0, 0.01), (10.0, 0.03))),
+                          np.array([0.7, 3.0, 9.5, 20.0]))
     jet = ro.kernel_grid(params, jet=True).at_many()
     h = 1e-6
     for row, name in enumerate("abc", start=1):
