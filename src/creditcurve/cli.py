@@ -71,7 +71,9 @@ class Settings:
 
         def get(key, default, convert, what, ok=lambda v: True):
             # the setting as ``convert`` reads it; an input error that names
-            # the flag, or the config file and key, if it does not read or is not ok
+            # the flag, or the config file and key, if it does not read or is
+            # not ok (``ok`` may raise ValueError: a fit setting is ok when
+            # FitConfig takes it)
             if key not in merged:
                 return default
             raw = merged[key]
@@ -87,15 +89,19 @@ class Settings:
         self.as_of = get("as_of", None, lambda text: dt.date.fromisoformat(str(text)),
                          "a date YYYY-MM-DD")
         self.compounding = get("compounding", 0, int, "an integer >= 0", lambda m: m >= 0)
-        self.grid_step = get("grid_step", vl.DEFAULT_GRID_STEP, float, "a number")
+        self.grid_step = get("grid_step", vl.DEFAULT_GRID_STEP, float, "finite and > 0",
+                             lambda h: ft.FitConfig(grid_step=h))
         self.horizon = get("horizon", 0.25, float, "finite and > 0", lambda x: 0.0 < x < math.inf)
         self.convergence_fraction = get("convergence_fraction", 1.0, float, "in [0, 1]",
                                         lambda x: 0.0 <= x <= 1.0)
-        self.seed = get("seed", 0, int, "an integer")
-        self.multistart = get("multistart", 5, int, "an integer")
-        self.weight_mode = str(merged.get("weight_mode", "issue_size"))
-        self.loss = str(merged.get("loss", "robust"))
-        self.fix_c = get("fix_c", None, float, "a number")
+        self.seed = get("seed", 0, int, "an integer >= 0", lambda n: ft.FitConfig(seed=n))
+        self.multistart = get("multistart", 5, int, "an integer >= 1",
+                              lambda n: ft.FitConfig(multistart_count=n))
+        self.weight_mode = get("weight_mode", "issue_size", str,
+                               "issue_size, equal or issue_size_duration",
+                               lambda m: ft.FitConfig(weight_mode=m))
+        self.loss = get("loss", "robust", str, "robust or squared", lambda m: ft.FitConfig(loss=m))
+        self.fix_c = get("fix_c", None, float, "finite and > 0", lambda c: ft.FitConfig(fix_c=c))
         self.out = Path(merged.get("out", "out"))
         self.compounding_m = get("yield_compounding", 2, int, ">= 1", lambda m: m >= 1)
         self.recovery_mode, self.recovery_fixed = get(
@@ -104,8 +110,8 @@ class Settings:
             "'fixed[:v]' with v in [0, 1) or 'schedule'", lambda rec: 0.0 <= rec[1] < 1.0)
         self.em_mode, self.em_alpha_fixed = get(
             "em_alpha", ("off", 0.5), lambda text: _mode(text, ("off", "fit"), 0.5),
-            "'fit', 'fixed:v' or 'off'")
-        self.fit_config()
+            "'fit', 'fixed:v' with v in [0, 1] or 'off'",
+            lambda em: ft.FitConfig(em_mode=em[0], em_alpha_fixed=em[1]))
 
     def fit_config(self) -> ft.FitConfig:
         return ft.FitConfig(
@@ -433,8 +439,9 @@ def history(snapshots, mode, tenor_points, config_path, **kw):
     with _exits():
         st = Settings(config_path, kw, grid)
         points = [float(x) for x in tenor_points.split(",") if x.strip()]
-        if not all(t > 0 and math.isfinite(t) for t in points):
-            raise ValueError(f"--tenor-points must be finite and positive, got {tenor_points!r}")
+        if not all(0.0 < t <= vl.MAX_TENOR for t in points):
+            raise ValueError(f"--tenor-points must be in (0, {vl.MAX_TENOR:g}] years, "
+                             f"got {tenor_points!r}")
     root = Path(snapshots)
     if not root.is_dir():
         _fail(f"{snapshots} is not a directory", EXIT_INPUT)

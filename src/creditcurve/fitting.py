@@ -23,7 +23,8 @@ works over transformed coordinates: logs for the positive hazard
 parameters, a logistic map into the box for the shape parameter and the
 sovereign coefficient, and positive increments between rating anchors so
 that fitted grids can never cross.  Multistart with a seeded generator
-keeps results reproducible bit for bit; the lowest objective wins.
+keeps results reproducible bit for bit; it stops once two stationary
+starts agree, and the lowest objective among the starts that ran wins.
 
 The solver's Jacobian is exact.  dP is affine in the kernels (Pi, Xi,
 rhat*Pi) and the kernels are linear in Q, so each evaluation runs the
@@ -95,6 +96,9 @@ EPS = float(np.finfo(float).eps)
 GTOL = 1e-8
 # converged fits have a gradient sup-norm below this, relative to 1 + objective
 STATIONARY_GRAD = 1e-4
+# the multistart stops at a stationary start whose objective is this close,
+# relative, to the lowest objective of the stationary starts before it
+START_AGREEMENT_RTOL = 1e-9
 # residual (points) reported for a candidate whose curve cannot be evaluated
 FALLBACK_DP = 1e6
 # a free parameter this close to an edge of its box is reported as at its bound
@@ -107,7 +111,7 @@ class FitConfig:
     loss: str = "robust"                  # robust | squared
     c_bounds: tuple[float, float] = C_BOUNDS
     fix_c: float | None = None
-    multistart_count: int = 5
+    multistart_count: int = 5             # a cap: starts stop once two stationary ones agree
     seed: int = 0
     grid_step: float = DEFAULT_GRID_STEP
     xtol: float = 1e-10                   # relative step size at which a start stops
@@ -552,37 +556,52 @@ def _trust_region(fun, x0: np.ndarray, loss, ftol: float, xtol: float, gtol: flo
                               nfev=nfev, njev=njev)
 
 
+def _stationary(res: _TrustRegionResult, objective: float) -> bool:
+    """A solver run ended at a stationary point: it met a tolerance and the
+    objective's gradient in the fitted coordinates is flat, at a point
+    whose curve could be evaluated (a fallback point's gradient is 0)."""
+    grad_norm = float(np.linalg.norm(res.grad, ord=np.inf))
+    return (res.status > 0 and not np.all(res.fun == FALLBACK_DP)
+            and grad_norm <= STATIONARY_GRAD * (1.0 + objective))
+
+
 def _solve(side: _MarketSide, chart, tail: _ShapeAlpha, x0: list[float], scale: float,
            config: FitConfig, **diagnostics) -> FitResult:
     """Multistart trust-region least squares of the residuals
     over the chart's coordinates, under the weighted loss, from ``x0``
-    and seeded jitters of it of size ``scale``; the lowest objective
-    wins.  ``diagnostics`` are added to the solver's own."""
+    and seeded jitters of it of size ``scale``.  All
+    ``multistart_count`` jitters are drawn up front and run in order;
+    the run stops at the first start that is stationary and whose
+    objective is within START_AGREEMENT_RTOL of the lowest objective of
+    the stationary starts before it, so ``multistart_count`` is a cap.
+    The lowest objective among the starts that ran wins.
+    ``diagnostics`` are added to the solver's own."""
     residuals = _CountedResiduals(side, chart)
     rng = np.random.default_rng(config.seed)
     x0 = np.array(x0)
     starts = [x0] + [x0 + rng.normal(0.0, scale, len(x0))
                      for _ in range(config.multistart_count - 1)]
     runs = []
+    stationary = []  # the objectives of the stationary starts so far
     for start in starts:
         res = _trust_region(residuals, start, side.solver_loss, ftol=max(config.ftol, EPS),
                             xtol=config.xtol, gtol=GTOL, max_nfev=config.max_iter)
-        runs.append((side.objective(res.fun), res))
+        f = side.objective(res.fun)
+        runs.append((f, res))
+        if _stationary(res, f):
+            if stationary and abs(f - min(stationary)) <= START_AGREEMENT_RTOL * min(stationary):
+                break
+            stationary.append(f)
     objectives = tuple(f for f, _ in runs)
     fun, best = runs[objectives.index(min(objectives))]
 
-    # converged means stationary: the solver met a tolerance and the
-    # objective's gradient in the fitted coordinates is flat, at a point
-    # whose curve could be evaluated (a fallback point's gradient is 0)
-    grad_norm = float(np.linalg.norm(best.grad, ord=np.inf))
-    converged = (best.status > 0 and not np.all(best.fun == FALLBACK_DP)
-                 and grad_norm <= STATIONARY_GRAD * (1.0 + fun))
     curve, alpha, _ = chart(best.x)
     info = dict(evaluations=residuals.evals, jacobian_evals=sum(res.njev for _, res in runs),
                 fallback_evals=residuals.fallback_evals,
-                converged=bool(converged), status=int(best.status),
-                grad_norm=grad_norm, objective_per_start=objectives,
-                n_starts=len(starts), descent=tuple(residuals.improvements),
+                converged=_stationary(best, fun), status=int(best.status),
+                grad_norm=float(np.linalg.norm(best.grad, ord=np.inf)),
+                objective_per_start=objectives,
+                n_starts=len(objectives), descent=tuple(residuals.improvements),
                 **diagnostics, seed=config.seed, at_bound=tail.at_bound(curve.c, alpha))
     return FitResult(params=curve, alpha=alpha if side.em_on else None,
                      residuals=tuple(float(r) for r in best.fun),

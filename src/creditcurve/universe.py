@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .ratecurve import RiskfreeCurve
 from .survival import RATING_SYMBOLS, RecoverySchedule
-from .valuation import BondSpec, CdsSpec
+from .valuation import MAX_TENOR, BondSpec, CdsSpec
 
 __all__ = [
     "UniverseError",
@@ -145,6 +145,9 @@ def _tenor_from_row(row: dict[str, str], as_of: dt.date, path: Path, lineno: int
         raise UniverseError(f"{path}:{lineno}: need a 'maturity' date or 'tenor_years'")
     if tenor <= 0.0:
         raise UniverseError(f"{path}:{lineno}: instrument has matured (tenor {tenor:.4f} <= 0)")
+    if tenor > MAX_TENOR:
+        raise UniverseError(f"{path}:{lineno}: tenor {tenor:g} years is beyond the "
+                            f"{MAX_TENOR:g}-year limit")
     return tenor
 
 

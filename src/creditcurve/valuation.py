@@ -74,6 +74,8 @@ __all__ = [
 ]
 
 DEFAULT_GRID_STEP = 1.0 / 12.0
+# the longest tenor a read-out takes, in years; its grid has about tenor / h nodes
+MAX_TENOR = 100.0
 
 SNAC_COUPONS = (0.01, 0.05)
 
@@ -130,6 +132,10 @@ class KernelReadout:
         bad = tenors[~(np.isfinite(tenors) & (tenors > 0.0))]
         if bad.size or not tenors.size:
             raise ValueError(f"tenors must be finite and > 0, got {bad.tolist()}")
+        too_long = tenors[tenors > MAX_TENOR]
+        if too_long.size:
+            raise ValueError(f"tenors must be at most {MAX_TENOR:g} years, "
+                             f"got {too_long.tolist()}")
         # truncation is the floor here, as every tenor is positive
         k = (tenors / h + 1e-9).astype(int)
         n = int(k.max()) + 1

@@ -20,7 +20,7 @@ from creditcurve.cli import ANCHOR_NAMES, Settings, _fmt, main
 from creditcurve.fitting import price_residual
 from creditcurve.survival import RATING_SYMBOLS, RatingGrid, RecoverySchedule, SurvivalParams
 from creditcurve.universe import load_universe
-from creditcurve.valuation import BondSpec, CdsSpec, bond_model_price, kernels
+from creditcurve.valuation import MAX_TENOR, BondSpec, CdsSpec, bond_model_price, kernels
 
 RISKFREE = "tenor_years,zero_rate\n1,0.015\n10,0.015\n30,0.015\n"
 
@@ -327,8 +327,8 @@ def test_history_skips_failing_date(tmp_path, runner):
 
 
 @pytest.mark.parametrize("bad", [["--multistart", "0"], ["--tenor-points", "0,5"],
-                                 ["--recovery", "fixed:x"]],
-                         ids=["multistart", "tenor-points", "recovery"])
+                                 ["--tenor-points", "5,1e9"], ["--recovery", "fixed:x"]],
+                         ids=["multistart", "tenor-points", "tenor-points-long", "recovery"])
 def test_history_rejects_invalid_settings(tmp_path, runner, bad):
     root = make_history_dir(tmp_path, (0.01, 0.015))
     out = tmp_path / "out"
@@ -358,8 +358,11 @@ def test_verbs_reject_invalid_settings(tmp_path, runner, colom_dir, bad):
     ("", ["--recovery", "fixed:abc"], "--recovery"),
     ("", ["--compounding", "-1"], "--compounding"),
     ("", ["--recovery", "fixed:1.5"], "--recovery"),
+    # values that FitConfig rejects, named with their source as well
+    ("grid_step = 0", [], "grid_step"), ("em_alpha = fixed:2", [], "em_alpha"),
+    ("weight_mode = foo", [], "weight_mode"), ("", ["--multistart", "0"], "--multistart"),
 ], ids=["seed", "multistart", "compounding", "as-of", "recovery-text", "compounding-flag",
-        "recovery-range"])
+        "recovery-range", "grid-step", "em-alpha", "weight-mode", "multistart-flag"])
 def test_bad_setting_is_named_with_its_source(tmp_path, runner, config, flags, name):
     riskfree, bonds = write_universe(tmp_path)
     cfg = tmp_path / "run.cfg"
@@ -576,8 +579,10 @@ _not_positive = st.floats(max_value=0.0, allow_nan=False, allow_infinity=False).
 _negative = st.floats(max_value=-1e-9, allow_nan=False, allow_infinity=False).map(repr)
 _not_a_recovery = (st.one_of(st.floats(max_value=-1e-9), st.floats(min_value=1.0))
                    .filter(math.isfinite).map(repr))
+_beyond_max_tenor = st.floats(min_value=MAX_TENOR, exclude_min=True,
+                              allow_infinity=False).map(repr)
 _SHARED = {
-    "tenor_years": _not_positive,
+    "tenor_years": st.one_of(_not_positive, _beyond_max_tenor),
     "issue_size": _not_positive,
     "rating": st.integers().filter(lambda n: not 1 <= n <= 18).map(str),
     "recovery": _not_a_recovery,

@@ -1,6 +1,7 @@
 import dataclasses
 import datetime as dt
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -248,8 +249,69 @@ def test_colom_fit_invariant_to_bond_order(colom_half, order):
 
 def test_objective_per_start(colom_half):
     per_start = colom_half.diagnostics["objective_per_start"]
-    assert len(per_start) == FitConfig().multistart_count
+    assert 1 <= len(per_start) <= FitConfig().multistart_count
+    assert colom_half.diagnostics["n_starts"] == len(per_start)
     assert min(per_start) == colom_half.objective
+
+
+# -- early stop of the multistart -----------------------------------------
+
+
+def test_colom_stops_once_two_stationary_starts_agree(colom_half):
+    per_start = colom_half.diagnostics["objective_per_start"]
+    assert len(per_start) == 2
+    assert abs(per_start[1] - per_start[0]) <= ft.START_AGREEMENT_RTOL * min(per_start)
+
+
+def test_starts_that_are_not_stationary_never_agree(monkeypatch):
+    # every start stops at max_iter (status 0), so all of them run
+    res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig(max_iter=3))
+    assert res.diagnostics["n_starts"] == FitConfig().multistart_count
+    assert res.diagnostics["status"] == 0 and res.diagnostics["converged"] is False
+    # colom's starts agree to 1e-9; reported as stopped at the evaluation
+    # limit, they never count as agreement however close their objectives are
+    solve = ft._trust_region
+    monkeypatch.setattr(ft, "_trust_region",
+                        lambda *args, **kw: solve(*args, **kw)._replace(status=0))
+    per_start = colom_fit().diagnostics["objective_per_start"]
+    assert len(per_start) == FitConfig().multistart_count
+    assert max(per_start) - min(per_start) <= ft.START_AGREEMENT_RTOL * min(per_start)
+
+
+@pytest.mark.parametrize("fit", ["colom", "grid-extrapolated"])
+def test_early_stop_runs_the_same_starts(monkeypatch, fit):
+    # the jitters are drawn up front: the starts that ran are the first
+    # starts of a run without the early stop, bit for bit
+    run = colom_fit if fit == "colom" else grid_case_fit("extrapolated")
+    stopped = run().diagnostics
+    monkeypatch.setattr(ft, "START_AGREEMENT_RTOL", -1.0)
+    every = run().diagnostics
+    n = stopped["n_starts"]
+    assert n < every["n_starts"] == FitConfig().multistart_count
+    assert stopped["objective_per_start"] == every["objective_per_start"][:n]
+    assert stopped["evaluations"] < every["evaluations"]
+
+
+def test_early_stop_keeps_the_lower_local_minimum(tmp_path):
+    # a perfbench issuer snapshot where two of the five starts end at a
+    # local minimum (8.08958); the early stop still finds the lower one
+    root = Path(__file__).resolve().parent.parent
+    sys.path.insert(0, str(root))
+    try:
+        from perfbench import gen
+    finally:
+        sys.path.remove(str(root))
+    pool = gen._issuer_pool(np.random.default_rng([1003, 7]), tmp_path)
+    meta = next(snap for snap in pool if snap["name"] == "issuer_02")
+    d = tmp_path / "issuer_02"
+    snap = load_universe(d / "riskfree.csv", d / "bonds.csv",
+                         d / "cds.csv" if (d / "cds.csv").exists() else None,
+                         as_of=dt.date.fromisoformat(meta["as_of"]),
+                         recovery_mode="fixed",
+                         recovery_fixed=float(meta["recovery"].split(":")[1]))
+    res = fit_single_name(snap.instruments, snap.riskfree, None, FitConfig())
+    assert res.diagnostics["converged"]
+    assert res.objective == pytest.approx(8.07864, abs=1e-5)
 
 
 def test_fit_bit_identical_diagnostics(colom_half):
@@ -298,10 +360,12 @@ def test_fit_at_a_fallback_point_is_not_converged(tmp_path, monkeypatch):
         raise OverflowError("math range error")
 
     monkeypatch.setattr(ft._MarketSide, "residuals", overflow)
-    res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig(multistart_count=2))
+    res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig(multistart_count=3))
     assert res.diagnostics["fallback_evals"] == res.diagnostics["evaluations"] > 0
     assert res.diagnostics["grad_norm"] == 0.0
     assert res.diagnostics["converged"] is False
+    # the starts end at the same objective, but fallback points never agree
+    assert res.diagnostics["objective_per_start"] == (res.objective,) * 3
 
     result = CliRunner().invoke(cli.main, [
         "fit", "--riskfree", str(COLOM / "riskfree.csv"), "--bonds", str(COLOM / "bonds.csv"),

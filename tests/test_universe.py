@@ -10,6 +10,7 @@ from creditcurve.universe import (
     load_universe,
     parse_rating,
 )
+from creditcurve.valuation import MAX_TENOR
 
 AS_OF = dt.date(2016, 4, 8)
 
@@ -109,6 +110,17 @@ def test_load_universe_matured_instrument(tmp_path, riskfree_file):
                   "id,coupon,maturity,price\nb1,0.04,2016-01-01,100\n")
     with pytest.raises(UniverseError, match="matured"):
         load_universe(riskfree_file, bonds, as_of=AS_OF)
+
+
+def test_load_universe_tenor_beyond_the_ceiling(tmp_path, riskfree_file):
+    # a read-out's grid has about tenor / h nodes, so the loader caps the tenor
+    for column, value in (("tenor_years", "1e9"), ("maturity", "9999-12-31")):
+        bonds = write(tmp_path, "bonds.csv",
+                      f"id,coupon,{column},price\nb1,0.04,{value},100\n")
+        with pytest.raises(UniverseError, match=r"bonds\.csv:2: tenor .* beyond the 100-year"):
+            load_universe(riskfree_file, bonds, as_of=AS_OF)
+    bonds = write(tmp_path, "bonds.csv", f"id,coupon,tenor_years,price\nb1,0.04,{MAX_TENOR},100\n")
+    assert load_universe(riskfree_file, bonds, as_of=AS_OF).bonds[0].tenor == MAX_TENOR
 
 
 def test_load_universe_unknown_rating_symbol(tmp_path, riskfree_file):

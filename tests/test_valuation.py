@@ -13,6 +13,7 @@ from creditcurve.ratecurve import RiskfreeCurve
 from creditcurve.survival import SurvivalParams
 from creditcurve.valuation import (
     DEFAULT_GRID_STEP,
+    MAX_TENOR,
     AssetSwapInputs,
     BondSpec,
     CdsSpec,
@@ -94,7 +95,7 @@ def test_kernels_parity_random_cases():
 
 
 def test_kernels_rejects_bad_args():
-    # a non-finite or non-positive tenor or grid step, named
+    # a non-finite, non-positive or too long tenor, or a bad grid step, named
     params = SurvivalParams.flat(0.01)
     for bad in (math.inf, -math.inf, math.nan, 0.0, -1.0):
         for call in (lambda: kernels(FLAT2, params, bad),
@@ -105,6 +106,14 @@ def test_kernels_rejects_bad_args():
                      lambda: kernels_at(FLAT2, params, [5.0, 2.0], grid_step=bad)):
             with pytest.raises(ValueError, match=r"grid_step must be finite and > 0"):
                 call()
+    # the grid has about tenor / h nodes: a tenor past the ceiling is named
+    assert kernels(FLAT2, params, MAX_TENOR).tenor == MAX_TENOR
+    for bad in (MAX_TENOR * (1.0 + 1e-12), 1e9, 1e300):
+        for call in (lambda: kernels(FLAT2, params, bad),
+                     lambda: kernels_at(FLAT2, params, [5.0, bad])):
+            with pytest.raises(ValueError, match=r"tenors must be at most 100 years") as exc:
+                call()
+            assert repr(bad) in str(exc.value)
 
 
 def test_kernel_grid_matches_one_shot():
