@@ -144,33 +144,45 @@ def _write(path: Path, header: list[str], rows: list[list[str]]) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _common(fn):
-    fn = click.option("--riskfree", required=True, type=click.Path(), help="curve file")(fn)
-    fn = click.option("--bonds", type=click.Path(), default=None, help="bond quote file")(fn)
-    fn = click.option("--cds", type=click.Path(), default=None, help="CDS quote file")(fn)
-    fn = click.option("--sovereign", type=click.Path(), default=None,
-                      help="sovereign par-spread pillars")(fn)
-    fn = click.option("--config", "config_path", type=click.Path(), default=None,
-                      help="run-config file (key = value)")(fn)
-    fn = click.option("--as-of", default=None, help="snapshot date YYYY-MM-DD")(fn)
-    fn = click.option("--compounding", type=int, default=None,
-                      help="quoting frequency of curve input rates (0 = continuous)")(fn)
-    fn = click.option("--recovery", default=None, help="fixed[:v] | schedule")(fn)
-    fn = click.option("--grid-step", type=float, default=None, help="quadrature step, years")(fn)
-    fn = click.option("--out", default=None, help="output directory")(fn)
-    return fn
+# every shared flag, declared once; a verb takes its flags by name
+OPTIONS = {
+    "riskfree": click.option("--riskfree", required=True, type=click.Path(), help="curve file"),
+    "bonds": click.option("--bonds", type=click.Path(), help="bond quote file"),
+    "cds": click.option("--cds", type=click.Path(), help="CDS quote file"),
+    "sovereign": click.option("--sovereign", type=click.Path(),
+                              help="sovereign par-spread pillars"),
+    "config": click.option("--config", "config_path", type=click.Path(),
+                           help="run-config file (key = value)"),
+    "as-of": click.option("--as-of", help="snapshot date YYYY-MM-DD"),
+    "compounding": click.option("--compounding", type=int,
+                                help="quoting frequency of curve input rates (0 = continuous)"),
+    "recovery": click.option("--recovery", help="fixed[:v] | schedule"),
+    "grid-step": click.option("--grid-step", type=float, help="quadrature step, years"),
+    "out": click.option("--out", help="output directory"),
+    "fix-c": click.option("--fix-c", type=float, help="fix the shape parameter"),
+    "em-alpha": click.option("--em-alpha", help="fit | fixed:v | off"),
+    "seed": click.option("--seed", type=int, help="seed of the multistart jitters"),
+    "multistart": click.option("--multistart", type=int, help="cap on solver starts"),
+    "weight-mode": click.option("--weight-mode", help="issue_size | equal | issue_size_duration"),
+    "loss": click.option("--loss", help="robust | squared"),
+    "allow-underdetermined": click.option("--allow-underdetermined", is_flag=True),
+}
 
 
-def _fit_opts(fn):
-    fn = click.option("--fix-c", type=float, default=None, help="fix the shape parameter")(fn)
-    fn = click.option("--em-alpha", default=None, help="fit | fixed:v | off")(fn)
-    fn = click.option("--seed", type=int, default=None)(fn)
-    fn = click.option("--multistart", type=int, default=None)(fn)
-    fn = click.option("--weight-mode", default=None,
-                      help="issue_size | equal | issue_size_duration")(fn)
-    fn = click.option("--loss", default=None, help="robust | squared")(fn)
-    fn = click.option("--allow-underdetermined", is_flag=True, default=False)(fn)
-    return fn
+def _options(*names: str):
+    """A decorator that declares the named flags of :data:`OPTIONS`, in
+    this order in ``--help``."""
+    def apply(fn):
+        for name in reversed(names):
+            fn = OPTIONS[name](fn)
+        return fn
+    return apply
+
+
+_common = _options("riskfree", "bonds", "cds", "sovereign", "config", "as-of", "compounding",
+                   "recovery", "grid-step", "out")
+_fit_opts = _options("fix-c", "em-alpha", "seed", "multistart", "weight-mode", "loss",
+                     "allow-underdetermined")
 
 
 @click.group()
@@ -424,23 +436,19 @@ def analytics_cmd(allow_underdetermined, variant, **kw):
 @click.option("--mode", type=click.Choice(["single-name", "rating-grid"]),
               default="single-name")
 @click.option("--tenor-points", default="5,10", help="comma list of tenor points, years")
-@click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--recovery", default=None)
-@click.option("--compounding", type=int, default=None)
-@click.option("--grid-step", type=float, default=None)
-@click.option("--fix-c", type=float, default=None)
-@click.option("--em-alpha", default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--multistart", type=int, default=None)
-@click.option("--out", default=None)
+@_options("config", "recovery", "compounding", "grid-step", "fix-c", "em-alpha", "seed",
+          "multistart", "out")
 def history(snapshots, mode, tenor_points, config_path, **kw):
     """Per-date fits over a snapshot series; long-format rows for plotting."""
     grid = mode == "rating-grid"
     with _exits():
         st = Settings(config_path, kw, grid)
-        points = [float(x) for x in tenor_points.split(",") if x.strip()]
+        try:
+            points = [float(x) for x in tenor_points.split(",") if x.strip()]
+        except ValueError:
+            points = [math.nan]  # not a number: fails the range test below
         if not all(0.0 < t <= vl.MAX_TENOR for t in points):
-            raise ValueError(f"--tenor-points must be in (0, {vl.MAX_TENOR:g}] years, "
+            raise ValueError(f"--tenor-points must be numbers in (0, {vl.MAX_TENOR:g}] years, "
                              f"got {tenor_points!r}")
     root = Path(snapshots)
     if not root.is_dir():

@@ -92,13 +92,18 @@ Instrument = BondSpec | CdsSpec
 PRIOR_ANCHOR_RATIO = 4.0
 
 EPS = float(np.finfo(float).eps)
-# solver stopping rule on the sup-norm of the objective's gradient
+# solver stopping rules: the sup-norm of the objective's gradient, the step
+# size relative to |u|, and the evaluations per start
 GTOL = 1e-8
+XTOL = 1e-10
+MAX_NFEV = 20000
 # converged fits have a gradient sup-norm below this, relative to 1 + objective
 STATIONARY_GRAD = 1e-4
-# the multistart stops at a stationary start whose objective is this close,
-# relative, to the lowest objective of the stationary starts before it
+# the multistart stops at a stationary start whose objective is within
+# START_AGREEMENT_RTOL * lowest + START_AGREEMENT_FLOOR of the lowest objective
+# of the stationary starts before it; the floor ends fits at rounding level
 START_AGREEMENT_RTOL = 1e-9
+START_AGREEMENT_FLOOR = 1e-20
 # residual (points) reported for a candidate whose curve cannot be evaluated
 FALLBACK_DP = 1e6
 # a free parameter this close to an edge of its box is reported as at its bound
@@ -109,22 +114,14 @@ AT_BOUND = 1e-9
 class FitConfig:
     weight_mode: str = "issue_size"       # issue_size | equal | issue_size_duration
     loss: str = "robust"                  # robust | squared
-    c_bounds: tuple[float, float] = C_BOUNDS
     fix_c: float | None = None
     multistart_count: int = 5             # a cap: starts stop once two stationary ones agree
     seed: int = 0
     grid_step: float = DEFAULT_GRID_STEP
-    xtol: float = 1e-10                   # relative step size at which a start stops
-    ftol: float = 1e-16                   # relative objective change (machine eps at least)
-    max_iter: int = 20000                 # solver evaluations per start
     em_mode: str = "off"                  # off | fit | fixed
     em_alpha_fixed: float = 0.5
-    em_rating_scaling: bool = False       # alpha(r) = alpha * min(1, r/9)
 
     def __post_init__(self) -> None:
-        lo, hi = self.c_bounds
-        if not (0.0 < lo < hi and math.isfinite(hi)):
-            raise ValueError("c_bounds must satisfy 0 < lo < hi < inf")
         if self.fix_c is not None and not (self.fix_c > 0 and math.isfinite(self.fix_c)):
             raise ValueError(f"fix_c must be finite and > 0, got {self.fix_c!r}")
         if self.weight_mode not in ("issue_size", "equal", "issue_size_duration"):
@@ -135,18 +132,15 @@ class FitConfig:
             raise ValueError(f"unknown em_mode {self.em_mode!r}")
         if not 0.0 <= self.em_alpha_fixed <= 1.0:
             raise ValueError("em_alpha_fixed must be in [0, 1]")
-        for name in ("multistart_count", "max_iter"):
-            n = getattr(self, name)
-            if not (n >= 1 and math.isfinite(n)):
-                raise ValueError(f"{name} must be finite and >= 1, got {n!r}")
-            if not isinstance(n, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {n!r}")
+        n = self.multistart_count
+        if not (n >= 1 and math.isfinite(n)):
+            raise ValueError(f"multistart_count must be finite and >= 1, got {n!r}")
+        if not isinstance(n, numbers.Integral):
+            raise ValueError(f"multistart_count must be an integer, got {n!r}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("xtol", "ftol", "grid_step"):
-            x = getattr(self, name)
-            if not (x > 0 and math.isfinite(x)):
-                raise ValueError(f"{name} must be finite and > 0, got {x!r}")
+        if not (self.grid_step > 0 and math.isfinite(self.grid_step)):
+            raise ValueError(f"grid_step must be finite and > 0, got {self.grid_step!r}")
 
 
 @dataclass(frozen=True)
@@ -238,9 +232,6 @@ class _MarketSide:
                              f"missing for {missing}")
         self.fit_alpha = config.em_mode == "fit"
         self.sov = np.array([i.sovereign_spread or 0.0 for i in self.instruments])
-        if config.em_rating_scaling:
-            self.sov = self.sov * np.minimum(
-                1.0, np.array([(i.effective_rating or 9) / 9.0 for i in self.instruments]))
         self._rho = _rho_vec(config.loss)
         if group_by_rating:
             ratings = np.array([i.effective_rating for i in self.instruments])
@@ -316,21 +307,18 @@ def _softplus(u: float) -> float:
 class _ShapeAlpha:
     """Where the shape c and the sovereign coefficient alpha sit in the
     fit coordinates, after the hazard slots (index None: held fixed),
-    and their logistic maps into ``c_bounds`` and [0, 1]."""
+    and their logistic maps into ``C_BOUNDS`` and [0, 1]."""
 
     i_c: int | None
     i_alpha: int | None
-    c_bounds: tuple[float, float]
     fixed_c: float | None
     fixed_alpha: float
 
     @classmethod
     def after(cls, n_hazard: int, fix_c: float | None, side: _MarketSide) -> "_ShapeAlpha":
-        config = side.config
         i_c = n_hazard if fix_c is None else None
         i_alpha = n_hazard + (fix_c is None) if side.fit_alpha else None
-        return cls(i_c, i_alpha, config.c_bounds, fix_c,
-                   config.em_alpha_fixed if side.em_on else 0.0)
+        return cls(i_c, i_alpha, fix_c, side.config.em_alpha_fixed if side.em_on else 0.0)
 
     def x0(self) -> list[float]:
         return [0.0] * ((self.i_c is not None) + (self.i_alpha is not None))
@@ -338,7 +326,7 @@ class _ShapeAlpha:
     def chart(self, u: np.ndarray) -> tuple[float, float, np.ndarray]:
         """c, alpha and d(a, b, c, alpha)/du with rows c and alpha filled;
         rows a and b are zero, for the hazard part of the chart to fill."""
-        lo, hi = self.c_bounds
+        lo, hi = C_BOUNDS
         chain = np.zeros((4, len(u)))
         c, alpha = self.fixed_c, self.fixed_alpha
         if self.i_c is not None:
@@ -351,7 +339,7 @@ class _ShapeAlpha:
 
     def at_bound(self, c: float, alpha: float) -> tuple[str, ...]:
         """The free ones within AT_BOUND of an edge of their box."""
-        lo, hi = self.c_bounds
+        lo, hi = C_BOUNDS
         names = []
         if self.i_c is not None and min(c - lo, hi - c) <= AT_BOUND:
             names.append("c")
@@ -572,10 +560,13 @@ def _solve(side: _MarketSide, chart, tail: _ShapeAlpha, x0: list[float], scale: 
     and seeded jitters of it of size ``scale``.  All
     ``multistart_count`` jitters are drawn up front and run in order;
     the run stops at the first start that is stationary and whose
-    objective is within START_AGREEMENT_RTOL of the lowest objective of
-    the stationary starts before it, so ``multistart_count`` is a cap.
-    The lowest objective among the starts that ran wins.
-    ``diagnostics`` are added to the solver's own."""
+    objective is within START_AGREEMENT_RTOL relative, plus
+    START_AGREEMENT_FLOOR, of the lowest objective of the stationary
+    starts before it, so ``multistart_count`` is a cap.  The lowest
+    objective among the starts that ran wins.  Each start stops at the
+    module's tolerances (machine eps in the objective, XTOL, GTOL) or
+    after MAX_NFEV evaluations.  ``diagnostics`` are added to the
+    solver's own."""
     residuals = _CountedResiduals(side, chart)
     rng = np.random.default_rng(config.seed)
     x0 = np.array(x0)
@@ -584,12 +575,13 @@ def _solve(side: _MarketSide, chart, tail: _ShapeAlpha, x0: list[float], scale: 
     runs = []
     stationary = []  # the objectives of the stationary starts so far
     for start in starts:
-        res = _trust_region(residuals, start, side.solver_loss, ftol=max(config.ftol, EPS),
-                            xtol=config.xtol, gtol=GTOL, max_nfev=config.max_iter)
+        res = _trust_region(residuals, start, side.solver_loss, ftol=EPS, xtol=XTOL, gtol=GTOL,
+                            max_nfev=MAX_NFEV)
         f = side.objective(res.fun)
         runs.append((f, res))
         if _stationary(res, f):
-            if stationary and abs(f - min(stationary)) <= START_AGREEMENT_RTOL * min(stationary):
+            if stationary and (abs(f - min(stationary))
+                               <= START_AGREEMENT_RTOL * min(stationary) + START_AGREEMENT_FLOOR):
                 break
             stationary.append(f)
     objectives = tuple(f for f, _ in runs)
@@ -623,7 +615,6 @@ def fit_single_name(instruments: Sequence[Instrument], curve: RiskfreeCurve,
     if not instruments:
         raise ValueError("no instruments")
     side = _MarketSide(instruments, curve, recovery, config)
-    lo_c, hi_c = config.c_bounds
 
     underdetermined = False
     tie_ab = False
@@ -631,7 +622,7 @@ def fit_single_name(instruments: Sequence[Instrument], curve: RiskfreeCurve,
     if len(set(round(t, 12) for t in side.tenors)) == 1 and fix_c is None:
         underdetermined = True
         tie_ab = True
-        fix_c = 0.5 * (lo_c + hi_c)
+        fix_c = 0.5 * (C_BOUNDS[0] + C_BOUNDS[1])
 
     # u = (ln a, ln b, ...), one hazard slot when a = b is tied
     i_b = 0 if tie_ab else 1

@@ -179,8 +179,7 @@ def interp_sovereign(pillars: tuple[tuple[float, float], ...], tenor: float) -> 
     return ss[-1]
 
 
-def _resolve_recovery(row: dict[str, str], rating: int | None,
-                      mode: str, fixed: float, schedule: RecoverySchedule,
+def _resolve_recovery(row: dict[str, str], rating: int | None, mode: str, fixed: float,
                       path: Path, lineno: int) -> float:
     if row.get("recovery"):
         return _float(row["recovery"], "recovery", path, lineno)
@@ -188,7 +187,7 @@ def _resolve_recovery(row: dict[str, str], rating: int | None,
         if rating is None:
             raise UniverseError(
                 f"{path}:{lineno}: recovery schedule requested but the row has no rating")
-        return schedule.recovery_for_rating(rating)
+        return RecoverySchedule().recovery_for_rating(rating)
     return fixed
 
 
@@ -213,12 +212,12 @@ def load_universe(riskfree_path: str | Path,
                   as_of: dt.date | None = None,
                   compounding: int = 0,
                   recovery_mode: str = "fixed",
-                  recovery_fixed: float = 0.4,
-                  recovery_schedule: RecoverySchedule = RecoverySchedule()) -> UniverseSnapshot:
+                  recovery_fixed: float = 0.4) -> UniverseSnapshot:
     """Load and validate a dated snapshot of quotes plus the curve.
 
-    ``recovery_mode`` is 'fixed' or 'schedule'; an explicit per-row
-    recovery column always wins (per-issuer override, rarely used).
+    ``recovery_mode`` is 'fixed' or 'schedule' (the default
+    :class:`RecoverySchedule` by rating); an explicit per-row recovery
+    column always wins (per-issuer override, rarely used).
     """
     as_of = as_of or dt.date.today()
     riskfree = load_riskfree_curve(riskfree_path, compounding)
@@ -240,8 +239,8 @@ def load_universe(riskfree_path: str | Path,
             rating = _rating_from(row, "rating", path, lineno)
             internal = _rating_from(row, "internal_rating", path, lineno)
             effective = internal if internal is not None else rating
-            recovery = _resolve_recovery(row, effective, recovery_mode,
-                                         recovery_fixed, recovery_schedule, path, lineno)
+            recovery = _resolve_recovery(row, effective, recovery_mode, recovery_fixed,
+                                         path, lineno)
             country = row.get("country", "").upper()
             sov = interp_sovereign(sovereign[country], tenor) if country in sovereign else None
             fields = dict(

@@ -327,8 +327,10 @@ def test_history_skips_failing_date(tmp_path, runner):
 
 
 @pytest.mark.parametrize("bad", [["--multistart", "0"], ["--tenor-points", "0,5"],
-                                 ["--tenor-points", "5,1e9"], ["--recovery", "fixed:x"]],
-                         ids=["multistart", "tenor-points", "tenor-points-long", "recovery"])
+                                 ["--tenor-points", "5,1e9"], ["--tenor-points", "5,abc"],
+                                 ["--recovery", "fixed:x"]],
+                         ids=["multistart", "tenor-points", "tenor-points-long",
+                              "tenor-points-text", "recovery"])
 def test_history_rejects_invalid_settings(tmp_path, runner, bad):
     root = make_history_dir(tmp_path, (0.01, 0.015))
     out = tmp_path / "out"
@@ -336,6 +338,9 @@ def test_history_rejects_invalid_settings(tmp_path, runner, bad):
                                   "--out", str(out)] + bad)
     assert result.exit_code == 2
     assert "skipped" not in result.output and not out.exists()
+    # the message names the flag and the value it got
+    assert f"error: {bad[0]} must be " in result.output, result.output
+    assert repr(bad[1]) in result.output or f"got {bad[1]}" in result.output
 
 
 @pytest.mark.parametrize("bad", [
@@ -441,6 +446,29 @@ def test_spread_sample_data_runs(tmp_path, runner, colom_dir):
         "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert (out / "spreads.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--weight-mode", "equal"],
+                                   ["--weight-mode", "issue_size_duration"],
+                                   ["--weight-mode", "issue_size_duration", "--loss", "squared"]],
+                         ids=["equal", "issue-size-duration", "issue-size-duration-squared"])
+def test_fit_weight_modes_on_sample_data(tmp_path, runner, colom_dir, flags):
+    out = tmp_path / "out"
+    config = colom_dir / "config.txt"
+    result = runner.invoke(main, [
+        "fit", "--riskfree", str(colom_dir / "riskfree.csv"),
+        "--bonds", str(colom_dir / "bonds.csv"), "--config", str(config),
+        "--out", str(out), *flags])
+    assert result.exit_code == 0, result.output
+    params = dict(line.split(",") for line in
+                  (out / "fit_params.csv").read_text().splitlines()[1:])
+    assert params["converged"] == "true"
+    # the fit ran under the flagged settings
+    st = Settings(str(config), {flag[2:].replace("-", "_"): val
+                                for flag, val in zip(flags[::2], flags[1::2])})
+    snap = st.load(colom_dir / "riskfree.csv", colom_dir / "bonds.csv")
+    want = cc.fit_single_name(snap.instruments, snap.riskfree, None, st.fit_config())
+    assert params["objective"] == _fmt(want.objective)
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from creditcurve.fitting import (
     price_residual_em,
     robust_loss,
 )
-from creditcurve.survival import RatingGrid, RecoverySchedule, SurvivalParams
+from creditcurve.survival import C_BOUNDS, RatingGrid, RecoverySchedule, SurvivalParams
 from creditcurve.universe import load_universe
 from creditcurve.valuation import BondSpec, CdsSpec, _dp, bond_model_price, kernels
 from kernel_reference import parent_dp, parent_jet_kernels
@@ -110,6 +110,21 @@ def test_residual_em_alpha_one_absorbs_gap():
     wide = BondSpec(coupon=inst.coupon, tenor=inst.tenor,
                     price=inst.price - 100 * s_sov * k.pi, recovery=0.4)
     assert price_residual_em(wide, TRUE, CURVE, 0.4, s_sov, 1.0) == pytest.approx(0.0, abs=1e-9)
+
+
+# -- weights -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ["issue_size", "equal", "issue_size_duration"])
+def test_weights_by_mode_have_mean_one(mode):
+    bonds = [dataclasses.replace(b, issue_size=size)
+             for b, size in zip(make_bonds(), (500, 1000, 250, 2000, 750, 1500, 100, 900))]
+    sizes = np.array([b.issue_size for b in bonds], dtype=float)
+    raw = {"issue_size": sizes, "equal": np.ones(len(bonds)),
+           "issue_size_duration": sizes * np.array([b.tenor for b in bonds])}[mode]
+    w = ft._weights(bonds, mode)
+    np.testing.assert_allclose(w, raw / raw.mean(), rtol=1e-14)
+    assert w.mean() == pytest.approx(1.0, rel=1e-14)
 
 
 # -- single-name fit ---------------------------------------------------
@@ -215,18 +230,16 @@ def test_colom_objective_and_starts_agree_with_nelder_mead(colom_half):
 
 
 def test_colom_reports_c_at_its_lower_bound(colom_half):
-    assert colom_half.params.c - FitConfig().c_bounds[0] <= ft.AT_BOUND
+    assert colom_half.params.c - C_BOUNDS[0] <= ft.AT_BOUND
     assert colom_half.diagnostics["at_bound"] == ("c",)
 
 
 def test_at_bound_names_free_parameters_at_an_edge():
-    both = ft._ShapeAlpha(i_c=2, i_alpha=3, c_bounds=(0.05, 0.2), fixed_c=None,
-                          fixed_alpha=0.0)
+    both = ft._ShapeAlpha(i_c=2, i_alpha=3, fixed_c=None, fixed_alpha=0.0)
     assert both.at_bound(0.2 - 1e-12, 1e-10) == ("c", "alpha")
     assert both.at_bound(0.1, 1.0) == ("alpha",)
     assert both.at_bound(0.05 + 1e-6, 0.5) == ()
-    held = ft._ShapeAlpha(i_c=None, i_alpha=None, c_bounds=(0.05, 0.2), fixed_c=0.05,
-                          fixed_alpha=1.0)
+    held = ft._ShapeAlpha(i_c=None, i_alpha=None, fixed_c=0.05, fixed_alpha=1.0)
     assert held.at_bound(0.05, 1.0) == ()
 
 
@@ -264,8 +277,10 @@ def test_colom_stops_once_two_stationary_starts_agree(colom_half):
 
 
 def test_starts_that_are_not_stationary_never_agree(monkeypatch):
-    # every start stops at max_iter (status 0), so all of them run
-    res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig(max_iter=3))
+    # every start stops at MAX_NFEV (status 0), so all of them run
+    with monkeypatch.context() as patch:
+        patch.setattr(ft, "MAX_NFEV", 3)
+        res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig())
     assert res.diagnostics["n_starts"] == FitConfig().multistart_count
     assert res.diagnostics["status"] == 0 and res.diagnostics["converged"] is False
     # colom's starts agree to 1e-9; reported as stopped at the evaluation
@@ -312,6 +327,26 @@ def test_early_stop_keeps_the_lower_local_minimum(tmp_path):
     res = fit_single_name(snap.instruments, snap.riskfree, None, FitConfig())
     assert res.diagnostics["converged"]
     assert res.objective == pytest.approx(8.07864, abs=1e-5)
+
+
+@pytest.mark.parametrize("fit", ["single-name", "grid"])
+def test_rounding_level_objectives_stop_after_two_starts(monkeypatch, fit):
+    # priced exactly off the curve, every start ends at an objective of
+    # 1e-28 .. 1e-25, whose relative gaps are rounding noise; the floor
+    # lets two such starts agree
+    def run():
+        if fit == "single-name":
+            return fit_single_name(make_bonds(), CURVE, 0.4, FitConfig())
+        return fit_rating_grid(make_grid_universe(), CURVE, SCHED, FitConfig())
+
+    stopped = run().diagnostics
+    assert stopped["n_starts"] == 2 and stopped["converged"]
+    assert max(stopped["objective_per_start"]) < ft.START_AGREEMENT_FLOOR
+    assert stopped["evaluations"] == {"single-name": 24, "grid": 48}[fit]
+    monkeypatch.setattr(ft, "START_AGREEMENT_FLOOR", 0.0)
+    every = run().diagnostics
+    assert every["n_starts"] == FitConfig().multistart_count
+    assert every["objective_per_start"][:2] == stopped["objective_per_start"]
 
 
 def test_fit_bit_identical_diagnostics(colom_half):
@@ -375,13 +410,11 @@ def test_fit_at_a_fallback_point_is_not_converged(tmp_path, monkeypatch):
 
 
 def test_max_iter_too_small_is_not_converged(tmp_path, monkeypatch):
-    res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig(max_iter=3))
+    monkeypatch.setattr(ft, "MAX_NFEV", 3)
+    res = fit_single_name(make_bonds(), CURVE, 0.4, FitConfig())
     assert not res.diagnostics["converged"]
     assert res.diagnostics["status"] == 0
 
-    fit_config = cli.Settings.fit_config
-    monkeypatch.setattr(cli.Settings, "fit_config",
-                        lambda self: dataclasses.replace(fit_config(self), max_iter=3))
     result = CliRunner().invoke(cli.main, [
         "fit", "--riskfree", str(COLOM / "riskfree.csv"), "--bonds", str(COLOM / "bonds.csv"),
         "--config", str(COLOM / "config.txt"), "--out", str(tmp_path / "out")])
@@ -395,22 +428,16 @@ def test_fitconfig_validation():
     with pytest.raises(ValueError):
         FitConfig(weight_mode="by_vibes")
     with pytest.raises(ValueError):
-        FitConfig(c_bounds=(0.2, 0.1))
-    with pytest.raises(ValueError):
         FitConfig(em_mode="maybe")
     for x in (math.nan, math.inf, -math.inf):
-        for name in ("fix_c", "grid_step", "xtol", "ftol"):
+        for name in ("fix_c", "grid_step"):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 FitConfig(**{name: x})
-        with pytest.raises(ValueError, match="c_bounds"):
-            FitConfig(c_bounds=(0.05, x))
-        for name in ("multistart_count", "max_iter"):
-            with pytest.raises(ValueError, match=f"{name} must be finite and >= 1"):
-                FitConfig(**{name: x})
+        with pytest.raises(ValueError, match="multistart_count must be finite and >= 1"):
+            FitConfig(multistart_count=x)
     for x in (2.5, 3.0):
-        for name in ("multistart_count", "max_iter"):
-            with pytest.raises(ValueError, match=f"{name} must be an integer"):
-                FitConfig(**{name: x})
+        with pytest.raises(ValueError, match="multistart_count must be an integer"):
+            FitConfig(multistart_count=x)
     assert FitConfig(multistart_count=np.int64(2)).multistart_count == 2
     for seed in (-1, 1.5, 2.0, "3"):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
