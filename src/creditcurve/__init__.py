@@ -20,7 +20,6 @@ from .fitting import (
     fit_rating_grid,
     fit_single_name,
     price_residual,
-    price_residual_em,
     robust_loss,
 )
 from .ratecurve import RiskfreeCurve
@@ -85,7 +84,6 @@ __all__ = [
     "FitResult",
     "robust_loss",
     "price_residual",
-    "price_residual_em",
     "fit_single_name",
     "fit_rating_grid",
     "ReturnDecomposition",

@@ -151,13 +151,13 @@ def expected_return_with_transitions(
         c_prime: float, s_bar: float, price: float, recovery: float,
         tenor: float, horizon: float,
         curve: RiskfreeCurve, grid: RatingGrid, trans: TransitionInputs,
-        recovery_schedule: RecoverySchedule = RecoverySchedule(),
         convergence_fraction: float = 1.0,
         grid_step: float = DEFAULT_GRID_STEP) -> float:
     """Probability-weighted horizon return over rating transitions.
 
     Each non-default destination reprices the instrument wholly on that
-    rating's curve at T - dt (standard decomposition, RV scaled by the
+    rating's curve at T - dt, at the recovery :class:`RecoverySchedule`
+    gives that rating (standard decomposition, RV scaled by the
     convergence fraction).  Default contributes the recovery-versus-price
     loss plus half a period of accrual, the unbiased convention for an
     unknown default time within the horizon.
@@ -173,7 +173,7 @@ def expected_return_with_transitions(
         dest = decompose_return(
             c_prime, s_bar, tenor, horizon, curve,
             grid.params_for_rating(rating),
-            recovery_schedule.recovery_for_rating(rating),
+            RecoverySchedule().recovery_for_rating(rating),
             variant=VARIANT_STANDARD,
             convergence_fraction=convergence_fraction,
             grid_step=grid_step)

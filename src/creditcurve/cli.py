@@ -58,10 +58,11 @@ class Settings:
     """Flag values merged over the optional run-config file.
 
     Grid fits default to the rating recovery schedule, every other verb
-    to a fixed 0.4.  Every value is converted and the fit and analytics
-    options are validated here, so a bad value is an input error before
-    any work starts; it names the flag, or the config file and key, that
-    gave it.
+    to a fixed 0.4.  The fit settings make up one :class:`FitConfig`,
+    ``fit``, and those not set keep its defaults.  Every value is
+    converted and the fit and analytics options are validated here, so a
+    bad value is an input error before any work starts; it names the
+    flag, or the config file and key, that gave it.
     """
 
     def __init__(self, config_path: str | None, overrides: dict, grid: bool = False):
@@ -86,39 +87,39 @@ class Settings:
             name = "--" + key.replace("_", "-") if key in flags else f"{config_path}: {key}"
             raise UniverseError(f"{name} must be {what}, got {raw!r}")
 
+        # the FitConfig fields that a flag or the config file sets; the rest
+        # keep FitConfig's defaults
+        fit: dict = {}
+
+        def fit_setting(key, what, convert):
+            # ``convert`` reads the setting as the fields it sets
+            fit.update(get(key, {}, convert, what, lambda fields: ft.FitConfig(**fields)))
+
+        def em_fields(text) -> dict:
+            mode, alpha = _mode(text, ("off", "fit"), ft.FitConfig.em_alpha_fixed)
+            return {"em_mode": mode, "em_alpha_fixed": alpha}
+
         self.as_of = get("as_of", None, lambda text: dt.date.fromisoformat(str(text)),
                          "a date YYYY-MM-DD")
         self.compounding = get("compounding", 0, int, "an integer >= 0", lambda m: m >= 0)
-        self.grid_step = get("grid_step", vl.DEFAULT_GRID_STEP, float, "finite and > 0",
-                             lambda h: ft.FitConfig(grid_step=h))
+        fit_setting("grid_step", "finite and > 0", lambda x: {"grid_step": float(x)})
         self.horizon = get("horizon", 0.25, float, "finite and > 0", lambda x: 0.0 < x < math.inf)
         self.convergence_fraction = get("convergence_fraction", 1.0, float, "in [0, 1]",
                                         lambda x: 0.0 <= x <= 1.0)
-        self.seed = get("seed", 0, int, "an integer >= 0", lambda n: ft.FitConfig(seed=n))
-        self.multistart = get("multistart", 5, int, "an integer >= 1",
-                              lambda n: ft.FitConfig(multistart_count=n))
-        self.weight_mode = get("weight_mode", "issue_size", str,
-                               "issue_size, equal or issue_size_duration",
-                               lambda m: ft.FitConfig(weight_mode=m))
-        self.loss = get("loss", "robust", str, "robust or squared", lambda m: ft.FitConfig(loss=m))
-        self.fix_c = get("fix_c", None, float, "finite and > 0", lambda c: ft.FitConfig(fix_c=c))
+        fit_setting("seed", "an integer >= 0", lambda x: {"seed": int(x)})
+        fit_setting("multistart", "an integer >= 1", lambda x: {"multistart_count": int(x)})
+        fit_setting("weight_mode", "issue_size, equal or issue_size_duration",
+                    lambda x: {"weight_mode": str(x)})
+        fit_setting("loss", "robust or squared", lambda x: {"loss": str(x)})
+        fit_setting("fix_c", "finite and > 0", lambda x: {"fix_c": float(x)})
         self.out = Path(merged.get("out", "out"))
         self.compounding_m = get("yield_compounding", 2, int, ">= 1", lambda m: m >= 1)
         self.recovery_mode, self.recovery_fixed = get(
             "recovery", ("schedule" if grid else "fixed", 0.4),
             lambda text: _mode(text, ("schedule", "fixed"), 0.4),
             "'fixed[:v]' with v in [0, 1) or 'schedule'", lambda rec: 0.0 <= rec[1] < 1.0)
-        self.em_mode, self.em_alpha_fixed = get(
-            "em_alpha", ("off", 0.5), lambda text: _mode(text, ("off", "fit"), 0.5),
-            "'fit', 'fixed:v' with v in [0, 1] or 'off'",
-            lambda em: ft.FitConfig(em_mode=em[0], em_alpha_fixed=em[1]))
-
-    def fit_config(self) -> ft.FitConfig:
-        return ft.FitConfig(
-            weight_mode=self.weight_mode, loss=self.loss,
-            fix_c=self.fix_c, multistart_count=self.multistart,
-            seed=self.seed, grid_step=self.grid_step,
-            em_mode=self.em_mode, em_alpha_fixed=self.em_alpha_fixed)
+        fit_setting("em_alpha", "'fit', 'fixed:v' with v in [0, 1] or 'off'", em_fields)
+        self.fit = ft.FitConfig(**fit)
 
     def load(self, riskfree, bonds=None, cds=None, sovereign=None,
              as_of: dt.date | None = None) -> UniverseSnapshot:
@@ -130,7 +131,7 @@ class Settings:
             compounding=self.compounding,
             recovery_mode=self.recovery_mode,
             recovery_fixed=self.recovery_fixed)
-        upfronts = [vl.cds_upfront(q, snap.riskfree, self.grid_step) for q in snap.cds]
+        upfronts = [vl.cds_upfront(q, snap.riskfree, self.fit.grid_step) for q in snap.cds]
         with warnings.catch_warnings():
             # the loader has already warned about these rows, naming file and line
             warnings.simplefilter("ignore")
@@ -227,7 +228,7 @@ def _fit(st: Settings, snap: UniverseSnapshot, grid: bool,
     ``emit``; an underdetermined fit (unless allowed) or one that did not
     converge is refused."""
     fit_fn = ft.fit_rating_grid if grid else ft.fit_single_name
-    result = fit_fn(snap.instruments, snap.riskfree, None, st.fit_config())
+    result = fit_fn(snap.instruments, snap.riskfree, None, st.fit)
     if emit:
         _emit_fit(st, snap, result)
     if result.diagnostics["underdetermined"] and not allow_underdetermined:
@@ -254,15 +255,15 @@ def value(a, b, c, **kw):
         params = SurvivalParams(a=a, b=b, c=c)
     # every instrument read off one grid of the curve, one price-gap pass
     at_tenor = vl.kernels_at(snap.riskfree, params, [inst.tenor for inst in snap.instruments],
-                             st.grid_step)
+                             st.fit.grid_step)
     pi, xi, rhat = (np.array([getattr(k, name) for k in at_tenor])
                     for name in ("pi", "xi", "rhat"))
     # model - market for a bond, 100 * (u_mkt - u_model) for a CDS
     deltas = vl._dp(pi, xi, rhat, 0.0,
-                    *vl._quotes(snap.instruments, snap.riskfree, None, st.grid_step))
+                    *vl._quotes(snap.instruments, snap.riskfree, None, st.fit.grid_step))
     rows = []
     for inst, delta in zip(snap.instruments, deltas.tolist()):
-        market = vl.market_price(inst, snap.riskfree, st.grid_step)
+        market = vl.market_price(inst, snap.riskfree, st.fit.grid_step)
         rows.append([inst.identifier, _fmt(inst.tenor), _fmt(market),
                      _fmt(market + delta), _fmt(delta)])
     _write(st.out / "value.csv",
@@ -299,11 +300,11 @@ def spread(**kw):
                 quotes = [_fmt(inst.price),
                           _bp(vl.yield_from_price(inst.coupon, inst.tenor, inst.price, m)),
                           _bp(vl.z_spread(inst, snap.riskfree, m))]
-            fitted, k = vl._exact_fit(inst, base, snap.riskfree, grid_step=st.grid_step)
+            fitted, k = vl._exact_fit(inst, base, snap.riskfree, grid_step=st.fit.grid_step)
         except ArithmeticError as exc:
             failures.append(f"{inst.identifier}: {exc}")
         else:
-            sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree, st.grid_step)
+            sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree, st.fit.grid_step)
             adjusted = [_bp(sbar), _fmt(fitted.a)]
         rows.append([inst.identifier, _fmt(inst.tenor), *quotes, *adjusted])
     _write(st.out / "spreads.csv",
@@ -351,11 +352,11 @@ def _emit_fit(st: Settings, snap: UniverseSnapshot, result: ft.FitResult) -> Non
     for key, idx in by_curve.items():
         curve = params if key is None else params.params_for_rating(key)
         tenors = [snap.instruments[i].tenor for i in idx]
-        for i, k in zip(idx, vl.kernels_at(snap.riskfree, curve, tenors, st.grid_step)):
+        for i, k in zip(idx, vl.kernels_at(snap.riskfree, curve, tenors, st.fit.grid_step)):
             at_tenor[i] = k
     report = []
     for inst, res, k in zip(snap.instruments, result.residuals, at_tenor):
-        sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree, st.grid_step)
+        sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree, st.fit.grid_step)
         rating = inst.effective_rating
         report.append([inst.identifier, _fmt(inst.tenor),
                        "" if rating is None else str(rating),
@@ -408,13 +409,14 @@ def analytics_cmd(allow_underdetermined, variant, **kw):
         params = _fit(st, snap, False, allow_underdetermined).params
     rows = []
     held = [inst for inst in snap.instruments if st.horizon < inst.tenor]
-    at_tenor = vl.kernels_at(snap.riskfree, params, [inst.tenor for inst in held], st.grid_step)
+    at_tenor = vl.kernels_at(snap.riskfree, params, [inst.tenor for inst in held],
+                             st.fit.grid_step)
     for inst, k in zip(held, at_tenor):
-        sbar, c_prime = vl.par_adjusted_spread(inst, k, snap.riskfree, st.grid_step)
+        sbar, c_prime = vl.par_adjusted_spread(inst, k, snap.riskfree, st.fit.grid_step)
         dec = an.decompose_return(c_prime, sbar, inst.tenor, st.horizon,
                                   snap.riskfree, params, inst.recovery, variant=variant,
                                   convergence_fraction=st.convergence_fraction,
-                                  grid_step=st.grid_step)
+                                  grid_step=st.fit.grid_step)
         # total as the sum of the printed parts, so the row adds up exactly
         parts = [_bp(dec.carry), _bp(dec.rolldown), _bp(dec.rv)]
         total = f"{sum(float(x) for x in parts):.6f}"
@@ -447,7 +449,10 @@ def history(snapshots, mode, tenor_points, config_path, **kw):
             points = [float(x) for x in tenor_points.split(",") if x.strip()]
         except ValueError:
             points = [math.nan]  # not a number: fails the range test below
-        if not all(0.0 < t <= vl.MAX_TENOR for t in points):
+        # each point names its series by its :g label, so no two labels may coincide
+        labels = {f"{t:g}" for t in points}
+        if not (points and len(labels) == len(points)
+                and all(0.0 < t <= vl.MAX_TENOR for t in points)):
             raise ValueError(f"--tenor-points must be numbers in (0, {vl.MAX_TENOR:g}] years, "
                              f"got {tenor_points!r}")
     root = Path(snapshots)
@@ -504,7 +509,7 @@ def _history_one(st: Settings, d: Path, date: dt.date, grid: bool,
     else:
         curves = [("", result.params, recs[0])]
     for label, params, rec in curves:
-        for t, k in zip(points, vl.kernels_at(snap.riskfree, params, points, st.grid_step)):
+        for t, k in zip(points, vl.kernels_at(snap.riskfree, params, points, st.fit.grid_step)):
             rows.append([iso, f"spread_{t:g}y{label}_bp", _bp(vl.par_cds_spread(k, rec))])
     for inst, res in zip(snap.instruments, result.residuals):
         rows.append([iso, f"rv.{inst.identifier}_pts", _fmt(res)])

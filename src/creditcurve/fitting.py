@@ -61,7 +61,6 @@ from .survival import (
     ANCHOR_RATINGS,
     C_BOUNDS,
     RatingGrid,
-    RecoverySchedule,
     SurvivalParams,
     anchor_log_weights,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "FitResult",
     "robust_loss",
     "price_residual",
-    "price_residual_em",
     "fit_single_name",
     "fit_rating_grid",
 ]
@@ -168,19 +166,13 @@ def _rho_vec(loss: str):
 
 
 def price_residual(inst: Instrument, params: SurvivalParams, curve: RiskfreeCurve,
-                   recovery: float | RecoverySchedule | None,
-                   grid_step: float = DEFAULT_GRID_STEP) -> float:
+                   recovery: float | None, grid_step: float = DEFAULT_GRID_STEP,
+                   sov_spread: float = 0.0, alpha: float = 0.0) -> float:
     """Price deviation in points per 100; positive means the instrument
     appears cheap relative to the candidate curve.  ``recovery=None``
-    takes the instrument's own."""
-    return price_residual_em(inst, params, curve, recovery, 0.0, 0.0, grid_step)
-
-
-def price_residual_em(inst: Instrument, params: SurvivalParams, curve: RiskfreeCurve,
-                      recovery: float | RecoverySchedule | None, sov_spread: float,
-                      alpha: float, grid_step: float = DEFAULT_GRID_STEP) -> float:
-    """Residual with the model spread widened by alpha times the
-    sovereign par spread at the instrument's tenor; alpha in [0, 1]."""
+    takes the instrument's own.  The model spread is widened by alpha
+    (in [0, 1]) times the sovereign par spread ``sov_spread`` at the
+    instrument's tenor."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
     k = kernels(curve, params, inst.tenor, grid_step)
@@ -218,7 +210,7 @@ class _MarketSide:
     """
 
     def __init__(self, instruments: Sequence[Instrument], curve: RiskfreeCurve,
-                 recovery: float | RecoverySchedule | None, config: FitConfig,
+                 recovery: float | None, config: FitConfig,
                  group_by_rating: bool = False):
         self.instruments = list(instruments)
         self.config = config
@@ -604,7 +596,7 @@ def _solve(side: _MarketSide, chart, tail: _ShapeAlpha, x0: list[float], scale: 
 
 
 def fit_single_name(instruments: Sequence[Instrument], curve: RiskfreeCurve,
-                    recovery: float | RecoverySchedule | None,
+                    recovery: float | None,
                     config: FitConfig = FitConfig()) -> FitResult:
     """Fit (a, b, c) to the instruments by weighted robust least squares.
 
@@ -654,7 +646,7 @@ def _grid_from_single(params: SurvivalParams, rating: int) -> RatingGrid:
 
 
 def fit_rating_grid(instruments: Sequence[Instrument], curve: RiskfreeCurve,
-                    recovery_schedule: RecoverySchedule | None,
+                    recovery: float | None,
                     config: FitConfig = FitConfig()) -> FitResult:
     """Fit the seven-parameter grid (a, b anchors at AA/BBB/B, shared c),
     optionally with the sovereign coefficient alpha.
@@ -676,13 +668,13 @@ def fit_rating_grid(instruments: Sequence[Instrument], curve: RiskfreeCurve,
     ratings = np.array(ratings)
 
     if len(set(ratings.tolist())) == 1:
-        single = fit_single_name(instruments, curve, recovery_schedule, config)
+        single = fit_single_name(instruments, curve, recovery, config)
         rating = int(ratings[0])
         return replace(single, params=_grid_from_single(single.params, rating),
                        diagnostics={**single.diagnostics, "underdetermined": True,
                                     "degenerate_single_rating": rating})
 
-    side = _MarketSide(instruments, curve, recovery_schedule, config,
+    side = _MarketSide(instruments, curve, recovery, config,
                        group_by_rating=True)
     # u = (ln a_AA, softplus^-1 of ln a_BBB - ln a_AA, ... of ln a_B - ln a_BBB,
     #      the same three for b, ...)

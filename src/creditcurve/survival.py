@@ -180,14 +180,8 @@ class RatingGrid:
 
 @dataclass(frozen=True)
 class RecoverySchedule:
-    """Rating-linked recovery: max(0.70 - 0.03 * rating, floor)."""
-
-    floor: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.floor < 1.0:
-            raise ValueError("recovery floor must be in [0, 1)")
+    """Rating-linked recovery: 0.70 - 0.03 * rating, from 0.67 at AAA
+    down to 0.16 at CCC."""
 
     def recovery_for_rating(self, r: int) -> float:
-        r = validate_rating(r)
-        return max(0.70 - 0.03 * r, self.floor)
+        return 0.70 - 0.03 * validate_rating(r)

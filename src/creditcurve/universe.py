@@ -197,12 +197,17 @@ def load_sovereign_curves(path: str | Path) -> dict[str, tuple[tuple[float, floa
     for col in ("country", "tenor_years", "par_spread"):
         if col not in fields:
             raise UniverseError(f"{path}: header must contain 'country,tenor_years,par_spread'")
-    curves: dict[str, list[tuple[float, float]]] = {}
+    curves: dict[str, dict[float, float]] = {}
     for lineno, row in rows:
         country = _need(row, "country", path, lineno).upper()
-        curves.setdefault(country, []).append((_number(row, "tenor_years", path, lineno),
-                                               _number(row, "par_spread", path, lineno)))
-    return {k: tuple(sorted(v)) for k, v in curves.items()}
+        tenor = _number(row, "tenor_years", path, lineno)
+        if tenor <= 0.0:
+            raise UniverseError(f"{path}:{lineno}: sovereign tenor {tenor:g} must be > 0")
+        pillars = curves.setdefault(country, {})
+        if tenor in pillars:
+            raise UniverseError(f"{path}:{lineno}: repeated {country} pillar at tenor {tenor:g}")
+        pillars[tenor] = _number(row, "par_spread", path, lineno)
+    return {k: tuple(sorted(v.items())) for k, v in curves.items()}
 
 
 def load_universe(riskfree_path: str | Path,

@@ -45,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .ratecurve import RiskfreeCurve, _from_continuous
-from .survival import RecoverySchedule, SurvivalParams
+from .survival import SurvivalParams
 
 __all__ = [
     "DEFAULT_GRID_STEP",
@@ -627,25 +627,13 @@ def par_adjusted_spread(inst: BondSpec | CdsSpec, k: RiskyKernels, curve: Riskfr
 # -- the price gap -----------------------------------------------------
 
 
-def _recovery_for(inst: BondSpec | CdsSpec,
-                  recovery: float | RecoverySchedule | None) -> float:
-    if recovery is None:
-        return inst.recovery
-    if isinstance(recovery, RecoverySchedule):
-        r = inst.effective_rating
-        if r is None:
-            raise ValueError(
-                f"instrument {inst.identifier or inst} has no rating but a "
-                "recovery schedule was requested")
-        return recovery.recovery_for_rating(r)
-    return float(recovery)
-
-
 def _quotes(instruments: Sequence[BondSpec | CdsSpec], curve: RiskfreeCurve,
-            recovery: float | RecoverySchedule | None, grid_step: float) -> tuple:
+            recovery: float | None, grid_step: float) -> tuple:
     """The price gap's inputs that do not move with the curve, as arrays:
-    recoveries, coupons, bond prices, CDS market upfronts, bond mask."""
-    return (np.array([_recovery_for(i, recovery) for i in instruments]),
+    recoveries (``recovery``, else each instrument's own), coupons, bond
+    prices, CDS market upfronts, bond mask."""
+    return (np.array([i.recovery if recovery is None else float(recovery)
+                      for i in instruments]),
             np.array([i.coupon for i in instruments]),
             np.array([i.price if isinstance(i, BondSpec) else 0.0 for i in instruments]),
             np.array([cds_upfront(i, curve, grid_step) if isinstance(i, CdsSpec) else 0.0

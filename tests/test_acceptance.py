@@ -330,7 +330,7 @@ def _grid_universe(alpha=None, sov=None):
 
 def test_criterion_7_rating_grid():
     curve, bonds = _grid_universe()
-    res = fit_rating_grid(bonds, curve, SCHED, FitConfig())
+    res = fit_rating_grid(bonds, curve, None, FitConfig())
     grid = res.params
     worst = 0.0
     for got, want in zip(grid.anchors_a + grid.anchors_b + (grid.c,),
@@ -346,7 +346,7 @@ def test_criterion_7_rating_grid():
 
     sov = lambda T: 0.015 + 0.001 * min(T, 10.0)
     curve, em_bonds = _grid_universe(alpha=0.45, sov=sov)
-    em = fit_rating_grid(em_bonds, curve, SCHED, FitConfig(em_mode="fit"))
+    em = fit_rating_grid(em_bonds, curve, None, FitConfig(em_mode="fit"))
     assert em.alpha == pytest.approx(0.45, abs=0.05)
     report(7, f"grid anchors round-trip within {worst:.1e}; no crossings on a "
               f"50-point tenor grid; EM alpha recovered {em.alpha:.3f} (target 0.45)")

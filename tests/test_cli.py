@@ -197,6 +197,21 @@ def test_fit_grid_honours_config_file_recovery(tmp_path, runner):
     assert (out1 / "fit_params.csv").read_text() != (out2 / "fit_params.csv").read_text()
 
 
+def test_fit_grid_recovery_schedule_needs_a_rating(tmp_path, runner):
+    # the loader resolves the schedule, so an unrated row is an input error
+    # that names its file and line
+    riskfree, bonds = write_universe(tmp_path)
+    lines = bonds.read_text().splitlines()
+    lines[3] = lines[3].removesuffix(",BBB") + ","
+    bonds.write_text("\n".join(lines) + "\n")
+    result = runner.invoke(main, ["fit-grid", "--riskfree", str(riskfree), "--bonds", str(bonds),
+                                  "--recovery", "schedule", "--out", str(tmp_path / "o")])
+    assert result.exit_code == 2, result.output
+    assert f"error: {bonds}:4: recovery schedule requested but the row has no rating" \
+        in result.output
+    assert not (tmp_path / "o").exists()
+
+
 def test_fit_grid_single_rating_underdetermined(tmp_path, runner):
     curve = cc.RiskfreeCurve.flat(0.015)
     k = kernels(curve, SurvivalParams.flat(0.02), 5.0)
@@ -328,9 +343,13 @@ def test_history_skips_failing_date(tmp_path, runner):
 
 @pytest.mark.parametrize("bad", [["--multistart", "0"], ["--tenor-points", "0,5"],
                                  ["--tenor-points", "5,1e9"], ["--tenor-points", "5,abc"],
+                                 ["--tenor-points", ""], ["--tenor-points", "5,5"],
+                                 # both points label their series spread_7.12346y
+                                 ["--tenor-points", "7.123456,7.1234567"],
                                  ["--recovery", "fixed:x"]],
                          ids=["multistart", "tenor-points", "tenor-points-long",
-                              "tenor-points-text", "recovery"])
+                              "tenor-points-text", "tenor-points-empty",
+                              "tenor-points-repeated", "tenor-points-same-label", "recovery"])
 def test_history_rejects_invalid_settings(tmp_path, runner, bad):
     root = make_history_dir(tmp_path, (0.01, 0.015))
     out = tmp_path / "out"
@@ -467,7 +486,7 @@ def test_fit_weight_modes_on_sample_data(tmp_path, runner, colom_dir, flags):
     st = Settings(str(config), {flag[2:].replace("-", "_"): val
                                 for flag, val in zip(flags[::2], flags[1::2])})
     snap = st.load(colom_dir / "riskfree.csv", colom_dir / "bonds.csv")
-    want = cc.fit_single_name(snap.instruments, snap.riskfree, None, st.fit_config())
+    want = cc.fit_single_name(snap.instruments, snap.riskfree, None, st.fit)
     assert params["objective"] == _fmt(want.objective)
 
 

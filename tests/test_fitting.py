@@ -18,7 +18,6 @@ from creditcurve.fitting import (
     fit_rating_grid,
     fit_single_name,
     price_residual,
-    price_residual_em,
     robust_loss,
 )
 from creditcurve.survival import C_BOUNDS, RatingGrid, RecoverySchedule, SurvivalParams
@@ -92,13 +91,13 @@ def test_residual_cds_on_curve():
 def test_residual_em_linearity_and_limits():
     inst = make_bonds()[4]
     base = price_residual(inst, TRUE, CURVE, 0.4)
-    r0 = price_residual_em(inst, TRUE, CURVE, 0.4, sov_spread=0.02, alpha=0.0)
-    r1 = price_residual_em(inst, TRUE, CURVE, 0.4, sov_spread=0.02, alpha=1.0)
-    r_half = price_residual_em(inst, TRUE, CURVE, 0.4, sov_spread=0.02, alpha=0.5)
+    r0 = price_residual(inst, TRUE, CURVE, 0.4, sov_spread=0.02, alpha=0.0)
+    r1 = price_residual(inst, TRUE, CURVE, 0.4, sov_spread=0.02, alpha=1.0)
+    r_half = price_residual(inst, TRUE, CURVE, 0.4, sov_spread=0.02, alpha=0.5)
     assert r0 == pytest.approx(base, abs=1e-14)
     assert r_half == pytest.approx((r0 + r1) / 2, abs=1e-12)
     with pytest.raises(ValueError):
-        price_residual_em(inst, TRUE, CURVE, 0.4, sov_spread=0.02, alpha=1.5)
+        price_residual(inst, TRUE, CURVE, 0.4, sov_spread=0.02, alpha=1.5)
 
 
 def test_residual_em_alpha_one_absorbs_gap():
@@ -109,7 +108,8 @@ def test_residual_em_alpha_one_absorbs_gap():
     s_sov = 0.013
     wide = BondSpec(coupon=inst.coupon, tenor=inst.tenor,
                     price=inst.price - 100 * s_sov * k.pi, recovery=0.4)
-    assert price_residual_em(wide, TRUE, CURVE, 0.4, s_sov, 1.0) == pytest.approx(0.0, abs=1e-9)
+    assert price_residual(wide, TRUE, CURVE, 0.4, sov_spread=s_sov, alpha=1.0) == \
+        pytest.approx(0.0, abs=1e-9)
 
 
 # -- weights -----------------------------------------------------------
@@ -174,12 +174,6 @@ def test_fit_deterministic():
     assert r1.params == r2.params
     assert r1.objective == r2.objective
     assert r1.residuals == r2.residuals
-
-
-def test_fit_recovery_schedule_needs_rating():
-    bonds = make_bonds()
-    with pytest.raises(ValueError, match="rating"):
-        fit_single_name(bonds, CURVE, RecoverySchedule(), FitConfig())
 
 
 def test_fit_with_noise_robust_vs_squared_differ():
@@ -337,7 +331,7 @@ def test_rounding_level_objectives_stop_after_two_starts(monkeypatch, fit):
     def run():
         if fit == "single-name":
             return fit_single_name(make_bonds(), CURVE, 0.4, FitConfig())
-        return fit_rating_grid(make_grid_universe(), CURVE, SCHED, FitConfig())
+        return fit_rating_grid(make_grid_universe(), CURVE, None, FitConfig())
 
     stopped = run().diagnostics
     assert stopped["n_starts"] == 2 and stopped["converged"]
@@ -357,7 +351,7 @@ def test_fit_bit_identical_diagnostics(colom_half):
 
 def test_no_fallback_evaluations_on_colom_and_grid(colom_half):
     assert colom_half.diagnostics["fallback_evals"] == 0
-    grid = fit_rating_grid(make_grid_universe(), CURVE, SCHED, FitConfig())
+    grid = fit_rating_grid(make_grid_universe(), CURVE, None, FitConfig())
     assert grid.diagnostics["fallback_evals"] == 0
 
 
@@ -474,7 +468,7 @@ def make_grid_universe(alpha=None, sov=None):
 
 @pytest.fixture(scope="module")
 def grid_fit():
-    return fit_rating_grid(make_grid_universe(), CURVE, SCHED,
+    return fit_rating_grid(make_grid_universe(), CURVE, None,
                            FitConfig(multistart_count=3, seed=4))
 
 
@@ -498,10 +492,10 @@ def test_grid_fit_never_crosses(grid_fit):
 
 def test_grid_single_rating_degenerates_to_single_name():
     bonds = [b for b in make_grid_universe() if b.rating == 9]
-    res = fit_rating_grid(bonds, CURVE, SCHED, FitConfig())
+    res = fit_rating_grid(bonds, CURVE, None, FitConfig())
     assert res.diagnostics["underdetermined"]
     assert res.diagnostics["degenerate_single_rating"] == 9
-    single = fit_single_name(bonds, CURVE, SCHED, FitConfig())
+    single = fit_single_name(bonds, CURVE, None, FitConfig())
     bbb = res.params.params_for_rating(9)
     assert bbb.a == pytest.approx(single.params.a, rel=1e-9)
     assert bbb.b == pytest.approx(single.params.b, rel=1e-9)
@@ -510,13 +504,13 @@ def test_grid_single_rating_degenerates_to_single_name():
 def test_grid_requires_ratings():
     bonds = make_bonds()
     with pytest.raises(ValueError, match="rating"):
-        fit_rating_grid(bonds, CURVE, SCHED, FitConfig())
+        fit_rating_grid(bonds, CURVE, None, FitConfig())
 
 
 def test_grid_em_alpha_recovery():
     sov = lambda T: 0.015 + 0.001 * min(T, 10.0)
     bonds = make_grid_universe(alpha=0.45, sov=sov)
-    res = fit_rating_grid(bonds, CURVE, SCHED,
+    res = fit_rating_grid(bonds, CURVE, None,
                           FitConfig(em_mode="fit", multistart_count=2))
     assert res.alpha == pytest.approx(0.45, abs=0.05)
     assert res.diagnostics["converged"]
@@ -525,11 +519,11 @@ def test_grid_em_alpha_recovery():
 def test_grid_em_needs_sovereign_spreads():
     bonds = make_grid_universe()
     with pytest.raises(ValueError, match="sovereign"):
-        fit_rating_grid(bonds, CURVE, SCHED, FitConfig(em_mode="fit"))
+        fit_rating_grid(bonds, CURVE, None, FitConfig(em_mode="fit"))
 
 
 def test_grid_deterministic(grid_fit):
-    again = fit_rating_grid(make_grid_universe(), CURVE, SCHED,
+    again = fit_rating_grid(make_grid_universe(), CURVE, None,
                             FitConfig(multistart_count=3, seed=4))
     assert grid_fit.params == again.params
     assert grid_fit.residuals == again.residuals
@@ -606,8 +600,8 @@ def extrapolated_grid_universe():
         for T in (3.0, 10.0):
             k = kernels(CURVE, params, T)
             p = bond_model_price(BondSpec(coupon=0.04, tenor=T, price=100, recovery=0.4), k)
-            bonds.append(BondSpec(coupon=0.04, tenor=T, price=p - 0.5, recovery=0.4,
-                                  rating=rating))
+            bonds.append(BondSpec(coupon=0.04, tenor=T, price=p - 0.5,
+                                  recovery=SCHED.recovery_for_rating(rating), rating=rating))
     return bonds
 
 
@@ -623,7 +617,7 @@ GRID_CASES = {
 def test_grid_jacobian_matches_central_differences(monkeypatch, case):
     instruments, config = GRID_CASES[case]
     fun, x0, jac = solver_problem(
-        monkeypatch, lambda: fit_rating_grid(instruments(), CURVE, SCHED, config))
+        monkeypatch, lambda: fit_rating_grid(instruments(), CURVE, None, config))
     assert len(x0) == {"free-c": 7, "fix-c": 6, "em-fit": 8, "extrapolated": 7}[case]
     u = x0 + np.random.default_rng(3).normal(0.0, 0.3, len(x0))
     assert_jacobian_matches_central_differences(fun, jac, u)
@@ -686,7 +680,7 @@ def test_grid_fit_builds_each_rating_once_per_evaluation(monkeypatch):
         return params_for_rating(self, r)
 
     monkeypatch.setattr(RatingGrid, "params_for_rating", counted)
-    res = fit_rating_grid(bonds, CURVE, SCHED, FitConfig(multistart_count=2))
+    res = fit_rating_grid(bonds, CURVE, None, FitConfig(multistart_count=2))
     groups = len({b.rating for b in bonds})
     # one chart per evaluation plus one at the fitted point; Jacobians reuse them
     assert len(calls) == groups * (res.diagnostics["evaluations"] + 1)
@@ -695,10 +689,11 @@ def test_grid_fit_builds_each_rating_once_per_evaluation(monkeypatch):
 @pytest.mark.parametrize("grouped", [False, True])
 def test_jet_residuals_are_bit_identical_to_the_plain_path(grouped):
     instruments = with_sovereign(make_grid_universe() + [
-        CdsSpec(coupon=0.01, tenor=4.0, quote_type="upfront", quote=0.01, rating=9)])
+        CdsSpec(coupon=0.01, tenor=4.0, quote_type="upfront", quote=0.01, rating=9,
+                model_recovery=SCHED.recovery_for_rating(9))])
     if not grouped:
         instruments = [i for i in instruments if i.rating == 9]
-    side = ft._MarketSide(instruments, CURVE, SCHED, FitConfig(em_mode="fixed"),
+    side = ft._MarketSide(instruments, CURVE, None, FitConfig(em_mode="fixed"),
                           group_by_rating=grouped)
     by_group = {key: GRID_TRUE.params_for_rating(key or 9).scaled(1.3) for key in side.groups}
     dp, _ = side.residuals({key: (p, np.eye(4)) for key, p in by_group.items()}, 0.4)
@@ -726,18 +721,18 @@ def staggered_grid_universe():
             instruments.append(BondSpec(coupon=cpn, tenor=T, price=p + 0.3 * (i - 1),
                                         recovery=rec, rating=rating))
     instruments.append(CdsSpec(coupon=0.01, tenor=4.0, quote_type="upfront", quote=0.01,
-                               rating=9))
+                               rating=9, model_recovery=SCHED.recovery_for_rating(9)))
     return with_sovereign(instruments)
 
 
 def test_grouped_price_gap_is_bit_identical_to_the_parent_formulation():
     instruments = staggered_grid_universe()
     config = FitConfig(em_mode="fixed")
-    side = ft._MarketSide(instruments, CURVE, SCHED, config, group_by_rating=True)
+    side = ft._MarketSide(instruments, CURVE, None, config, group_by_rating=True)
     by_group = {r: GRID_TRUE.params_for_rating(r).scaled(1.3) for r in side.groups}
     dp, jac = side.residuals({r: (p, np.eye(4)) for r, p in by_group.items()}, 0.4)
 
-    quotes = ft._quotes(instruments, CURVE, SCHED, config.grid_step)
+    quotes = ft._quotes(instruments, CURVE, None, config.grid_step)
     sov = np.array([i.sovereign_spread for i in instruments])
     expected, expected_jac = np.empty(len(instruments)), np.empty((len(instruments), 4))
     for r, idx in side.groups.items():
@@ -760,11 +755,11 @@ def test_price_gap_of_interleaved_ratings_is_the_per_group_parent_formulation(or
     # ratings arrive interleaved, so the grouped layout is put back in instrument order
     instruments = [STAGGERED[i] for i in order]
     config = FitConfig(em_mode="fixed")
-    side = ft._MarketSide(instruments, CURVE, SCHED, config, group_by_rating=True)
+    side = ft._MarketSide(instruments, CURVE, None, config, group_by_rating=True)
     by_group = {r: GRID_TRUE.params_for_rating(r).scaled(0.7 + 0.05 * r) for r in side.groups}
     dp, jac = side.residuals({r: (p, np.eye(4)) for r, p in by_group.items()}, alpha)
 
-    quotes = ft._quotes(instruments, CURVE, SCHED, config.grid_step)
+    quotes = ft._quotes(instruments, CURVE, None, config.grid_step)
     sov = np.array([i.sovereign_spread for i in instruments])
     expected, expected_jac = np.empty(len(instruments)), np.empty((len(instruments), 4))
     groups = {r: np.array([j for j, inst in enumerate(instruments) if inst.rating == r])
@@ -789,7 +784,7 @@ def test_price_gap_of_interleaved_ratings_is_the_per_group_parent_formulation(or
 
 
 def test_each_group_grid_ends_at_its_longest_tenor():
-    side = ft._MarketSide(staggered_grid_universe(), CURVE, SCHED, FitConfig(),
+    side = ft._MarketSide(staggered_grid_universe(), CURVE, None, FitConfig(),
                           group_by_rating=True)
     h = side.config.grid_step
     lengths = []
@@ -838,7 +833,7 @@ def scipy_trust_region(fun, x0, loss, ftol, xtol, gtol, max_nfev):
 
 def grid_case_fit(case):
     instruments, config = GRID_CASES[case]
-    return lambda: fit_rating_grid(instruments(), CURVE, SCHED, config)
+    return lambda: fit_rating_grid(instruments(), CURVE, None, config)
 
 
 SCIPY_CASES = {"colom": colom_fit, **{f"grid-{case}": grid_case_fit(case) for case in GRID_CASES}}

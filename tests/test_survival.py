@@ -196,10 +196,12 @@ def test_recovery_schedule_paper_scale_points():
     assert sched.recovery_for_rating(12) == pytest.approx(0.34)   # BB
 
 
-def test_recovery_schedule_floor_and_monotone():
-    sched = RecoverySchedule(floor=0.2)
+def test_recovery_schedule_is_linear_and_monotone():
+    sched = RecoverySchedule()
     recs = [sched.recovery_for_rating(r) for r in range(1, 19)]
-    assert all(x >= 0.2 for x in recs)
+    assert recs == [0.70 - 0.03 * r for r in range(1, 19)]
+    # the lowest, at CCC, is 0.16 up to rounding: no floor is needed on this scale
+    assert min(recs) == recs[-1] == pytest.approx(0.16)
     assert all(x1 >= x2 for x1, x2 in zip(recs, recs[1:]))
 
 

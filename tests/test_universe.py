@@ -156,6 +156,21 @@ def test_recovery_modes(tmp_path, riskfree_file):
     assert sched.bonds[1].recovery == 0.55
 
 
+def test_recovery_schedule_needs_a_rating(tmp_path, riskfree_file):
+    bonds = write(tmp_path, "bonds.csv",
+                  "id,coupon,tenor_years,price,rating\n"
+                  "b1,0.04,7.88,100.10,BBB-\n"
+                  "b2,0.05,5.0,101,\n")
+    message = r"bonds\.csv:3: recovery schedule requested but the row has no rating"
+    with pytest.raises(UniverseError, match=message):
+        load_universe(riskfree_file, bonds, as_of=AS_OF, recovery_mode="schedule")
+    # a row's own recovery needs no rating
+    bonds = write(tmp_path, "bonds.csv",
+                  "id,coupon,tenor_years,price,recovery\nb1,0.04,7.88,100.10,0.3\n")
+    snap = load_universe(riskfree_file, bonds, as_of=AS_OF, recovery_mode="schedule")
+    assert snap.bonds[0].recovery == 0.3
+
+
 def test_sovereign_interpolation(tmp_path, riskfree_file):
     sov = write(tmp_path, "sovereign.csv",
                 "country,tenor_years,par_spread\nCO,1,0.01\nCO,5,0.02\nCO,10,0.03\n")
@@ -166,6 +181,19 @@ def test_sovereign_interpolation(tmp_path, riskfree_file):
     assert snap.bonds[0].sovereign_spread == pytest.approx(0.015)
     assert snap.bonds[1].sovereign_spread == pytest.approx(0.03)  # flat beyond
     assert snap.bonds[2].sovereign_spread is None
+
+
+@pytest.mark.parametrize("pillars, message", [
+    ("CO,1,0.01\nCO,-1,0.01\n", r"sovereign\.csv:3: sovereign tenor -1 must be > 0"),
+    ("CO,0,0.01\n", r"sovereign\.csv:2: sovereign tenor 0 must be > 0"),
+    ("CO,5,0.02\nPE,5,0.025\nco,5,0.03\n", r"sovereign\.csv:4: repeated CO pillar at tenor 5"),
+], ids=["negative-tenor", "zero-tenor", "repeated-pillar"])
+def test_sovereign_file_rejects_bad_pillars(tmp_path, riskfree_file, pillars, message):
+    sov = write(tmp_path, "sovereign.csv", "country,tenor_years,par_spread\n" + pillars)
+    bonds = write(tmp_path, "bonds.csv",
+                  "id,coupon,tenor_years,price,country\nb1,0.04,3.0,100,CO\n")
+    with pytest.raises(UniverseError, match=message):
+        load_universe(riskfree_file, bonds, sovereign_path=sov, as_of=AS_OF)
 
 
 def test_interp_sovereign_flat_ends():
