@@ -10,21 +10,26 @@ objective is a weighted sum of a robust penalty rho(dP) with
 rho(x) = sqrt(1 + x^2) - 1, which grows like x^2/2 near zero and like
 |x| for outliers; plain squared loss is available as an option.
 
-The optimizer is trust-region robust least squares, run on the residual
-vector dP with a loss that folds in the weights, so that half its sum is
-the objective.  The solver (:func:`_trust_region`) is in this module and
-needs numpy alone: Levenberg-Marquardt in its trust-region form (More
-1978) with one SVD of the Jacobian per iteration, and the robust loss
-entered through the rescaling of Triggs et al. (2000).  It is a
-step-for-step port of the unbounded branch of the trust-region
-reflective method (Branch, Coleman & Li 1999) in
-``scipy.optimize.least_squares``, for the settings the fits use.  It
-works over transformed coordinates: logs for the positive hazard
-parameters, a logistic map into the box for the shape parameter and the
-sovereign coefficient, and positive increments between rating anchors so
-that fitted grids can never cross.  Multistart with a seeded generator
-keeps results reproducible bit for bit; it stops once two stationary
-starts agree, and the lowest objective among the starts that ran wins.
+The optimizer is bounded trust-region robust least squares, run on the
+residual vector dP with a loss that folds in the weights, so that half
+its sum is the objective.  The solver (:func:`_trust_region`) is in this
+module and needs numpy alone: the trust-region reflective method of
+Branch, Coleman & Li (1999), a step-for-step port of the bounded branch
+of ``scipy.optimize.least_squares`` for the settings the fits use.  Each
+iteration scales the variables by their distance to the bound the
+gradient points at (Coleman-Li), solves the trust-region subproblem by
+Levenberg-Marquardt (More 1978) with one SVD, and keeps every iterate
+strictly inside the box by cutting a step back from a bound or
+reflecting it off one; the robust loss enters through the rescaling of
+Triggs et al. (2000).  The model's constraints are the solver's box
+constraints.  The fit coordinates are the logs of the hazard levels
+(free), the shape c itself in ``C_BOUNDS``, the sovereign coefficient
+alpha itself in [0, 1], and, on a grid, the log-increments between
+neighbouring rating anchors, each >= 0, so that fitted grids can never
+cross.  A parameter at an edge of its box is on the solver's active set,
+which ``at_bound`` reports.  Multistart with a seeded generator keeps
+results reproducible bit for bit; it stops once two stationary starts
+agree, and the lowest objective among the starts that ran wins.
 
 The solver's Jacobian is exact.  dP is affine in the kernels (Pi, Xi,
 rhat*Pi) and the kernels are linear in Q, so each evaluation runs the
@@ -33,18 +38,18 @@ the residuals together with their derivatives in (a, b, c); alpha enters
 as -100 * sov * Pi.  Each rating group's kernel pass runs on its own
 grid, ending at the group's longest tenor, with Q at the group's tenors
 taken in the same jet call.  The instruments are laid out group by group
-once per fit, so each group's kernel rows and its chain into u are one
+once per fit, so each group's kernel rows and its chain into x are one
 slice; the groups' kernel rows go through one price-gap pass per
 evaluation, and the residuals and their Jacobian are put back in
 instrument order at the end.
 
-Each fit has one chart: a map from the solver's coordinates u to the
-curve, alpha and, for each rating group, the group's (a, b, c) together
-with d(a, b, c, alpha)/du through the coordinate maps (exp, logistic,
-softplus increments, log-linear rating interpolation).  One call per
-solver point evaluates the chart once and returns the residuals together
-with their derivatives chained into u, so a Jacobian costs no extra
-evaluation.
+Each fit has one chart: a map from the fit coordinates x to the curve,
+alpha and, for each rating group, the group's (a, b, c) together with
+d(a, b, c, alpha)/dx through the coordinate maps (exp of the logs, the
+cumulative anchor increments, log-linear rating interpolation; c and
+alpha enter as themselves).  One call per solver point evaluates the
+chart once and returns the residuals together with their derivatives
+chained into x, so a Jacobian costs no extra evaluation.
 """
 
 from __future__ import annotations
@@ -90,12 +95,14 @@ Instrument = BondSpec | CdsSpec
 PRIOR_ANCHOR_RATIO = 4.0
 
 EPS = float(np.finfo(float).eps)
-# solver stopping rules: the sup-norm of the objective's gradient, the step
-# size relative to |u|, and the evaluations per start
+# solver stopping rules: the sup-norm of the objective's scaled gradient, the
+# step size relative to |x|, and the evaluations per start; a bound within XTOL
+# (relative) of the last point is on the active set
 GTOL = 1e-8
 XTOL = 1e-10
 MAX_NFEV = 20000
-# converged fits have a gradient sup-norm below this, relative to 1 + objective
+# converged fits have a projected gradient sup-norm below this, relative to
+# 1 + objective
 STATIONARY_GRAD = 1e-4
 # the multistart stops at a stationary start whose objective is within
 # START_AGREEMENT_RTOL * lowest + START_AGREEMENT_FLOOR of the lowest objective
@@ -104,8 +111,6 @@ START_AGREEMENT_RTOL = 1e-9
 START_AGREEMENT_FLOOR = 1e-20
 # residual (points) reported for a candidate whose curve cannot be evaluated
 FALLBACK_DP = 1e6
-# a free parameter this close to an edge of its box is reported as at its bound
-AT_BOUND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -244,9 +249,9 @@ class _MarketSide:
         self._grouped_sov = self.sov[order]
 
     def residuals(self, groups: dict, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-        """Price residuals in points and their derivatives in the solver's
-        coordinates u, in instrument order, from the chart's {group:
-        (params, d(a, b, c, alpha)/du)}; fresh arrays on every call."""
+        """Price residuals in points and their derivatives in the fit
+        coordinates x, in instrument order, from the chart's {group:
+        (params, d(a, b, c, alpha)/dx)}; fresh arrays on every call."""
         # every group's kernel rows side by side, for one pass of the price gap
         pi, xi, rhat = (np.empty((4, len(self.instruments))) for _ in range(3))
         for key, rows in self.slices.items():
@@ -275,7 +280,7 @@ class _MarketSide:
         return 2.0 * w * z / (1.0 + root), w / root, -0.5 * w / root ** 3
 
 
-# -- trust-region least-squares solver ----------------------------------
+# -- fit coordinates ---------------------------------------------------
 
 
 def _logistic(u: float) -> float:
@@ -285,21 +290,30 @@ def _logistic(u: float) -> float:
     return e / (1.0 + e)
 
 
-def _logistic_slope(u: float) -> float:
-    # d logistic / du, without cancellation in 1 - logistic(u)
-    return _logistic(u) * _logistic(-u)
-
-
 def _softplus(u: float) -> float:
-    # ln(1 + e^u), stable for large |u|; its slope is the logistic
+    # ln(1 + e^u), stable for large |u|
     return math.log1p(math.exp(-abs(u))) + max(u, 0.0)
+
+
+def _start(u: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """A start in the fit coordinates from its seeded draw ``u``: a logistic
+    map into a two-sided box, lb + softplus(u) above a lower bound alone,
+    and u itself where the coordinate is free; strictly inside the box."""
+    x = u.copy()
+    for i, (lo, hi) in enumerate(zip(lb, ub)):
+        if math.isfinite(hi):
+            x[i] = lo + (hi - lo) * _logistic(u[i])
+        elif math.isfinite(lo):
+            x[i] = lo + _softplus(u[i])
+    # a map that rounds onto an edge (|u| beyond about 37) gives way by one ulp
+    return _strictly_feasible(x, lb, ub)
 
 
 @dataclass(frozen=True)
 class _ShapeAlpha:
     """Where the shape c and the sovereign coefficient alpha sit in the
-    fit coordinates, after the hazard slots (index None: held fixed),
-    and their logistic maps into ``C_BOUNDS`` and [0, 1]."""
+    fit coordinates, after the hazard slots (index None: held fixed).
+    Each is its own coordinate, boxed in ``C_BOUNDS`` and [0, 1]."""
 
     i_c: int | None
     i_alpha: int | None
@@ -312,40 +326,35 @@ class _ShapeAlpha:
         i_alpha = n_hazard + (fix_c is None) if side.fit_alpha else None
         return cls(i_c, i_alpha, fix_c, side.config.em_alpha_fixed if side.em_on else 0.0)
 
-    def x0(self) -> list[float]:
-        return [0.0] * ((self.i_c is not None) + (self.i_alpha is not None))
+    def coordinates(self) -> dict[str, tuple[float, float]]:
+        """The box of each of c and alpha that is fitted, by name."""
+        boxes = {}
+        if self.i_c is not None:
+            boxes["c"] = C_BOUNDS
+        if self.i_alpha is not None:
+            boxes["alpha"] = (0.0, 1.0)
+        return boxes
 
-    def chart(self, u: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """c, alpha and d(a, b, c, alpha)/du with rows c and alpha filled;
+    def chart(self, x: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """c, alpha and d(a, b, c, alpha)/dx with rows c and alpha filled;
         rows a and b are zero, for the hazard part of the chart to fill."""
-        lo, hi = C_BOUNDS
-        chain = np.zeros((4, len(u)))
+        chain = np.zeros((4, len(x)))
         c, alpha = self.fixed_c, self.fixed_alpha
         if self.i_c is not None:
-            c = lo + (hi - lo) * _logistic(u[self.i_c])
-            chain[2, self.i_c] = (hi - lo) * _logistic_slope(u[self.i_c])
+            c = float(x[self.i_c])
+            chain[2, self.i_c] = 1.0
         if self.i_alpha is not None:
-            alpha = _logistic(u[self.i_alpha])
-            chain[3, self.i_alpha] = _logistic_slope(u[self.i_alpha])
+            alpha = float(x[self.i_alpha])
+            chain[3, self.i_alpha] = 1.0
         return c, alpha, chain
-
-    def at_bound(self, c: float, alpha: float) -> tuple[str, ...]:
-        """The free ones within AT_BOUND of an edge of their box."""
-        lo, hi = C_BOUNDS
-        names = []
-        if self.i_c is not None and min(c - lo, hi - c) <= AT_BOUND:
-            names.append("c")
-        if self.i_alpha is not None and min(alpha, 1.0 - alpha) <= AT_BOUND:
-            names.append("alpha")
-        return tuple(names)
 
 
 class _CountedResiduals:
-    """Residual vector of the solver's coordinates u, with its Jacobian.
+    """Residual vector of the fit coordinates x, with its Jacobian.
 
-    ``chart(u)`` gives (curve, alpha, {group: (SurvivalParams,
-    d(a, b, c, alpha)/du)}).  Each call evaluates the chart once and
-    returns the residuals dP together with d dP/du, as fresh arrays that
+    ``chart(x)`` gives (curve, alpha, {group: (SurvivalParams,
+    d(a, b, c, alpha)/dx)}).  Each call evaluates the chart once and
+    returns the residuals dP together with d dP/dx, as fresh arrays that
     the solver may rescale in place.  Counts every call and records each
     improvement of the objective as (eval#, f).  A point whose parameters
     overflow or are rejected, or whose residuals or their derivatives are
@@ -361,17 +370,17 @@ class _CountedResiduals:
         self.best = math.inf
         self.improvements: list[tuple[int, float]] = []
 
-    def __call__(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self.evals += 1
         try:
-            _, alpha, groups = self.chart(u)
+            _, alpha, groups = self.chart(x)
             dp, jac = self.side.residuals(groups, alpha)
         except (OverflowError, ValueError):
             dp = jac = None
-        if dp is None or not (np.all(np.isfinite(dp)) and np.all(np.isfinite(jac))):
+        if dp is None or not (np.isfinite(dp).all() and np.isfinite(jac).all()):
             self.fallback_evals += 1
             n = len(self.side.instruments)
-            dp, jac = np.full(n, FALLBACK_DP), np.zeros((n, len(u)))
+            dp, jac = np.full(n, FALLBACK_DP), np.zeros((n, len(x)))
         f = self.side.objective(dp)
         if f < self.best:
             self.best = f
@@ -379,10 +388,14 @@ class _CountedResiduals:
         return dp, jac
 
 
+# -- trust-region least-squares solver ----------------------------------
+
+
 class _TrustRegionResult(NamedTuple):
     x: np.ndarray       # the last accepted point
     fun: np.ndarray     # the residuals there
     grad: np.ndarray    # the gradient of half the loss sum there
+    active: np.ndarray  # -1 at an active lower bound, 1 at an upper one, else 0
     status: int         # 0 max_nfev, 1 gtol, 2 ftol, 3 xtol, 4 ftol and xtol
     nfev: int
     njev: int
@@ -442,23 +455,173 @@ def _lm_step(m: int, n: int, uf: np.ndarray, s: np.ndarray, V: np.ndarray, Delta
     return p, alpha, it + 1
 
 
-def _trust_region(fun, x0: np.ndarray, loss, ftol: float, xtol: float, gtol: float,
-                  max_nfev: int) -> _TrustRegionResult:
-    """Minimise half the sum of ``loss(f^2)[0]`` from ``x0``; ``fun(x)`` gives (f, J).
+# -- the box: Coleman-Li scaling and strictly feasible reflective steps --
 
-    Levenberg-Marquardt in its trust-region form (More 1978) with one SVD
-    of the Jacobian per iteration (:func:`_lm_step`); the robust loss
+
+def _active(x: np.ndarray, lb: np.ndarray, ub: np.ndarray, rtol: float) -> np.ndarray:
+    """-1 where x is within rtol * max(1, |bound|) of its lower bound (and
+    nearer it than the upper), 1 likewise at the upper bound, else 0."""
+    lower_dist, upper_dist = x - lb, ub - x
+    active = np.zeros(len(x), dtype=int)
+    active[np.isfinite(lb) & (lower_dist <= np.minimum(
+        upper_dist, rtol * np.maximum(1.0, np.abs(lb))))] = -1
+    active[np.isfinite(ub) & (upper_dist <= np.minimum(
+        lower_dist, rtol * np.maximum(1.0, np.abs(ub))))] = 1
+    return active
+
+
+def _strictly_feasible(x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """x with each coordinate on or beyond a bound moved one ulp inside it."""
+    return np.where(x <= lb, np.nextafter(lb, ub), np.where(x >= ub, np.nextafter(ub, lb), x))
+
+
+def _cl_scaling(x: np.ndarray, g: np.ndarray, lb: np.ndarray,
+                ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Coleman-Li scaling vector v and its derivative dv/dx: the
+    distance to the bound the descent direction -g points at, or 1 where
+    that bound is infinite."""
+    to_upper = (g < 0) & np.isfinite(ub)
+    to_lower = (g > 0) & np.isfinite(lb)
+    v = np.where(to_upper, ub - x, np.where(to_lower, x - lb, 1.0))
+    return v, to_lower - to_upper.astype(float)
+
+
+def _step_to_bound(x: np.ndarray, s: np.ndarray, lb: np.ndarray,
+                   ub: np.ndarray) -> tuple[float, np.ndarray]:
+    """The least t >= 0 at which x + t s reaches a bound, and which
+    coordinates reach one there (-1 lower, 1 upper, else 0)."""
+    moving = s != 0
+    steps = np.full(len(x), np.inf)
+    with np.errstate(over="ignore"):
+        steps[moving] = np.maximum((lb - x)[moving] / s[moving], (ub - x)[moving] / s[moving])
+    t = steps.min()
+    return t, (steps == t) * np.sign(s).astype(int)
+
+
+def _to_trust_region(x: np.ndarray, s: np.ndarray, Delta: float) -> float:
+    """The t > 0 at which |x + t s| = Delta, for x inside the region."""
+    a, b, c = s.dot(s), x.dot(s), x.dot(x) - Delta ** 2
+    # the two roots without cancellation (Numerical Recipes)
+    q = -(b + math.copysign(math.sqrt(b * b - a * c), b))
+    return max(q / a, c / q)
+
+
+def _quadratic_along(J: np.ndarray, g: np.ndarray, s: np.ndarray, diag: np.ndarray,
+                     s0: np.ndarray | None = None) -> tuple[float, float, float]:
+    """(a, b, c) of the model 0.5 p (J^T J + diag) p + g p along
+    p = s0 + t s, as a t^2 + b t + c."""
+    v = J.dot(s)
+    a = 0.5 * (v.dot(v) + (s * diag).dot(s))
+    b = g.dot(s)
+    if s0 is None:
+        return a, b, 0.0
+    u = J.dot(s0)
+    b += u.dot(v)
+    b += (s0 * diag).dot(s)
+    c = 0.5 * u.dot(u) + g.dot(s0)
+    c += 0.5 * (s0 * diag).dot(s0)
+    return a, b, c
+
+
+def _minimize_quadratic(a: float, b: float, lo: float, hi: float,
+                        c: float = 0.0) -> tuple[float, float]:
+    """The minimum of a t^2 + b t + c over lo <= t <= hi: (t, value),
+    the first of lo, hi and the vertex on a tie."""
+    ts = [lo, hi]
+    if a != 0 and lo < -0.5 * b / a < hi:
+        ts.append(-0.5 * b / a)
+    return min(((t, t * (a * t + b) + c) for t in ts), key=lambda ty: ty[1])
+
+
+def _model(J: np.ndarray, g: np.ndarray, s: np.ndarray, diag: np.ndarray) -> float:
+    # the model at the step s: t = 1 along s from 0
+    a, b, _ = _quadratic_along(J, g, s, diag)
+    return a + b
+
+
+def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
+    """The trust-region step p if it stays in the box; otherwise the best
+    of three strictly feasible steps under the model: p cut back to
+    theta of the way to the bound, its reflection off that bound, and the
+    scaled steepest descent step.  Returns the step, the step in the
+    scaled variables and the model's predicted reduction."""
+    if ((x + p >= lb) & (x + p <= ub)).all():
+        return p, p_h, -_model(J_h, g_h, p_h, diag_h)
+
+    p_stride, hits = _step_to_bound(x, p, lb, ub)
+    # the reflected direction
+    r_h = p_h.copy()
+    r_h[hits != 0] *= -1
+    r = d * r_h
+    # cut the trust-region step back to the bound
+    p = p * p_stride
+    p_h = p_h * p_stride
+    x_on_bound = x + p
+    # the reflected direction first crosses the box or the region's boundary
+    to_tr = _to_trust_region(p_h, r_h, Delta)
+    to_bound, _ = _step_to_bound(x_on_bound, r, lb, ub)
+    r_stride = min(to_bound, to_tr)
+    if r_stride > 0:
+        r_stride_l = (1 - theta) * p_stride / r_stride
+        r_stride_u = theta * to_bound if r_stride == to_bound else to_tr
+    else:
+        r_stride_l, r_stride_u = 0.0, -1.0
+    if r_stride_l <= r_stride_u:
+        a, b, c = _quadratic_along(J_h, g_h, r_h, diag_h, s0=p_h)
+        r_stride, r_value = _minimize_quadratic(a, b, r_stride_l, r_stride_u, c=c)
+        r_h = p_h + r_h * r_stride
+        r = r_h * d
+    else:
+        r_value = np.inf
+
+    # p strictly inside
+    p *= theta
+    p_h *= theta
+    p_value = _model(J_h, g_h, p_h, diag_h)
+
+    ag_h = -g_h
+    ag = d * ag_h
+    to_tr = Delta / np.linalg.norm(ag_h)
+    to_bound, _ = _step_to_bound(x, ag, lb, ub)
+    ag_stride = theta * to_bound if to_bound < to_tr else to_tr
+    a, b, _ = _quadratic_along(J_h, g_h, ag_h, diag_h)
+    ag_stride, ag_value = _minimize_quadratic(a, b, 0.0, ag_stride)
+    ag_h *= ag_stride
+    ag *= ag_stride
+
+    if p_value < r_value and p_value < ag_value:
+        return p, p_h, -p_value
+    if r_value < p_value and r_value < ag_value:
+        return r, r_h, -r_value
+    return ag, ag_h, -ag_value
+
+
+def _trust_region(fun, x0: np.ndarray, lb: np.ndarray, ub: np.ndarray, loss, ftol: float,
+                  xtol: float, gtol: float, max_nfev: int) -> _TrustRegionResult:
+    """Minimise half the sum of ``loss(f^2)[0]`` over lb <= x <= ub from
+    ``x0``, strictly inside the box; ``fun(x)`` gives (f, J).
+
+    The bounded trust-region reflective method (Branch, Coleman & Li
+    1999): Coleman-Li scaling of the variables by their distance to the
+    bound the gradient points at, one SVD per iteration of the scaled
+    Jacobian stacked on the scaling's curvature term, the trust-region
+    step from it (:func:`_lm_step`, More 1978), and, when that step
+    leaves the box, the best of its strictly feasible cut-back, its
+    reflection off the bound and the scaled steepest-descent step
+    (:func:`_select_step`).  Every iterate stays strictly inside the
+    box; a coordinate with infinite bounds is free.  The robust loss
     enters through the rescaling of Triggs et al. (2000), which turns
     each iteration into a plain least-squares model.  A step-for-step
-    port of the unbounded branch of ``scipy.optimize.least_squares``
-    with ``method="trf"``, exact trust-region solves, unit variable
-    scale and f_scale = 1.  ``loss(z)`` gives rho and its first two
-    derivatives in z; J must be a fresh array, since the solver rescales
-    it in place, and ``njev`` counts the Jacobians used (1 plus the
-    accepted steps).  Stops at ``max_nfev`` calls of ``fun`` (status 0)
-    or when the gradient's sup-norm is below ``gtol`` (1), the relative
-    loss decrease of a good step is below ``ftol`` (2), the step is below
-    ``xtol`` relative to |x| (3), or both of the last two (4).
+    port of the bounded branch of ``scipy.optimize.least_squares`` with
+    ``method="trf"``, exact trust-region solves, unit variable scale and
+    f_scale = 1.  ``loss(z)`` gives rho and its first two derivatives in
+    z; J must be a fresh array, since the solver rescales it in place,
+    and ``njev`` counts the Jacobians used (1 plus the accepted steps).
+    Stops at ``max_nfev`` calls of ``fun`` (status 0) or when the scaled
+    gradient's sup-norm is below ``gtol`` (1), the relative loss decrease
+    of a good step is below ``ftol`` (2), the step is below ``xtol``
+    relative to |x| (3), or both of the last two (4).  ``active`` marks
+    the bounds within ``xtol`` (relative) of the last point.
     """
     def scaled(f, J, rho):
         # rescale f and J (in place) so that the model's gradient and
@@ -476,30 +639,45 @@ def _trust_region(fun, x0: np.ndarray, loss, ftol: float, xtol: float, gtol: flo
     cost = 0.5 * rho[0].sum()
     f_s, J = scaled(f, J, rho)
     g = J.T.dot(f_s)
-    Delta = math.sqrt(x0.dot(x0)) or 1.0
+    v, _ = _cl_scaling(x, g, lb, ub)
+    Delta = float(np.linalg.norm(x0 / v ** 0.5)) or 1.0
+    f_augmented = np.zeros(m + n)
+    J_augmented = np.empty((m + n, n))
     alpha = 0.0
     status = None
 
     while True:
-        if np.abs(g).max() < gtol:
+        v, dv = _cl_scaling(x, g, lb, ub)
+        g_norm = np.abs(g * v).max()
+        if g_norm < gtol:
             status = 1
         if status is not None or nfev == max_nfev:
             break
-        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        # the scaled variables x = d * x_h, and the scaling's curvature
+        d = v ** 0.5
+        diag_h = g * dv
+        g_h = d * g
+        f_augmented[:m] = f_s
+        J_augmented[:m] = J * d
+        J_h = J_augmented[:m]
+        J_augmented[m:] = np.diag(diag_h ** 0.5)
+        U, s, Vt = np.linalg.svd(J_augmented, full_matrices=False)
         V = Vt.T
-        uf = U.T.dot(f_s)
+        uf = U.T.dot(f_augmented)
+        # how far a step backs off from the bounds
+        theta = max(0.995, 1.0 - g_norm)
 
         actual_reduction = -1.0
         while actual_reduction <= 0 and nfev < max_nfev:
-            step, alpha, _ = _lm_step(m, n, uf, s, V, Delta, alpha)
-            Js = J.dot(step)
-            predicted_reduction = -(0.5 * Js.dot(Js) + step.dot(g))
-            x_new = x + step
+            p_h, alpha, _ = _lm_step(m, n, uf, s, V, Delta, alpha)
+            step, step_h, predicted_reduction = _select_step(
+                x, J_h, diag_h, g_h, d * p_h, p_h, d, Delta, lb, ub, theta)
+            x_new = _strictly_feasible(x + step, lb, ub)
             f_new, J_new = fun(x_new)
             nfev += 1
-            step_norm = math.sqrt(step.dot(step))
+            step_h_norm = math.sqrt(step_h.dot(step_h))
             if not np.isfinite(f_new).all():
-                Delta = 0.25 * step_norm
+                Delta = 0.25 * step_h_norm
                 continue
 
             rho_new = loss(f_new ** 2)
@@ -514,10 +692,11 @@ def _trust_region(fun, x0: np.ndarray, loss, ftol: float, xtol: float, gtol: flo
                 ratio = 0
             Delta_new = Delta
             if ratio < 0.25:
-                Delta_new = 0.25 * step_norm
-            elif ratio > 0.75 and step_norm > 0.95 * Delta:
+                Delta_new = 0.25 * step_h_norm
+            elif ratio > 0.75 and step_h_norm > 0.95 * Delta:
                 Delta_new *= 2.0
             # the termination test
+            step_norm = math.sqrt(step.dot(step))
             ftol_met = actual_reduction < ftol * cost and ratio > 0.25
             xtol_met = step_norm < xtol * (xtol + math.sqrt(x.dot(x)))
             if ftol_met or xtol_met:
@@ -532,43 +711,55 @@ def _trust_region(fun, x0: np.ndarray, loss, ftol: float, xtol: float, gtol: flo
             f_s, J = scaled(f, J_new, rho_new)
             g = J.T.dot(f_s)
 
-    return _TrustRegionResult(x=x, fun=f, grad=g, status=0 if status is None else status,
-                              nfev=nfev, njev=njev)
+    return _TrustRegionResult(x=x, fun=f, grad=g, active=_active(x, lb, ub, xtol),
+                              status=0 if status is None else status, nfev=nfev, njev=njev)
+
+
+def _projected_grad_norm(res: _TrustRegionResult) -> float:
+    """Sup-norm of the objective's gradient in the fit coordinates, less
+    each component that pushes an active bound outward: g > 0 at a lower
+    bound, g < 0 at an upper one."""
+    g = res.grad
+    outward = ((res.active == -1) & (g > 0)) | ((res.active == 1) & (g < 0))
+    return float(np.abs(np.where(outward, 0.0, g)).max(initial=0.0))
 
 
 def _stationary(res: _TrustRegionResult, objective: float) -> bool:
     """A solver run ended at a stationary point: it met a tolerance and the
-    objective's gradient in the fitted coordinates is flat, at a point
-    whose curve could be evaluated (a fallback point's gradient is 0)."""
-    grad_norm = float(np.linalg.norm(res.grad, ord=np.inf))
+    objective's projected gradient in the fit coordinates is flat, at a
+    point whose curve could be evaluated (a fallback point's gradient is 0)."""
     return (res.status > 0 and not np.all(res.fun == FALLBACK_DP)
-            and grad_norm <= STATIONARY_GRAD * (1.0 + objective))
+            and _projected_grad_norm(res) <= STATIONARY_GRAD * (1.0 + objective))
 
 
-def _solve(side: _MarketSide, chart, tail: _ShapeAlpha, x0: list[float], scale: float,
-           config: FitConfig, **diagnostics) -> FitResult:
-    """Multistart trust-region least squares of the residuals
-    over the chart's coordinates, under the weighted loss, from ``x0``
-    and seeded jitters of it of size ``scale``.  All
-    ``multistart_count`` jitters are drawn up front and run in order;
-    the run stops at the first start that is stationary and whose
+def _solve(side: _MarketSide, chart, coordinates: dict[str, tuple[float, float]],
+           u0: list[float], scale: float, config: FitConfig, underdetermined: bool,
+           tie_ab: bool | None, fix_c: float | None) -> FitResult:
+    """Multistart bounded trust-region least squares of the residuals over
+    the chart's coordinates, each boxed as ``coordinates`` gives (name:
+    (lower, upper), in order), under the weighted loss.  The starts are
+    ``u0`` and seeded normal jitters of it of size ``scale``, all drawn up
+    front and each mapped into the box by :func:`_start`.  They run in
+    order; the run stops at the first start that is stationary and whose
     objective is within START_AGREEMENT_RTOL relative, plus
     START_AGREEMENT_FLOOR, of the lowest objective of the stationary
     starts before it, so ``multistart_count`` is a cap.  The lowest
     objective among the starts that ran wins.  Each start stops at the
     module's tolerances (machine eps in the objective, XTOL, GTOL) or
-    after MAX_NFEV evaluations.  ``diagnostics`` are added to the
-    solver's own."""
+    after MAX_NFEV evaluations.  Every fit's diagnostics have the same
+    keys, in the same order; ``at_bound`` names the coordinates on an
+    active bound at the winning point."""
     residuals = _CountedResiduals(side, chart)
+    lb, ub = (np.array(edge, dtype=float) for edge in zip(*coordinates.values()))
     rng = np.random.default_rng(config.seed)
-    x0 = np.array(x0)
-    starts = [x0] + [x0 + rng.normal(0.0, scale, len(x0))
-                     for _ in range(config.multistart_count - 1)]
+    u0 = np.array(u0)
+    draws = [u0] + [u0 + rng.normal(0.0, scale, len(u0))
+                    for _ in range(config.multistart_count - 1)]
     runs = []
     stationary = []  # the objectives of the stationary starts so far
-    for start in starts:
-        res = _trust_region(residuals, start, side.solver_loss, ftol=EPS, xtol=XTOL, gtol=GTOL,
-                            max_nfev=MAX_NFEV)
+    for u in draws:
+        res = _trust_region(residuals, _start(u, lb, ub), lb, ub, side.solver_loss,
+                            ftol=EPS, xtol=XTOL, gtol=GTOL, max_nfev=MAX_NFEV)
         f = side.objective(res.fun)
         runs.append((f, res))
         if _stationary(res, f):
@@ -583,10 +774,12 @@ def _solve(side: _MarketSide, chart, tail: _ShapeAlpha, x0: list[float], scale: 
     info = dict(evaluations=residuals.evals, jacobian_evals=sum(res.njev for _, res in runs),
                 fallback_evals=residuals.fallback_evals,
                 converged=_stationary(best, fun), status=int(best.status),
-                grad_norm=float(np.linalg.norm(best.grad, ord=np.inf)),
+                grad_norm=_projected_grad_norm(best),
                 objective_per_start=objectives,
                 n_starts=len(objectives), descent=tuple(residuals.improvements),
-                **diagnostics, seed=config.seed, at_bound=tail.at_bound(curve.c, alpha))
+                underdetermined=underdetermined, tie_ab=tie_ab, fix_c=fix_c,
+                degenerate_single_rating=None, seed=config.seed,
+                at_bound=tuple(name for name, on in zip(coordinates, best.active) if on))
     return FitResult(params=curve, alpha=alpha if side.em_on else None,
                      residuals=tuple(float(r) for r in best.fun),
                      objective=fun, diagnostics=info)
@@ -616,18 +809,21 @@ def fit_single_name(instruments: Sequence[Instrument], curve: RiskfreeCurve,
         tie_ab = True
         fix_c = 0.5 * (C_BOUNDS[0] + C_BOUNDS[1])
 
-    # u = (ln a, ln b, ...), one hazard slot when a = b is tied
+    # x = (ln a, ln b, c, alpha), one hazard slot when a = b is tied
     i_b = 0 if tie_ab else 1
     tail = _ShapeAlpha.after(i_b + 1, fix_c, side)
+    free = (-math.inf, math.inf)
 
-    def chart(u: np.ndarray):
-        c, alpha, chain = tail.chart(u)
-        params = SurvivalParams(math.exp(u[0]), math.exp(u[i_b]), c)
+    def chart(x: np.ndarray):
+        c, alpha, chain = tail.chart(x)
+        params = SurvivalParams(math.exp(x[0]), math.exp(x[i_b]), c)
         chain[0, 0], chain[1, i_b] = params.a, params.b
         return params, alpha, {None: (params, chain)}
 
-    x0 = [math.log(0.01), math.log(0.05)][:i_b + 1] + tail.x0()
-    return _solve(side, chart, tail, x0, 0.8, config,
+    hazard = {"ln_a": free} if tie_ab else {"ln_a": free, "ln_b": free}
+    coordinates = {**hazard, **tail.coordinates()}
+    u0 = [math.log(0.01), math.log(0.05)][:i_b + 1] + [0.0] * len(tail.coordinates())
+    return _solve(side, chart, coordinates, u0, 0.8, config,
                   underdetermined=underdetermined, tie_ab=tie_ab, fix_c=fix_c)
 
 
@@ -651,9 +847,9 @@ def fit_rating_grid(instruments: Sequence[Instrument], curve: RiskfreeCurve,
     """Fit the seven-parameter grid (a, b anchors at AA/BBB/B, shared c),
     optionally with the sovereign coefficient alpha.
 
-    Anchor monotonicity is built into the parametrisation (positive
-    log-increments), so any fitted grid satisfies the no-crossing
-    invariant by construction.
+    Anchor monotonicity is built into the parametrisation (log-increments
+    between neighbouring anchors, boxed at >= 0), so any fitted grid
+    satisfies the no-crossing invariant by construction.
     """
     if not instruments:
         raise ValueError("no instruments")
@@ -676,33 +872,36 @@ def fit_rating_grid(instruments: Sequence[Instrument], curve: RiskfreeCurve,
 
     side = _MarketSide(instruments, curve, recovery, config,
                        group_by_rating=True)
-    # u = (ln a_AA, softplus^-1 of ln a_BBB - ln a_AA, ... of ln a_B - ln a_BBB,
-    #      the same three for b, ...)
+    # x = (ln a_AA, ln a_BBB - ln a_AA, ln a_B - ln a_BBB, the same three
+    #      for b, c, alpha), the increments boxed at >= 0
     tail = _ShapeAlpha.after(6, config.fix_c, side)
     # d ln x(r)/d ln(anchor k): the log-interpolation weights of anchors k and above
     tail_weights = {r: np.cumsum(anchor_log_weights(r)[::-1])[::-1] for r in side.groups}
 
-    def chart(u: np.ndarray):
-        a1 = math.exp(u[0])
-        a2 = a1 * math.exp(_softplus(u[1]))
-        a3 = a2 * math.exp(_softplus(u[2]))
-        b1 = math.exp(u[3])
-        b2 = b1 * math.exp(_softplus(u[4]))
-        b3 = b2 * math.exp(_softplus(u[5]))
-        c, alpha, shape = tail.chart(u)
+    def chart(x: np.ndarray):
+        a1 = math.exp(x[0])
+        a2 = a1 * math.exp(x[1])
+        a3 = a2 * math.exp(x[2])
+        b1 = math.exp(x[3])
+        b2 = b1 * math.exp(x[4])
+        b3 = b2 * math.exp(x[5])
+        c, alpha, shape = tail.chart(x)
         grid = RatingGrid(anchors_a=(a1, a2, a3), anchors_b=(b1, b2, b3), c=c)
-        # d ln(anchor j)/du_k is 1 for k = 0 and the softplus slope for 0 < k <= j
-        slopes_a = np.array([1.0, _logistic(u[1]), _logistic(u[2])])
-        slopes_b = np.array([1.0, _logistic(u[4]), _logistic(u[5])])
+        # d ln(anchor j)/dx_k is 1 for k <= j
         groups = {}
         for r, weights in tail_weights.items():
             params = grid.params_for_rating(r)
             chain = shape.copy()
-            chain[0, 0:3] = params.a * weights * slopes_a
-            chain[1, 3:6] = params.b * weights * slopes_b
+            chain[0, 0:3] = params.a * weights
+            chain[1, 3:6] = params.b * weights
             groups[r] = (params, chain)
         return grid, alpha, groups
 
-    x0 = [math.log(0.003), -1.0, -1.0, math.log(0.02), -1.0, -1.0] + tail.x0()
-    return _solve(side, chart, tail, x0, 0.6, config,
-                  underdetermined=False, fix_c=config.fix_c)
+    free, increment = (-math.inf, math.inf), (0.0, math.inf)
+    coordinates = {"ln_a_AA": free, "d_a1": increment, "d_a2": increment,
+                   "ln_b_AA": free, "d_b1": increment, "d_b2": increment,
+                   **tail.coordinates()}
+    u0 = [math.log(0.003), -1.0, -1.0, math.log(0.02), -1.0, -1.0] + [0.0] * len(
+        tail.coordinates())
+    return _solve(side, chart, coordinates, u0, 0.6, config,
+                  underdetermined=False, tie_ab=None, fix_c=config.fix_c)
