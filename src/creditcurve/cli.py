@@ -300,7 +300,8 @@ def spread(**kw):
                 quotes = [_fmt(inst.price),
                           _bp(vl.yield_from_price(inst.coupon, inst.tenor, inst.price, m)),
                           _bp(vl.z_spread(inst, snap.riskfree, m))]
-            fitted, k = vl._exact_fit(inst, base, snap.riskfree, grid_step=st.fit.grid_step)
+            fitted, k = vl.exact_fit_to_instrument(inst, base, snap.riskfree,
+                                                   grid_step=st.fit.grid_step)
         except ArithmeticError as exc:
             failures.append(f"{inst.identifier}: {exc}")
         else:

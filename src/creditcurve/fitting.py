@@ -217,8 +217,21 @@ class _MarketSide:
     def __init__(self, instruments: Sequence[Instrument], curve: RiskfreeCurve,
                  recovery: float | None, config: FitConfig,
                  group_by_rating: bool = False):
+        if not instruments:
+            raise ValueError("no instruments")
         self.instruments = list(instruments)
         self.config = config
+        if group_by_rating:
+            for inst in self.instruments:
+                if inst.effective_rating is None:
+                    raise ValueError(
+                        f"instrument {inst.identifier or inst} has no rating; "
+                        "rating-grid fitting needs one per instrument")
+            ratings = np.array([i.effective_rating for i in self.instruments])
+            keys = sorted(set(int(r) for r in ratings))
+            self.groups = {r: np.flatnonzero(ratings == r) for r in keys}
+        else:
+            self.groups = {None: np.arange(len(self.instruments))}
         self.tenors = np.array([i.tenor for i in self.instruments])
         self.weights = _weights(self.instruments, config.weight_mode)
         self._quotes = _quotes(self.instruments, curve, recovery, config.grid_step)
@@ -230,12 +243,6 @@ class _MarketSide:
         self.fit_alpha = config.em_mode == "fit"
         self.sov = np.array([i.sovereign_spread or 0.0 for i in self.instruments])
         self._rho = _rho_vec(config.loss)
-        if group_by_rating:
-            ratings = np.array([i.effective_rating for i in self.instruments])
-            keys = sorted(set(int(r) for r in ratings))
-            self.groups = {r: np.flatnonzero(ratings == r) for r in keys}
-        else:
-            self.groups = {None: np.arange(len(self.instruments))}
         self._readouts = {key: KernelReadout.of(curve, self.tenors[idx], config.grid_step)
                           for key, idx in self.groups.items()}
         # the grouped layout: group after group, each in instrument order,
@@ -797,10 +804,14 @@ def fit_single_name(instruments: Sequence[Instrument], curve: RiskfreeCurve,
     problem is underdetermined: the fit proceeds with a = b and c fixed,
     and the result is flagged.
     """
-    if not instruments:
-        raise ValueError("no instruments")
-    side = _MarketSide(instruments, curve, recovery, config)
+    return _fit_single(_MarketSide(instruments, curve, recovery, config))
 
+
+def _fit_single(side: _MarketSide) -> FitResult:
+    """The single-name fit on a market side of one group: one curve for
+    every instrument."""
+    config = side.config
+    (group,) = side.groups
     underdetermined = False
     tie_ab = False
     fix_c = config.fix_c
@@ -818,7 +829,7 @@ def fit_single_name(instruments: Sequence[Instrument], curve: RiskfreeCurve,
         c, alpha, chain = tail.chart(x)
         params = SurvivalParams(math.exp(x[0]), math.exp(x[i_b]), c)
         chain[0, 0], chain[1, i_b] = params.a, params.b
-        return params, alpha, {None: (params, chain)}
+        return params, alpha, {group: (params, chain)}
 
     hazard = {"ln_a": free} if tie_ab else {"ln_a": free, "ln_b": free}
     coordinates = {**hazard, **tail.coordinates()}
@@ -851,27 +862,14 @@ def fit_rating_grid(instruments: Sequence[Instrument], curve: RiskfreeCurve,
     between neighbouring anchors, boxed at >= 0), so any fitted grid
     satisfies the no-crossing invariant by construction.
     """
-    if not instruments:
-        raise ValueError("no instruments")
-    ratings = []
-    for inst in instruments:
-        r = inst.effective_rating
-        if r is None:
-            raise ValueError(
-                f"instrument {inst.identifier or inst} has no rating; "
-                "rating-grid fitting needs one per instrument")
-        ratings.append(r)
-    ratings = np.array(ratings)
-
-    if len(set(ratings.tolist())) == 1:
-        single = fit_single_name(instruments, curve, recovery, config)
-        rating = int(ratings[0])
+    side = _MarketSide(instruments, curve, recovery, config, group_by_rating=True)
+    if len(side.groups) == 1:
+        single = _fit_single(side)
+        (rating,) = side.groups
         return replace(single, params=_grid_from_single(single.params, rating),
                        diagnostics={**single.diagnostics, "underdetermined": True,
                                     "degenerate_single_rating": rating})
 
-    side = _MarketSide(instruments, curve, recovery, config,
-                       group_by_rating=True)
     # x = (ln a_AA, ln a_BBB - ln a_AA, ln a_B - ln a_BBB, the same three
     #      for b, c, alpha), the increments boxed at >= 0
     tail = _ShapeAlpha.after(6, config.fix_c, side)

@@ -24,7 +24,7 @@ import csv
 import datetime as dt
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .ratecurve import RiskfreeCurve
@@ -65,7 +65,6 @@ class UniverseSnapshot:
     bonds: tuple[BondSpec, ...]
     cds: tuple[CdsSpec, ...]
     riskfree: RiskfreeCurve
-    sovereign_curves: dict[str, tuple[tuple[float, float], ...]] = field(default_factory=dict)
 
     @property
     def instruments(self) -> tuple[BondSpec | CdsSpec, ...]:
@@ -276,7 +275,7 @@ def load_universe(riskfree_path: str | Path,
     if not bonds and not cds:
         raise UniverseError("no instruments")
     return UniverseSnapshot(as_of=as_of, bonds=tuple(bonds), cds=tuple(cds),
-                            riskfree=riskfree, sovereign_curves=sovereign)
+                            riskfree=riskfree)
 
 
 def load_config(path: str | Path) -> dict[str, str]:

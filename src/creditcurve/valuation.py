@@ -671,22 +671,16 @@ def _dp(pi, xi, rhat, s_extra, recs, coupons, prices, upfronts, is_bond) -> np.n
 def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
                             curve: RiskfreeCurve,
                             recovery: float | None = None,
-                            grid_step: float = DEFAULT_GRID_STEP) -> SurvivalParams:
+                            grid_step: float = DEFAULT_GRID_STEP
+                            ) -> tuple[SurvivalParams, RiskyKernels]:
     """Scale (a, b) of ``base`` so the model reprices the instrument at
-    ``recovery`` (by default its own).
+    ``recovery`` (by default its own); return the fitted parameters with
+    their kernels at the instrument's tenor, as :func:`kernels` gives them.
 
     A multiplicative shift of both hazard levels preserves the curve
     shape and keeps the parameters positive.  Repricing is to
     |dP| <= 1e-8 per 100 face.
     """
-    return _exact_fit(spec, base, curve, recovery, grid_step)[0]
-
-
-def _exact_fit(spec: BondSpec | CdsSpec, base: SurvivalParams, curve: RiskfreeCurve,
-               recovery: float | None = None,
-               grid_step: float = DEFAULT_GRID_STEP) -> tuple[SurvivalParams, RiskyKernels]:
-    """:func:`exact_fit_to_instrument` with the fitted curve's kernels at
-    the instrument's tenor, as :func:`kernels` gives them."""
     # as Python scalars: the same arithmetic, without array overhead in the root solve
     quotes = [q.item() for q in _quotes([spec], curve, recovery, grid_step)]
     # the tenor's read-out does not move with the factor

@@ -15,3 +15,12 @@ def flat_2pct():
 @pytest.fixture
 def colom_dir():
     return SAMPLE_DIR / "colom_2016-04-08"
+
+
+@pytest.fixture
+def gen(monkeypatch):
+    """The benchmark's seeded snapshot generator."""
+    monkeypatch.syspath_prepend(str(Path(cc.__file__).resolve().parents[2]))
+    from perfbench import gen
+
+    return gen

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import creditcurve as cc
+import creditcurve.valuation as vl
 from creditcurve.cli import ANCHOR_NAMES, Settings, _fmt, main
 from creditcurve.fitting import price_residual
 from creditcurve.survival import RATING_SYMBOLS, RatingGrid, RecoverySchedule, SurvivalParams
@@ -490,13 +491,29 @@ def test_fit_weight_modes_on_sample_data(tmp_path, runner, colom_dir, flags):
     assert params["objective"] == _fmt(want.objective)
 
 
-@pytest.fixture
-def gen(monkeypatch):
-    """The benchmark's seeded snapshot generator."""
-    monkeypatch.syspath_prepend(str(Path(cc.__file__).resolve().parents[2]))
-    from perfbench import gen
+def test_spread_fits_each_instrument_through_exact_fit_to_instrument(tmp_path, runner, gen,
+                                                                    monkeypatch):
+    # the benchmark's tracer counts and times spread's exact fits by wrapping
+    # this one name, so each instrument spread prices must go through it
+    meta = gen.generate("desk_cold", 1, tmp_path / "in")["snapshots"][0]
+    snap = tmp_path / "in" / meta["name"]
+    fitted = []
+    exact_fit = vl.exact_fit_to_instrument
 
-    return gen
+    def counted(inst, *args, **kwargs):
+        fitted.append(inst.identifier)
+        return exact_fit(inst, *args, **kwargs)
+
+    monkeypatch.setattr(vl, "exact_fit_to_instrument", counted)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [
+        "spread", "--riskfree", str(snap / "riskfree.csv"), "--bonds", str(snap / "bonds.csv"),
+        "--cds", str(snap / "cds.csv"), "--as-of", meta["as_of"],
+        "--recovery", meta["recovery"], "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = [line.split(",") for line in (out / "spreads.csv").read_text().splitlines()[1:]]
+    assert len(rows) == meta["n_bonds"] + meta["n_cds"]
+    assert fitted == [row[0] for row in rows]
 
 
 def test_value_rows_are_each_instruments_price_residual(tmp_path, runner, gen):

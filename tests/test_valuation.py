@@ -521,7 +521,7 @@ def test_exact_fit_on_curve_is_identity():
     k = kernels(FLAT2, base, 6.0)
     spec = BondSpec(coupon=0.05, tenor=6.0, price=100.0, recovery=0.4)
     spec = BondSpec(coupon=0.05, tenor=6.0, price=bond_model_price(spec, k), recovery=0.4)
-    fitted = exact_fit_to_instrument(spec, base, FLAT2)
+    fitted, _ = exact_fit_to_instrument(spec, base, FLAT2)
     assert fitted.a == pytest.approx(base.a, rel=1e-9)
     assert fitted.b == pytest.approx(base.b, rel=1e-9)
 
@@ -532,7 +532,7 @@ def test_exact_fit_cheapening_raises_hazards():
     spec = BondSpec(coupon=0.05, tenor=6.0, price=100.0, recovery=0.4)
     on_curve = bond_model_price(spec, k)
     cheap = BondSpec(coupon=0.05, tenor=6.0, price=on_curve - 3.0, recovery=0.4)
-    fitted = exact_fit_to_instrument(cheap, base, FLAT2)
+    fitted, _ = exact_fit_to_instrument(cheap, base, FLAT2)
     assert fitted.a > base.a and fitted.b > base.b
     assert fitted.b / fitted.a == pytest.approx(base.b / base.a, rel=1e-12)
     k_f = kernels(FLAT2, fitted, 6.0)
@@ -542,7 +542,7 @@ def test_exact_fit_cheapening_raises_hazards():
 def test_exact_fit_cds():
     q = CdsSpec(coupon=0.01, tenor=5.0, quote_type="spread", quote=0.025,
                 quoting_recovery=0.4)
-    fitted = exact_fit_to_instrument(q, SurvivalParams.flat(0.01), FLAT2, recovery=0.4)
+    fitted, _ = exact_fit_to_instrument(q, SurvivalParams.flat(0.01), FLAT2, recovery=0.4)
     k = kernels(FLAT2, fitted, 5.0)
     u_model = (par_cds_spread(k, 0.4) - q.coupon) * k.pi
     assert u_model == pytest.approx(cds_upfront(q, FLAT2), abs=1e-10)
@@ -551,7 +551,7 @@ def test_exact_fit_cds():
 @pytest.mark.parametrize("rec", [0.1, 0.7])
 def test_exact_fit_honours_bond_recovery(rec):
     bond = BondSpec(coupon=0.05, tenor=5.0, price=98.0, recovery=0.4)
-    fitted = exact_fit_to_instrument(bond, SurvivalParams.flat(0.02), FLAT2, recovery=rec)
+    fitted, _ = exact_fit_to_instrument(bond, SurvivalParams.flat(0.02), FLAT2, recovery=rec)
     assert cc.price_residual(bond, fitted, FLAT2, rec) == pytest.approx(0.0, abs=1e-8)
 
 
@@ -691,5 +691,5 @@ def test_exact_fit_equals_parent_formulation():
                                        (0.05, 3.0, "upfront", -0.04, 0.35),
                                        (0.01, 10.0, "upfront", 0.07, 0.2))]
     for spec in specs:
-        fitted = exact_fit_to_instrument(spec, base, GOLDEN_CURVE)
+        fitted, _ = exact_fit_to_instrument(spec, base, GOLDEN_CURVE)
         assert fitted == parent_exact_fit(spec, base, GOLDEN_CURVE)
