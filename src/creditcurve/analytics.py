@@ -21,7 +21,7 @@ import numpy as np
 
 from .ratecurve import RiskfreeCurve
 from .survival import RatingGrid, RecoverySchedule, SurvivalParams
-from .valuation import DEFAULT_GRID_STEP, kernels_at, par_cds_spread
+from .valuation import kernels_at, par_cds_spread
 
 __all__ = [
     "VARIANT_STANDARD",
@@ -93,8 +93,7 @@ class ReturnDecomposition:
 def decompose_return(c_prime: float, s_bar: float, tenor: float, horizon: float,
                      curve: RiskfreeCurve, params: SurvivalParams, recovery: float,
                      variant: str = VARIANT_STANDARD,
-                     convergence_fraction: float = 1.0,
-                     grid_step: float = DEFAULT_GRID_STEP) -> ReturnDecomposition:
+                     convergence_fraction: float = 1.0) -> ReturnDecomposition:
     """Full decomposition against a model curve.
 
     Model par spreads shat are the par CDS spreads of the curve at the
@@ -105,7 +104,7 @@ def decompose_return(c_prime: float, s_bar: float, tenor: float, horizon: float,
         raise ValueError("horizon must lie strictly inside (0, tenor)")
     if not 0.0 <= convergence_fraction <= 1.0:
         raise ValueError("convergence_fraction must be in [0, 1]")
-    k_T, k_Tm = kernels_at(curve, params, [tenor, tenor - horizon], grid_step)
+    k_T, k_Tm = kernels_at(curve, params, [tenor, tenor - horizon])
     s_hat_T = par_cds_spread(k_T, recovery)
     s_hat_Tm = par_cds_spread(k_Tm, recovery)
     carry_spread = s_bar if variant == VARIANT_STANDARD else s_hat_T
@@ -151,8 +150,7 @@ def expected_return_with_transitions(
         c_prime: float, s_bar: float, price: float, recovery: float,
         tenor: float, horizon: float,
         curve: RiskfreeCurve, grid: RatingGrid, trans: TransitionInputs,
-        convergence_fraction: float = 1.0,
-        grid_step: float = DEFAULT_GRID_STEP) -> float:
+        convergence_fraction: float = 1.0) -> float:
     """Probability-weighted horizon return over rating transitions.
 
     Each non-default destination reprices the instrument wholly on that
@@ -175,8 +173,7 @@ def expected_return_with_transitions(
             grid.params_for_rating(rating),
             RecoverySchedule().recovery_for_rating(rating),
             variant=VARIANT_STANDARD,
-            convergence_fraction=convergence_fraction,
-            grid_step=grid_step)
+            convergence_fraction=convergence_fraction)
         out += p * dest.total
     p_def = trans.default_probability
     if p_def > 0.0:

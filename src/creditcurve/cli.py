@@ -61,20 +61,24 @@ class Settings:
     to a fixed 0.4.  The fit settings make up one :class:`FitConfig`,
     ``fit``, and those not set keep its defaults.  Every value is
     converted and the fit and analytics options are validated here, so a
-    bad value is an input error before any work starts; it names the
-    flag, or the config file and key, that gave it.
+    bad value, or a config key that no setting reads, is an input error
+    before any work starts; it names the flag, or the config file and
+    key, that gave it.
     """
 
     def __init__(self, config_path: str | None, overrides: dict, grid: bool = False):
-        merged = load_config(config_path) if config_path else {}
+        config = load_config(config_path) if config_path else {}
+        merged = dict(config)
         flags = {key for key, val in overrides.items() if val is not None}
         merged.update((key, overrides[key]) for key in flags)
+        read: set[str] = set()
 
         def get(key, default, convert, what, ok=lambda v: True):
             # the setting as ``convert`` reads it; an input error that names
             # the flag, or the config file and key, if it does not read or is
             # not ok (``ok`` may raise ValueError: a fit setting is ok when
             # FitConfig takes it)
+            read.add(key)
             if key not in merged:
                 return default
             raw = merged[key]
@@ -102,7 +106,6 @@ class Settings:
         self.as_of = get("as_of", None, lambda text: dt.date.fromisoformat(str(text)),
                          "a date YYYY-MM-DD")
         self.compounding = get("compounding", 0, int, "an integer >= 0", lambda m: m >= 0)
-        fit_setting("grid_step", "finite and > 0", lambda x: {"grid_step": float(x)})
         self.horizon = get("horizon", 0.25, float, "finite and > 0", lambda x: 0.0 < x < math.inf)
         self.convergence_fraction = get("convergence_fraction", 1.0, float, "in [0, 1]",
                                         lambda x: 0.0 <= x <= 1.0)
@@ -112,7 +115,7 @@ class Settings:
                     lambda x: {"weight_mode": str(x)})
         fit_setting("loss", "robust or squared", lambda x: {"loss": str(x)})
         fit_setting("fix_c", "finite and > 0", lambda x: {"fix_c": float(x)})
-        self.out = Path(merged.get("out", "out"))
+        self.out = get("out", Path("out"), Path, "a directory")
         self.compounding_m = get("yield_compounding", 2, int, ">= 1", lambda m: m >= 1)
         self.recovery_mode, self.recovery_fixed = get(
             "recovery", ("schedule" if grid else "fixed", 0.4),
@@ -120,6 +123,10 @@ class Settings:
             "'fixed[:v]' with v in [0, 1) or 'schedule'", lambda rec: 0.0 <= rec[1] < 1.0)
         fit_setting("em_alpha", "'fit', 'fixed:v' with v in [0, 1] or 'off'", em_fields)
         self.fit = ft.FitConfig(**fit)
+        unread = sorted(config.keys() - read)
+        if unread:
+            raise UniverseError(f"{config_path}: {unread[0]} must be a setting, one of "
+                                f"{', '.join(sorted(read))}")
 
     def load(self, riskfree, bonds=None, cds=None, sovereign=None,
              as_of: dt.date | None = None) -> UniverseSnapshot:
@@ -131,7 +138,7 @@ class Settings:
             compounding=self.compounding,
             recovery_mode=self.recovery_mode,
             recovery_fixed=self.recovery_fixed)
-        upfronts = [vl.cds_upfront(q, snap.riskfree, self.fit.grid_step) for q in snap.cds]
+        upfronts = [vl.cds_upfront(q, snap.riskfree) for q in snap.cds]
         with warnings.catch_warnings():
             # the loader has already warned about these rows, naming file and line
             warnings.simplefilter("ignore")
@@ -140,9 +147,12 @@ class Settings:
 
 
 def _write(path: Path, header: list[str], rows: list[list[str]]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)] + [",".join(r) for r in rows]
-    path.write_text("\n".join(lines) + "\n")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror or exc}", EXIT_INPUT)
 
 
 # every shared flag, declared once; a verb takes its flags by name
@@ -158,7 +168,6 @@ OPTIONS = {
     "compounding": click.option("--compounding", type=int,
                                 help="quoting frequency of curve input rates (0 = continuous)"),
     "recovery": click.option("--recovery", help="fixed[:v] | schedule"),
-    "grid-step": click.option("--grid-step", type=float, help="quadrature step, years"),
     "out": click.option("--out", help="output directory"),
     "fix-c": click.option("--fix-c", type=float, help="fix the shape parameter"),
     "em-alpha": click.option("--em-alpha", help="fit | fixed:v | off"),
@@ -181,7 +190,7 @@ def _options(*names: str):
 
 
 _common = _options("riskfree", "bonds", "cds", "sovereign", "config", "as-of", "compounding",
-                   "recovery", "grid-step", "out")
+                   "recovery", "out")
 _fit_opts = _options("fix-c", "em-alpha", "seed", "multistart", "weight-mode", "loss",
                      "allow-underdetermined")
 
@@ -254,16 +263,14 @@ def value(a, b, c, **kw):
         st, snap = _load(kw)
         params = SurvivalParams(a=a, b=b, c=c)
     # every instrument read off one grid of the curve, one price-gap pass
-    at_tenor = vl.kernels_at(snap.riskfree, params, [inst.tenor for inst in snap.instruments],
-                             st.fit.grid_step)
+    at_tenor = vl.kernels_at(snap.riskfree, params, [inst.tenor for inst in snap.instruments])
     pi, xi, rhat = (np.array([getattr(k, name) for k in at_tenor])
                     for name in ("pi", "xi", "rhat"))
     # model - market for a bond, 100 * (u_mkt - u_model) for a CDS
-    deltas = vl._dp(pi, xi, rhat, 0.0,
-                    *vl._quotes(snap.instruments, snap.riskfree, None, st.fit.grid_step))
+    deltas = vl._dp(pi, xi, rhat, 0.0, *vl._quotes(snap.instruments, snap.riskfree, None))
     rows = []
     for inst, delta in zip(snap.instruments, deltas.tolist()):
-        market = vl.market_price(inst, snap.riskfree, st.fit.grid_step)
+        market = vl.market_price(inst, snap.riskfree)
         rows.append([inst.identifier, _fmt(inst.tenor), _fmt(market),
                      _fmt(market + delta), _fmt(delta)])
     _write(st.out / "value.csv",
@@ -300,12 +307,11 @@ def spread(**kw):
                 quotes = [_fmt(inst.price),
                           _bp(vl.yield_from_price(inst.coupon, inst.tenor, inst.price, m)),
                           _bp(vl.z_spread(inst, snap.riskfree, m))]
-            fitted, k = vl.exact_fit_to_instrument(inst, base, snap.riskfree,
-                                                   grid_step=st.fit.grid_step)
+            fitted, k = vl.exact_fit_to_instrument(inst, base, snap.riskfree)
         except ArithmeticError as exc:
             failures.append(f"{inst.identifier}: {exc}")
         else:
-            sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree, st.fit.grid_step)
+            sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree)
             adjusted = [_bp(sbar), _fmt(fitted.a)]
         rows.append([inst.identifier, _fmt(inst.tenor), *quotes, *adjusted])
     _write(st.out / "spreads.csv",
@@ -353,11 +359,11 @@ def _emit_fit(st: Settings, snap: UniverseSnapshot, result: ft.FitResult) -> Non
     for key, idx in by_curve.items():
         curve = params if key is None else params.params_for_rating(key)
         tenors = [snap.instruments[i].tenor for i in idx]
-        for i, k in zip(idx, vl.kernels_at(snap.riskfree, curve, tenors, st.fit.grid_step)):
+        for i, k in zip(idx, vl.kernels_at(snap.riskfree, curve, tenors)):
             at_tenor[i] = k
     report = []
     for inst, res, k in zip(snap.instruments, result.residuals, at_tenor):
-        sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree, st.fit.grid_step)
+        sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree)
         rating = inst.effective_rating
         report.append([inst.identifier, _fmt(inst.tenor),
                        "" if rating is None else str(rating),
@@ -410,14 +416,12 @@ def analytics_cmd(allow_underdetermined, variant, **kw):
         params = _fit(st, snap, False, allow_underdetermined).params
     rows = []
     held = [inst for inst in snap.instruments if st.horizon < inst.tenor]
-    at_tenor = vl.kernels_at(snap.riskfree, params, [inst.tenor for inst in held],
-                             st.fit.grid_step)
+    at_tenor = vl.kernels_at(snap.riskfree, params, [inst.tenor for inst in held])
     for inst, k in zip(held, at_tenor):
-        sbar, c_prime = vl.par_adjusted_spread(inst, k, snap.riskfree, st.fit.grid_step)
+        sbar, c_prime = vl.par_adjusted_spread(inst, k, snap.riskfree)
         dec = an.decompose_return(c_prime, sbar, inst.tenor, st.horizon,
                                   snap.riskfree, params, inst.recovery, variant=variant,
-                                  convergence_fraction=st.convergence_fraction,
-                                  grid_step=st.fit.grid_step)
+                                  convergence_fraction=st.convergence_fraction)
         # total as the sum of the printed parts, so the row adds up exactly
         parts = [_bp(dec.carry), _bp(dec.rolldown), _bp(dec.rv)]
         total = f"{sum(float(x) for x in parts):.6f}"
@@ -439,8 +443,8 @@ def analytics_cmd(allow_underdetermined, variant, **kw):
 @click.option("--mode", type=click.Choice(["single-name", "rating-grid"]),
               default="single-name")
 @click.option("--tenor-points", default="5,10", help="comma list of tenor points, years")
-@_options("config", "recovery", "compounding", "grid-step", "fix-c", "em-alpha", "seed",
-          "multistart", "out")
+@_options("config", "recovery", "compounding", "fix-c", "em-alpha", "seed", "multistart",
+          "out")
 def history(snapshots, mode, tenor_points, config_path, **kw):
     """Per-date fits over a snapshot series; long-format rows for plotting."""
     grid = mode == "rating-grid"
@@ -510,7 +514,7 @@ def _history_one(st: Settings, d: Path, date: dt.date, grid: bool,
     else:
         curves = [("", result.params, recs[0])]
     for label, params, rec in curves:
-        for t, k in zip(points, vl.kernels_at(snap.riskfree, params, points, st.fit.grid_step)):
+        for t, k in zip(points, vl.kernels_at(snap.riskfree, params, points)):
             rows.append([iso, f"spread_{t:g}y{label}_bp", _bp(vl.par_cds_spread(k, rec))])
     for inst, res in zip(snap.instruments, result.residuals):
         rows.append([iso, f"rv.{inst.identifier}_pts", _fmt(res)])

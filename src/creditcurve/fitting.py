@@ -70,7 +70,6 @@ from .survival import (
     anchor_log_weights,
 )
 from .valuation import (
-    DEFAULT_GRID_STEP,
     BondSpec,
     CdsSpec,
     KernelReadout,
@@ -120,7 +119,6 @@ class FitConfig:
     fix_c: float | None = None
     multistart_count: int = 5             # a cap: starts stop once two stationary ones agree
     seed: int = 0
-    grid_step: float = DEFAULT_GRID_STEP
     em_mode: str = "off"                  # off | fit | fixed
     em_alpha_fixed: float = 0.5
 
@@ -142,8 +140,6 @@ class FitConfig:
             raise ValueError(f"multistart_count must be an integer, got {n!r}")
         if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not (self.grid_step > 0 and math.isfinite(self.grid_step)):
-            raise ValueError(f"grid_step must be finite and > 0, got {self.grid_step!r}")
 
 
 @dataclass(frozen=True)
@@ -171,8 +167,8 @@ def _rho_vec(loss: str):
 
 
 def price_residual(inst: Instrument, params: SurvivalParams, curve: RiskfreeCurve,
-                   recovery: float | None, grid_step: float = DEFAULT_GRID_STEP,
-                   sov_spread: float = 0.0, alpha: float = 0.0) -> float:
+                   recovery: float | None, sov_spread: float = 0.0,
+                   alpha: float = 0.0) -> float:
     """Price deviation in points per 100; positive means the instrument
     appears cheap relative to the candidate curve.  ``recovery=None``
     takes the instrument's own.  The model spread is widened by alpha
@@ -180,8 +176,8 @@ def price_residual(inst: Instrument, params: SurvivalParams, curve: RiskfreeCurv
     instrument's tenor."""
     if not 0.0 <= alpha <= 1.0:
         raise ValueError("alpha must be in [0, 1]")
-    k = kernels(curve, params, inst.tenor, grid_step)
-    quotes = _quotes([inst], curve, recovery, grid_step)
+    k = kernels(curve, params, inst.tenor)
+    quotes = _quotes([inst], curve, recovery)
     return float(_dp(k.pi, k.xi, k.rhat, alpha * sov_spread, *quotes)[0])
 
 
@@ -234,7 +230,7 @@ class _MarketSide:
             self.groups = {None: np.arange(len(self.instruments))}
         self.tenors = np.array([i.tenor for i in self.instruments])
         self.weights = _weights(self.instruments, config.weight_mode)
-        self._quotes = _quotes(self.instruments, curve, recovery, config.grid_step)
+        self._quotes = _quotes(self.instruments, curve, recovery)
         self.em_on = config.em_mode != "off"
         if self.em_on and any(i.sovereign_spread is None for i in self.instruments):
             missing = [i.identifier for i in self.instruments if i.sovereign_spread is None]
@@ -243,7 +239,7 @@ class _MarketSide:
         self.fit_alpha = config.em_mode == "fit"
         self.sov = np.array([i.sovereign_spread or 0.0 for i in self.instruments])
         self._rho = _rho_vec(config.loss)
-        self._readouts = {key: KernelReadout.of(curve, self.tenors[idx], config.grid_step)
+        self._readouts = {key: KernelReadout.of(curve, self.tenors[idx])
                           for key, idx in self.groups.items()}
         # the grouped layout: group after group, each in instrument order,
         # so that every group's rows are one slice

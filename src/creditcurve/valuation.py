@@ -74,7 +74,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID_STEP = 1.0 / 12.0
-# the longest tenor a read-out takes, in years; its grid has about tenor / h nodes
+# the longest tenor a read-out takes, in years: at most 1200 monthly grid nodes
 MAX_TENOR = 100.0
 
 SNAC_COUPONS = (0.01, 0.05)
@@ -568,8 +568,7 @@ def par_adjusted_spread_bond(spec: BondSpec, k: RiskyKernels) -> float:
     return spec.coupon - k.rhat - (spec.price / 100.0 - 1.0) / k.pi
 
 
-def cds_traded_spread_to_upfront(q: CdsSpec, curve: RiskfreeCurve,
-                                 grid_step: float = DEFAULT_GRID_STEP) -> float:
+def cds_traded_spread_to_upfront(q: CdsSpec, curve: RiskfreeCurve) -> float:
     """SNAC conversion: u = (s_traded - coupon) * Pi_tilde.
 
     Pi_tilde is the RPV01 under the flat hazard lambda = s/(1-R_quote)
@@ -582,37 +581,33 @@ def cds_traded_spread_to_upfront(q: CdsSpec, curve: RiskfreeCurve,
     if s < 0:
         raise ValueError("traded spread must be >= 0")
     lam = s / (1.0 - q.quoting_recovery)
-    pi_tilde = kernels(curve, SurvivalParams.flat(lam), q.tenor, grid_step).pi
+    pi_tilde = kernels(curve, SurvivalParams.flat(lam), q.tenor).pi
     return (s - q.coupon) * pi_tilde
 
 
-def cds_upfront(q: CdsSpec, curve: RiskfreeCurve,
-                grid_step: float = DEFAULT_GRID_STEP) -> float:
+def cds_upfront(q: CdsSpec, curve: RiskfreeCurve) -> float:
     """Upfront per unit notional, converting from spread quotes if needed."""
     if q.quote_type == "upfront":
         return q.quote
-    return cds_traded_spread_to_upfront(q, curve, grid_step)
+    return cds_traded_spread_to_upfront(q, curve)
 
 
-def par_adjusted_spread_cds(q: CdsSpec, k: RiskyKernels,
-                            curve: RiskfreeCurve,
-                            grid_step: float = DEFAULT_GRID_STEP) -> float:
+def par_adjusted_spread_cds(q: CdsSpec, k: RiskyKernels, curve: RiskfreeCurve) -> float:
     """sbar = coupon + upfront / Pi, with Pi the model-curve RPV01."""
-    u = cds_upfront(q, curve, grid_step)
+    u = cds_upfront(q, curve)
     return q.coupon + u / k.pi
 
 
-def market_price(inst: BondSpec | CdsSpec, curve: RiskfreeCurve,
-                 grid_step: float = DEFAULT_GRID_STEP) -> float:
+def market_price(inst: BondSpec | CdsSpec, curve: RiskfreeCurve) -> float:
     """Market value per 100 face: a bond's full price, 100 * (1 - upfront)
     for a CDS."""
     if isinstance(inst, BondSpec):
         return inst.price
-    return 100.0 * (1.0 - cds_upfront(inst, curve, grid_step))
+    return 100.0 * (1.0 - cds_upfront(inst, curve))
 
 
-def par_adjusted_spread(inst: BondSpec | CdsSpec, k: RiskyKernels, curve: RiskfreeCurve,
-                        grid_step: float = DEFAULT_GRID_STEP) -> tuple[float, float]:
+def par_adjusted_spread(inst: BondSpec | CdsSpec, k: RiskyKernels,
+                        curve: RiskfreeCurve) -> tuple[float, float]:
     """(sbar, c') of a bond or a CDS at the kernels ``k`` of its tenor.
 
     c' is the funding-adjusted coupon: coupon - rhat for a bond, the
@@ -621,14 +616,14 @@ def par_adjusted_spread(inst: BondSpec | CdsSpec, k: RiskyKernels, curve: Riskfr
     """
     if isinstance(inst, BondSpec):
         return par_adjusted_spread_bond(inst, k), inst.coupon - k.rhat
-    return par_adjusted_spread_cds(inst, k, curve, grid_step), inst.coupon
+    return par_adjusted_spread_cds(inst, k, curve), inst.coupon
 
 
 # -- the price gap -----------------------------------------------------
 
 
 def _quotes(instruments: Sequence[BondSpec | CdsSpec], curve: RiskfreeCurve,
-            recovery: float | None, grid_step: float) -> tuple:
+            recovery: float | None) -> tuple:
     """The price gap's inputs that do not move with the curve, as arrays:
     recoveries (``recovery``, else each instrument's own), coupons, bond
     prices, CDS market upfronts, bond mask."""
@@ -636,7 +631,7 @@ def _quotes(instruments: Sequence[BondSpec | CdsSpec], curve: RiskfreeCurve,
                       for i in instruments]),
             np.array([i.coupon for i in instruments]),
             np.array([i.price if isinstance(i, BondSpec) else 0.0 for i in instruments]),
-            np.array([cds_upfront(i, curve, grid_step) if isinstance(i, CdsSpec) else 0.0
+            np.array([cds_upfront(i, curve) if isinstance(i, CdsSpec) else 0.0
                       for i in instruments]),
             np.array([isinstance(i, BondSpec) for i in instruments]))
 
@@ -670,8 +665,7 @@ def _dp(pi, xi, rhat, s_extra, recs, coupons, prices, upfronts, is_bond) -> np.n
 
 def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
                             curve: RiskfreeCurve,
-                            recovery: float | None = None,
-                            grid_step: float = DEFAULT_GRID_STEP
+                            recovery: float | None = None
                             ) -> tuple[SurvivalParams, RiskyKernels]:
     """Scale (a, b) of ``base`` so the model reprices the instrument at
     ``recovery`` (by default its own); return the fitted parameters with
@@ -682,9 +676,9 @@ def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
     |dP| <= 1e-8 per 100 face.
     """
     # as Python scalars: the same arithmetic, without array overhead in the root solve
-    quotes = [q.item() for q in _quotes([spec], curve, recovery, grid_step)]
+    quotes = [q.item() for q in _quotes([spec], curve, recovery)]
     # the tenor's read-out does not move with the factor
-    readout = KernelReadout.of(curve, [spec.tenor], grid_step)
+    readout = KernelReadout.of(curve, [spec.tenor])
 
     def gap(factor: float) -> float:
         pi, xi, rhat, _ = readout.kernel_grid(base.scaled(factor)).at_many()

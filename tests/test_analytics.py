@@ -115,15 +115,18 @@ def test_total_return_small_horizon_rate():
     eps = 0.01
     s_hat_slope = (par_cds_spread(kg.at(5.0), 0.4)
                    - par_cds_spread(kg.at(5.0 - eps), 0.4)) / eps
-    dec = decompose_return(0.05, sbar, 5.0, dt, CURVE, params, 0.4, grid_step=dt)
+    # decompose_return's total is this formula (test_decompositions_sum_to_total_both_variants)
+    k_m = kg.at(5.0 - dt)
+    total = total_return(0.05, sbar, par_cds_spread(k_m, 0.4), k_T.pi, k_m.pi, dt)
     limit = 0.05 + (sbar - 0.05) * k_T.bq_T + s_hat_slope * k_T.pi
-    assert dec.total / dt == pytest.approx(limit, abs=5e-4)
+    assert total / dt == pytest.approx(limit, abs=5e-4)
     # flat model curve: the rolldown rate vanishes and the plain limit holds
     flat = SurvivalParams.flat(0.03)
     kgf = KernelGrid(CURVE, flat, 5.0, grid_step=dt)
     sbar_f = par_cds_spread(kgf.at(5.0), 0.4)
-    dec_f = decompose_return(0.05, sbar_f, 5.0, dt, CURVE, flat, 0.4, grid_step=dt)
-    assert dec_f.total / dt == pytest.approx(
+    k_fm = kgf.at(5.0 - dt)
+    total_f = total_return(0.05, sbar_f, par_cds_spread(k_fm, 0.4), kgf.at(5.0).pi, k_fm.pi, dt)
+    assert total_f / dt == pytest.approx(
         0.05 + (sbar_f - 0.05) * kgf.at(5.0).bq_T, abs=5e-4)
 
 

@@ -384,10 +384,13 @@ def test_verbs_reject_invalid_settings(tmp_path, runner, colom_dir, bad):
     ("", ["--compounding", "-1"], "--compounding"),
     ("", ["--recovery", "fixed:1.5"], "--recovery"),
     # values that FitConfig rejects, named with their source as well
-    ("grid_step = 0", [], "grid_step"), ("em_alpha = fixed:2", [], "em_alpha"),
+    ("em_alpha = fixed:2", [], "em_alpha"),
     ("weight_mode = foo", [], "weight_mode"), ("", ["--multistart", "0"], "--multistart"),
+    # keys that no setting reads: a misspelt one, and the quadrature step,
+    # which is the kernels' own (1e-9 would ask for a 200 GiB grid)
+    ("fixc = 0.1", [], "fixc"), ("grid_step = 1e-9", [], "grid_step"),
 ], ids=["seed", "multistart", "compounding", "as-of", "recovery-text", "compounding-flag",
-        "recovery-range", "grid-step", "em-alpha", "weight-mode", "multistart-flag"])
+        "recovery-range", "em-alpha", "weight-mode", "multistart-flag", "fixc", "grid-step"])
 def test_bad_setting_is_named_with_its_source(tmp_path, runner, config, flags, name):
     riskfree, bonds = write_universe(tmp_path)
     cfg = tmp_path / "run.cfg"
@@ -401,6 +404,26 @@ def test_bad_setting_is_named_with_its_source(tmp_path, runner, config, flags, n
     assert f"error: {where} must be " in result.output, result.output
     assert "bonds.csv" not in result.output and "riskfree.csv" not in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("verb", ["value", "fit", "history"])
+@pytest.mark.parametrize("unusable", ["file", "under-file"])
+def test_unusable_out_is_an_input_error(tmp_path, runner, verb, unusable):
+    riskfree, bonds = write_universe(tmp_path)
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    out = blocker if unusable == "file" else blocker / "sub"
+    if verb == "history":
+        args = ["--snapshots", str(make_history_dir(tmp_path, (0.01,))), "--multistart", "1"]
+    else:
+        args = ["--riskfree", str(riskfree), "--bonds", str(bonds)]
+        args += ["--a=0.01", "--b=0.05", "--c=0.1"] if verb == "value" else ["--multistart", "1"]
+    result = runner.invoke(main, [verb, *args, "--recovery", "fixed:0.4", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: cannot write {out}" in result.output, result.output
+    assert "Traceback" not in result.output
+    assert blocker.read_text() == "not a directory\n"
 
 
 def test_history_skips_date_with_mixed_recoveries(tmp_path, runner):
@@ -696,8 +719,8 @@ def flag_inputs(tmp_path_factory):
 
 
 # flags that take a number, by verb; value needs its whole curve
-NUMERIC_FLAGS = [("value", "--a"), ("value", "--b"), ("value", "--c"), ("value", "--grid-step"),
-                 ("fit", "--fix-c"), ("fit-grid", "--grid-step"), ("analytics", "--horizon"),
+NUMERIC_FLAGS = [("value", "--a"), ("value", "--b"), ("value", "--c"),
+                 ("fit", "--fix-c"), ("fit-grid", "--fix-c"), ("analytics", "--horizon"),
                  ("analytics", "--convergence-fraction"), ("history", "--tenor-points"),
                  ("history", "--fix-c")]
 

@@ -23,7 +23,14 @@ from creditcurve.fitting import (
 )
 from creditcurve.survival import C_BOUNDS, RatingGrid, RecoverySchedule, SurvivalParams
 from creditcurve.universe import load_universe
-from creditcurve.valuation import BondSpec, CdsSpec, _dp, bond_model_price, kernels
+from creditcurve.valuation import (
+    DEFAULT_GRID_STEP,
+    BondSpec,
+    CdsSpec,
+    _dp,
+    bond_model_price,
+    kernels,
+)
 from kernel_reference import parent_dp, parent_jet_kernels
 
 CURVE = cc.RiskfreeCurve.flat(0.02)
@@ -481,9 +488,8 @@ def test_fitconfig_validation():
     with pytest.raises(ValueError):
         FitConfig(em_mode="maybe")
     for x in (math.nan, math.inf, -math.inf):
-        for name in ("fix_c", "grid_step"):
-            with pytest.raises(ValueError, match=f"{name} must be finite"):
-                FitConfig(**{name: x})
+        with pytest.raises(ValueError, match="fix_c must be finite"):
+            FitConfig(fix_c=x)
         with pytest.raises(ValueError, match="multistart_count must be finite and >= 1"):
             FitConfig(multistart_count=x)
     for x in (2.5, 3.0):
@@ -950,12 +956,12 @@ def test_grouped_price_gap_is_bit_identical_to_the_parent_formulation():
     by_group = {r: GRID_TRUE.params_for_rating(r).scaled(1.3) for r in side.groups}
     dp, jac = side.residuals({r: (p, np.eye(4)) for r, p in by_group.items()}, 0.4)
 
-    quotes = ft._quotes(instruments, CURVE, None, config.grid_step)
+    quotes = ft._quotes(instruments, CURVE, None)
     sov = np.array([i.sovereign_spread for i in instruments])
     expected, expected_jac = np.empty(len(instruments)), np.empty((len(instruments), 4))
     for r, idx in side.groups.items():
         pi, xi, rhat = parent_jet_kernels(CURVE, by_group[r], 30.0, side.tenors[idx],
-                                          config.grid_step)
+                                          DEFAULT_GRID_STEP)
         rows = _dp(pi, xi, rhat, 0.4 * sov[idx], *(q[idx] for q in quotes))
         expected[idx] = rows[0]
         expected_jac[idx, :3] = rows[1:].T
@@ -977,14 +983,14 @@ def test_price_gap_of_interleaved_ratings_is_the_per_group_parent_formulation(or
     by_group = {r: GRID_TRUE.params_for_rating(r).scaled(0.7 + 0.05 * r) for r in side.groups}
     dp, jac = side.residuals({r: (p, np.eye(4)) for r, p in by_group.items()}, alpha)
 
-    quotes = ft._quotes(instruments, CURVE, None, config.grid_step)
+    quotes = ft._quotes(instruments, CURVE, None)
     sov = np.array([i.sovereign_spread for i in instruments])
     expected, expected_jac = np.empty(len(instruments)), np.empty((len(instruments), 4))
     groups = {r: np.array([j for j, inst in enumerate(instruments) if inst.rating == r])
               for r in sorted({inst.rating for inst in instruments})}
     for r, idx in groups.items():
         pi, xi, rhat = parent_jet_kernels(CURVE, by_group[r], 30.0, side.tenors[idx],
-                                          config.grid_step)
+                                          DEFAULT_GRID_STEP)
         rows = parent_dp(pi, xi, rhat, alpha * sov[idx], *(q[idx] for q in quotes))
         expected[idx] = rows[0]
         expected_jac[idx, :3] = rows[1:].T
@@ -1004,7 +1010,7 @@ def test_price_gap_of_interleaved_ratings_is_the_per_group_parent_formulation(or
 def test_each_group_grid_ends_at_its_longest_tenor():
     side = ft._MarketSide(staggered_grid_universe(), CURVE, None, FitConfig(),
                           group_by_rating=True)
-    h = side.config.grid_step
+    h = DEFAULT_GRID_STEP
     lengths = []
     for r, idx in side.groups.items():
         ro = side._readouts[r]

@@ -646,7 +646,7 @@ def parent_z_spread(spec, curve, m=2):
 
 
 def parent_exact_fit(spec, base, curve):
-    quotes = [q.item() for q in _quotes([spec], curve, None, DEFAULT_GRID_STEP)]
+    quotes = [q.item() for q in _quotes([spec], curve, None)]
 
     def gap(factor):
         k = kernels(curve, base.scaled(factor), spec.tenor)
