@@ -60,9 +60,10 @@ class Settings:
     Grid fits default to the rating recovery schedule, every other verb
     to a fixed 0.4.  The fit settings make up one :class:`FitConfig`,
     ``fit``, and those not set keep its defaults.  Every value is
-    converted and the fit and analytics options are validated here, so a
-    bad value, or a config key that no setting reads, is an input error
-    before any work starts; it names the flag, or the config file and
+    converted, the fit and analytics options are validated and ``out`` is
+    checked here, so a bad value, an ``out`` that is a file or lies under
+    one, or a config key that no setting reads, is an input error before
+    any work starts; a bad value names the flag, or the config file and
     key, that gave it.
     """
 
@@ -116,6 +117,10 @@ class Settings:
         fit_setting("loss", "robust or squared", lambda x: {"loss": str(x)})
         fit_setting("fix_c", "finite and > 0", lambda x: {"fix_c": float(x)})
         self.out = get("out", Path("out"), Path, "a directory")
+        # the nearest path of out or its parents that exists must be a directory
+        blocker = next((p for p in (self.out, *self.out.parents) if p.exists()), None)
+        if blocker is not None and not blocker.is_dir():
+            raise UniverseError(f"cannot write {self.out}: {blocker} is not a directory")
         self.compounding_m = get("yield_compounding", 2, int, ">= 1", lambda m: m >= 1)
         self.recovery_mode, self.recovery_fixed = get(
             "recovery", ("schedule" if grid else "fixed", 0.4),
@@ -364,11 +369,14 @@ def _emit_fit(st: Settings, snap: UniverseSnapshot, result: ft.FitResult) -> Non
     report = []
     for inst, res, k in zip(snap.instruments, result.residuals, at_tenor):
         sbar, _ = vl.par_adjusted_spread(inst, k, snap.riskfree)
+        # the model spread of the residual: in EM mode widened by alpha * sov
+        model = vl.par_cds_spread(k, inst.recovery)
+        if result.alpha is not None:
+            model += result.alpha * inst.sovereign_spread
         rating = inst.effective_rating
         report.append([inst.identifier, _fmt(inst.tenor),
                        "" if rating is None else str(rating),
-                       _bp(sbar), _bp(vl.par_cds_spread(k, inst.recovery)), _fmt(res),
-                       "cheap" if res > 0 else "rich"])
+                       _bp(sbar), _bp(model), _fmt(res), "cheap" if res > 0 else "rich"])
     _write(st.out / "fit_report.csv",
            ["id", "tenor_years", "rating", "par_adjusted_spread_bp",
             "model_spread_bp", "residual_pts", "flag"], report)

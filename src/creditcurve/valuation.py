@@ -29,9 +29,11 @@ one pass, from step end points and B-only factors that the read-out
 fixes once.  The running sums cover the grid steps; a tenor's kernels
 are the sum at its node plus its last step.
 
-The root solves (yield, Z-spread, exact fit) use :func:`_brentq`, a port
-of scipy's ``brentq`` that finds the same roots bit for bit, so this
-module does not import scipy.
+The root solves (yield, Z-spread, exact fit) share :func:`_falling_root`,
+which widens a bracket until the value changes sign, evaluating each end
+once, and hands both end values to :func:`_brentq`, a port of scipy's
+``brentq`` that finds the same roots bit for bit, so this module does not
+import scipy.
 """
 
 from __future__ import annotations
@@ -361,14 +363,15 @@ _BRENT_RTOL = 4.0 * 2.0 ** -52
 
 
 def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = _BRENT_RTOL,
-            maxiter: int = 100) -> float:
+            maxiter: int = 100, ends: tuple[float, float] | None = None) -> float:
     """Root of ``f`` in [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
     A line-by-line port of ``scipy.optimize.brentq`` (its
     ``Zeros/brentq.c``), so the same steps, tolerances and sign tests
-    give the same root bit for bit.  ValueError on a NaN value or a
-    bracket without a sign change, RuntimeError after ``maxiter``
-    iterations.
+    give the same root bit for bit.  ``ends`` are f(xa) and f(xb) when
+    the caller has them already; otherwise they are evaluated here.
+    ValueError on a NaN value or a bracket without a sign change,
+    RuntimeError after ``maxiter`` iterations.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
@@ -383,7 +386,7 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = _BRENT_RTOL,
 
     xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = (value(xpre), value(xcur)) if ends is None else map(float, ends)
     if fpre == 0:
         return xpre
     if fcur == 0:
@@ -425,6 +428,31 @@ def _brentq(f, xa: float, xb: float, xtol: float, rtol: float = _BRENT_RTOL,
             xcur += delta if sbis > 0 else -delta
         fcur = value(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def _falling_root(f, lo: float, hi: float, lower, upper, tries: int, fail: str,
+                  xtol: float, rtol: float = _BRENT_RTOL) -> float:
+    """Root of an ``f`` that falls through 0, by :func:`_brentq` once
+    f(lo) > 0 > f(hi).
+
+    Until then, each round moves lo to ``lower(lo)`` if f(lo) <= 0 and hi
+    to ``upper(hi)`` if f(hi) >= 0, and evaluates only an end that moved.
+    A move that returns None leaves its range, and no bracket after
+    ``tries`` rounds is a failure: both raise ArithmeticError(``fail``).
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    for _ in range(tries):
+        if f_lo > 0 > f_hi:
+            return _brentq(f, lo, hi, xtol, rtol, ends=(f_lo, f_hi))
+        new_lo = lower(lo) if f_lo <= 0 else lo
+        new_hi = upper(hi) if f_hi >= 0 else hi
+        if new_lo is None or new_hi is None:
+            break
+        if new_lo != lo:
+            lo, f_lo = new_lo, f(new_lo)
+        if new_hi != hi:
+            hi, f_hi = new_hi, f(new_hi)
+    raise ArithmeticError(fail)
 
 
 # -- pricing and spread transforms ------------------------------------
@@ -472,18 +500,8 @@ def yield_from_price(coupon: float, tenor: float, price: float, m: int = 2) -> f
     def f(y: float) -> float:
         return price_from_yield(coupon, tenor, y, m) - price
 
-    lo, hi = -0.5, 1.0
-    for _ in range(60):
-        f_lo, f_hi = f(lo), f(hi)
-        if f_lo > 0 > f_hi:
-            break
-        if f_hi >= 0:
-            hi *= 2.0
-        if f_lo <= 0:
-            lo = (lo - m) / 2.0 if lo > -m * 0.999 else lo
-    else:
-        raise ArithmeticError("could not bracket the yield")
-    return _brentq(f, lo, hi, xtol=1e-14)
+    return _falling_root(f, -0.5, 1.0, lambda lo: (lo - m) / 2.0 if lo > -m * 0.999 else lo,
+                         lambda hi: hi * 2.0, 60, "could not bracket the yield", xtol=1e-14)
 
 
 def _schedule(coupon: float, tenor: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -532,20 +550,9 @@ def z_spread(spec: BondSpec, curve: RiskfreeCurve, m: int = 2) -> float:
     def f(s: float) -> float:
         return _schedule_pv(*schedule, m, s) - spec.price
 
-    lo, hi = -0.25, 0.5
-    for _ in range(60):
-        f_lo, f_hi = f(lo), f(hi)
-        if f_lo > 0 > f_hi:
-            break
-        if f_hi >= 0:
-            hi *= 2.0
-        if f_lo <= 0:
-            lo -= 0.25
-            if lo < -m * 0.5:
-                raise ArithmeticError("z-spread root-finding failed to bracket")
-    else:
-        raise ArithmeticError("z-spread root-finding failed to bracket")
-    return _brentq(f, lo, hi, xtol=1e-14)
+    return _falling_root(f, -0.25, 0.5, lambda lo: None if lo - 0.25 < -m * 0.5 else lo - 0.25,
+                         lambda hi: hi * 2.0, 60, "z-spread root-finding failed to bracket",
+                         xtol=1e-14)
 
 
 def asset_swap_spread(spec: BondSpec, inputs: AssetSwapInputs) -> float:
@@ -685,22 +692,10 @@ def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
         return float(_dp(float(pi[0]), float(xi[0]), float(rhat[0]), 0.0, *quotes))
 
     # dP falls for both kinds as hazards scale up
-    lo, hi = 0.5, 2.0
-    for _ in range(80):
-        g_lo, g_hi = gap(lo), gap(hi)
-        if g_lo > 0 > g_hi:
-            break
-        if g_lo <= 0:
-            lo /= 4.0
-        if g_hi >= 0:
-            hi *= 4.0
-        if lo < 1e-14 or hi > 1e14:
-            raise ArithmeticError(
-                "no positive-hazard curve reprices the instrument "
-                "(price outside the attainable range)")
-    else:
-        raise ArithmeticError("exact-fit bracketing failed")
-    factor = _brentq(gap, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    factor = _falling_root(gap, 0.5, 2.0, lambda lo: None if lo / 4.0 < 1e-14 else lo / 4.0,
+                           lambda hi: None if hi * 4.0 > 1e14 else hi * 4.0, 80,
+                           "no positive-hazard curve reprices the instrument "
+                           "(price outside the attainable range)", xtol=1e-13, rtol=8.9e-16)
     fitted = base.scaled(factor)
     k = readout.kernel_grid(fitted).kernels()[0]
     if abs(float(_dp(k.pi, k.xi, k.rhat, 0.0, *quotes))) > 1e-8:

@@ -406,24 +406,63 @@ def test_bad_setting_is_named_with_its_source(tmp_path, runner, config, flags, n
     assert "Traceback" not in result.output
 
 
-@pytest.mark.parametrize("verb", ["value", "fit", "history"])
+@pytest.mark.parametrize("verb", ["value", "fit", "analytics", "history"])
 @pytest.mark.parametrize("unusable", ["file", "under-file"])
-def test_unusable_out_is_an_input_error(tmp_path, runner, verb, unusable):
+def test_unusable_out_is_an_input_error(tmp_path, runner, monkeypatch, verb, unusable):
+    # --out is checked with the other settings, so no fit runs first
+    fits = []
+    for name in ("fit_single_name", "fit_rating_grid"):
+        fit_fn = getattr(cc.fitting, name)
+        monkeypatch.setattr(cc.fitting, name,
+                            lambda *args, fit_fn=fit_fn: fits.append(1) or fit_fn(*args))
     riskfree, bonds = write_universe(tmp_path)
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n")
     out = blocker if unusable == "file" else blocker / "sub"
     if verb == "history":
-        args = ["--snapshots", str(make_history_dir(tmp_path, (0.01,))), "--multistart", "1"]
+        args = ["--snapshots", str(make_history_dir(tmp_path, (0.01, 0.02))), "--multistart", "1"]
     else:
         args = ["--riskfree", str(riskfree), "--bonds", str(bonds)]
         args += ["--a=0.01", "--b=0.05", "--c=0.1"] if verb == "value" else ["--multistart", "1"]
     result = runner.invoke(main, [verb, *args, "--recovery", "fixed:0.4", "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert isinstance(result.exception, SystemExit)
-    assert f"error: cannot write {out}" in result.output, result.output
+    assert f"error: cannot write {out}: {blocker} is not a directory" in result.output
     assert "Traceback" not in result.output
     assert blocker.read_text() == "not a directory\n"
+    assert fits == []
+
+
+SOVEREIGN = "country,tenor_years,par_spread\nCO,1,0.01\nCO,10,0.02\nCO,30,0.025\n"
+
+
+@pytest.mark.parametrize("em_alpha", ["fixed:0.5", "fit", "off"])
+def test_fit_report_model_spread_is_the_residuals(tmp_path, runner, colom_dir, em_alpha):
+    # residual = 100 * Pi * (sbar - model spread), the model spread widened by
+    # alpha * sov in EM mode, so each flag follows the sign of sbar - model
+    lines = (colom_dir / "bonds.csv").read_text().splitlines()
+    bonds = tmp_path / "bonds.csv"
+    bonds.write_text("\n".join([lines[0] + ",country"] + [f"{line},CO" for line in lines[1:]])
+                     + "\n")
+    sovereign = tmp_path / "sovereign.csv"
+    sovereign.write_text(SOVEREIGN)
+    files = [str(colom_dir / "riskfree.csv"), str(bonds), None, str(sovereign)]
+    config = str(colom_dir / "config.txt")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["fit", "--riskfree", files[0], "--bonds", files[1],
+                                  "--sovereign", files[3], "--config", config,
+                                  "--em-alpha", em_alpha, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    fitted = dict(line.split(",") for line in (out / "fit_params.csv").read_text().splitlines())
+    assert ("alpha" in fitted) == (em_alpha != "off")
+    params = SurvivalParams(*(float(fitted[name]) for name in "abc"))
+    curve = Settings(config, {}).load(*files).riskfree
+    lines = (out / "fit_report.csv").read_text().splitlines()
+    for row in (dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]):
+        gap_bp = float(row["par_adjusted_spread_bp"]) - float(row["model_spread_bp"])
+        pi = kernels(curve, params, float(row["tenor_years"])).pi
+        assert abs(float(row["residual_pts"]) - 100.0 * pi * gap_bp / 1e4) <= 1e-6, row
+        assert row["flag"] == ("cheap" if gap_bp > 0 else "rich"), row
 
 
 def test_history_skips_date_with_mixed_recoveries(tmp_path, runner):

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import creditcurve as cc
+from creditcurve import valuation
+from creditcurve.cli import Settings
 from creditcurve.ratecurve import RiskfreeCurve
 from creditcurve.survival import SurvivalParams
 from creditcurve.valuation import (
@@ -693,3 +695,49 @@ def test_exact_fit_equals_parent_formulation():
     for spec in specs:
         fitted, _ = exact_fit_to_instrument(spec, base, GOLDEN_CURVE)
         assert fitted == parent_exact_fit(spec, base, GOLDEN_CURVE)
+
+
+def test_root_solves_evaluate_no_point_twice(tmp_path, gen, monkeypatch):
+    # the bracket evaluates only an end that moved, and Brent starts from the
+    # end values the bracket has: no trial point is priced twice
+    points = []
+    scaled, price, pv = SurvivalParams.scaled, valuation.price_from_yield, valuation._schedule_pv
+    monkeypatch.setattr(SurvivalParams, "scaled",
+                        lambda self, factor: points.append(factor) or scaled(self, factor))
+    monkeypatch.setattr(valuation, "price_from_yield",
+                        lambda coupon, tenor, y, m: points.append(y) or price(coupon, tenor, y, m))
+    monkeypatch.setattr(valuation, "_schedule_pv",
+                        lambda *args: points.append(args[-1]) or pv(*args))
+
+    def distinct(solve, final_read=False):
+        points.clear()
+        solve()
+        # the exact fit reads its kernels once more at the root it returns
+        seen = points[:-1] if final_read else points
+        assert len(seen) == len(set(seen)), sorted(seen)
+
+    instruments = [(BondSpec(coupon=c, tenor=t, price=p), FLAT2)
+                   for c, t, p in ((0.05, 5.0, 99.0), (0.0, 30.0, 20.0), (0.12, 1.0, 130.0),
+                                   (0.03, 0.4, 90.0), (0.08, 40.0, 150.0))]
+    for meta in gen.generate("desk_cold", 1, tmp_path)["snapshots"]:
+        d = tmp_path / meta["name"]
+        snap = Settings(None, {"as_of": meta["as_of"], "recovery": meta["recovery"]}).load(
+            d / "riskfree.csv", d / "bonds.csv", d / "cds.csv")
+        instruments += [(inst, snap.riskfree) for inst in snap.instruments]
+    for inst, curve in instruments:
+        if isinstance(inst, BondSpec):
+            for m in (1, 2):
+                distinct(lambda: yield_from_price(inst.coupon, inst.tenor, inst.price, m))
+                distinct(lambda: z_spread(inst, curve, m))
+        try:
+            distinct(lambda: exact_fit_to_instrument(inst, SurvivalParams.flat(0.02), curve),
+                     final_read=True)
+        except ArithmeticError:
+            pass
+
+
+def test_bracket_failures_name_the_root():
+    with pytest.raises(ArithmeticError, match="^could not bracket the yield$"):
+        yield_from_price(0.05, 1.0, 1e12)
+    with pytest.raises(ArithmeticError, match="^z-spread root-finding failed to bracket$"):
+        z_spread(BondSpec(coupon=0.05, tenor=5.0, price=1e6), FLAT2)
