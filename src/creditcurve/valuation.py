@@ -17,17 +17,17 @@ which treats the coupon stream as continuously paid.  Bond prices fed
 into this module are therefore full invoice values per 100 face; there
 is no separate accrued-interest concept.
 
-A :class:`KernelReadout` fixes what a tenor set needs from the
-riskfree curve (one per rating group in a fit): the grid up to the last
-node at or before its longest tenor, and B at the grid and the tenors
-from one curve call.  A cumsum prefix does not depend on where the sum
-stops, so every tenor gets the same bits as from a one-shot grid of its
-own.  A :class:`KernelGrid` is built for one read-out: it evaluates Q at
-the grid and the read-out tenors in one call, and computes the
-increments of every grid step and of each tenor's short last step in
-one pass, from step end points and B-only factors that the read-out
-fixes once.  The running sums cover the grid steps; a tenor's kernels
-are the sum at its node plus its last step.
+Each tenor's Pi, Xi and rhat*Pi are sums, over the grid steps up to
+its last node and one short last step, of B-only weights times Q at the
+step ends: linear in Q at the grid and the tenors.  A
+:class:`KernelReadout` fixes what a tenor set needs from the riskfree
+curve (one per rating group in a fit): the grid up to the last node at
+or before its longest tenor, B there and at the tenors from one curve
+call, and those weights as one matrix W.  A :class:`KernelGrid` is
+built for one read-out: it evaluates Q at the grid and the tenors in
+one call and takes one product with W.  A product's sum order follows
+the row length, so a tenor read off a shared read-out can differ from
+its one-shot kernels at rounding level.
 
 The root solves (yield, Z-spread, exact fit) share :func:`_falling_root`,
 which widens a bracket until the value changes sign, evaluating each end
@@ -102,14 +102,16 @@ class RiskyKernels:
 class KernelReadout:
     """A tenor set on the grid {0, h, 2h, ...}: the grid up to the last
     node at or before its longest tenor, where each tenor sits on it, and
-    the trapezium steps with their B-only factors.
+    the one linear map W from Q at the read-out's points (the grid, then
+    the tenors) to Pi, Xi and rhat * Pi at every tenor.
 
-    The steps are the n - 1 grid steps followed by one short last step
-    per tenor, from its last grid node to the tenor.  B does not move
-    with the survival curve, so a fit builds one read-out per rating
-    group (:meth:`of`) and then one :class:`KernelGrid` on it per
-    candidate curve, which evaluates Q at the grid and the tenors
-    (``points``) in one call.
+    Row j of a kernel's block of W sums, per point, the step-end weights
+    of tenor j's steps: both ends' weights on each node before its last,
+    the grid step's end and the short step's start on its last node, and
+    the short step's end on the tenor's own point.  B does not move with
+    the survival curve, so a fit builds one read-out per rating group
+    (:meth:`of`) and then one :class:`KernelGrid` on it per candidate
+    curve.
     """
 
     curve: RiskfreeCurve
@@ -118,9 +120,8 @@ class KernelReadout:
     points: np.ndarray     # t followed by the tenors
     tenors: np.ndarray
     k: np.ndarray          # each tenor's last grid node
-    ends: np.ndarray       # (2, steps): where each step starts and ends, as indices into points
-    B_ends: np.ndarray     # (2, steps): B there
-    factors: np.ndarray    # (3, steps): the step length, (B_start + B_end) / 2, B_start - B_end
+    W: np.ndarray          # (3 * tenors, points): the tenors' Pi rows, then Xi's, then rhat * Pi's
+    B_T: np.ndarray        # B at the tenors
 
     @classmethod
     def of(cls, curve: RiskfreeCurve, tenors,
@@ -140,47 +141,48 @@ class KernelReadout:
                              f"got {too_long.tolist()}")
         # truncation is the floor here, as every tenor is positive
         k = (tenors / h + 1e-9).astype(int)
-        n = int(k.max()) + 1
+        n, m = int(k.max()) + 1, len(tenors)
         t = np.arange(n) * h
         points = np.concatenate([t, tenors])
-        # step j runs from points[ends[0, j]] to points[ends[1, j]]
-        grid_steps = np.arange(n - 1)
-        ends = np.array([np.concatenate([grid_steps, k]),
-                         np.concatenate([grid_steps + 1, n + np.arange(len(tenors))])])
-        B_ends = np.asarray(curve.discount_factor(points))[ends]
-        factors = np.array([np.concatenate([np.full(n - 1, h), tenors - t[k]]),
-                            (B_ends[0] + B_ends[1]) / 2.0,
-                            B_ends[0] - B_ends[1]])
-        return cls(curve=curve, h=h, t=t, points=points, tenors=tenors, k=k, ends=ends,
-                   B_ends=B_ends, factors=factors)
+        B = np.asarray(curve.discount_factor(points))
+        B_k, B_T = B[k], B[n:]
+        # each step's weights on Q at its start and its end, per kernel:
+        # Pi (len/2) * B, Xi +-(B_start + B_end)/2, rhat * Pi (B_start - B_end)/2
+        mean, drop = (B[:n - 1] + B[1:n]) / 2.0, (B[:n - 1] - B[1:n]) / 2.0
+        half_dt, last_mean, last_drop = (tenors - t[k]) / 2.0, (B_k + B_T) / 2.0, (B_k - B_T) / 2.0
+        # on each node, the end weight of the grid step into it (none into node 0) ...
+        into = np.zeros((3, n))
+        into[:, 1:] = [h / 2.0 * B[1:n], -mean, drop]
+        # ... plus the start weight of the step out of it, the grid step or the short one
+        full = into.copy()
+        full[:, :-1] += [h / 2.0 * B[:n - 1], mean, drop]
+        W = np.zeros((3, m, n + m))
+        np.copyto(W[:, :, :n], full[:, np.newaxis], where=np.arange(n) < k[:, np.newaxis])
+        rows = np.arange(m)
+        W[:, rows, k] = into[:, k] + [half_dt * B_k, last_mean, last_drop]
+        W[:, rows, n + rows] = [half_dt * B_T, -last_mean, last_drop]
+        return cls(curve=curve, h=h, t=t, points=points, tenors=tenors, k=k,
+                   W=W.reshape(3 * m, n + m), B_T=B_T)
 
     def kernel_grid(self, params: SurvivalParams, jet: bool = False) -> "KernelGrid":
         return KernelGrid(self.curve, params, float(self.tenors.max()), self.h,
                           _cache=self, jet=jet)
 
 
-def _running_sum(x: np.ndarray) -> np.ndarray:
-    # cumulative sum along the grid (last) axis, starting from 0
-    out = np.zeros(x.shape[:-1] + (x.shape[-1] + 1,))
-    np.cumsum(x, axis=-1, out=out[..., 1:])
-    return out
-
-
 class KernelGrid:
-    """Cumulative kernels on a read-out's grid, read out at its tenors.
+    """The kernels of one survival curve at a read-out's tenors.
 
     Built for one :class:`KernelReadout` (``_cache``; by default the
     read-out of ``t_max`` alone, :meth:`KernelReadout.of`).  Q is
-    evaluated once, at the grid and the read-out tenors together,
-    and the trapezium increments of every grid step and every tenor's
-    short last step are computed in one pass; the running sums cover the
-    grid steps, and :meth:`at_many` adds each tenor's last step to the
-    sum at its node, exactly as in the one-shot definition.
+    evaluated once, at the read-out's points, and Pi, Xi and rhat * Pi
+    at every tenor are one product with the read-out's W.  The product
+    is an ``einsum``, which makes no BLAS call and sums each row in the
+    same order for a plain and a jet grid.
 
     With ``jet=True`` Q is the survival jet [Q, dQ/da, dQ/db, dQ/dc]
-    (:meth:`SurvivalParams.jet`).  The grid is the last axis of every
-    array, and the kernels are linear in Q, so the same sums give each
-    kernel's derivatives as rows 1-3 below its value.
+    (:meth:`SurvivalParams.jet`).  The kernels are linear in Q, so the
+    same product gives each kernel's derivatives as rows 1-3 below its
+    value.
     """
 
     def __init__(self, curve: RiskfreeCurve, params: SurvivalParams,
@@ -190,21 +192,15 @@ class KernelGrid:
             _cache = KernelReadout.of(curve, [t_max], grid_step)
         self.params = params
         self._ro = ro = _cache
-        n = len(ro.t)
-        Q_all = np.asarray((params.jet if jet else params.survival_probability)(ro.points))
-        # Q and B * Q at both ends of every step, as (..., 2, steps)
-        Q_ends = Q_all.take(ro.ends, axis=-1)
-        BQ_ends = ro.B_ends * Q_ends
-        # the trapezium increments of Pi, Xi and rhat * Pi, all steps in one pass
-        inc = np.empty((3,) + Q_all.shape[:-1] + ro.ends.shape[1:])
-        np.add(BQ_ends[..., 0, :], BQ_ends[..., 1, :], out=inc[0])
-        np.subtract(Q_ends[..., 0, :], Q_ends[..., 1, :], out=inc[1])
-        np.add(Q_ends[..., 0, :], Q_ends[..., 1, :], out=inc[2])
-        inc *= ro.factors if Q_all.ndim == 1 else ro.factors[:, np.newaxis]
-        inc[::2] /= 2.0
-        self._cum = _running_sum(inc[..., :n - 1])
-        self._last = inc[..., n - 1:]
-        self._bq_T = BQ_ends[..., 1, n - 1:]
+        m = len(ro.tenors)
+        if jet:
+            Q = params.jet(ro.points)
+            # (4, 3 * tenors) -> (3, 4, tenors): each kernel's value row over its derivative rows
+            self._kernels = np.einsum("kp,jp->jk", ro.W, Q).reshape(4, 3, m).transpose(1, 0, 2)
+        else:
+            Q = np.asarray(params.survival_probability(ro.points))
+            self._kernels = np.einsum("kp,p->k", ro.W, Q).reshape(3, m)
+        self._bq_T = ro.B_T * Q[..., -m:]
 
     def at(self, tenor: float) -> RiskyKernels:
         """Kernels at one tenor in (0, longest read-out tenor], as
@@ -215,13 +211,12 @@ class KernelGrid:
         return kernels_at(self._ro.curve, self.params, [tenor], self._ro.h)[0]
 
     def at_many(self) -> tuple[np.ndarray, ...]:
-        """Vectorised kernels (pi, xi, rhat, bq_T) at the read-out tenors:
-        the running sum at each tenor's node plus its short last step,
-        which vanishes when the tenor sits on the grid.  On a jet grid
-        each kernel comes with its derivative rows; rhat's follow the
-        quotient rule from those of rhat * pi.
+        """Vectorised kernels (pi, xi, rhat, bq_T) at the read-out tenors,
+        rhat as rhat * pi over pi.  On a jet grid each kernel comes with
+        its derivative rows; rhat's follow the quotient rule from those
+        of rhat * pi.
         """
-        pi, xi, rp = self._cum.take(self._ro.k, axis=-1) + self._last
+        pi, xi, rp = self._kernels
         if rp.ndim == 1:
             return pi, xi, rp / pi, self._bq_T
         rhat = np.empty_like(rp)
@@ -245,8 +240,8 @@ def kernels(curve: RiskfreeCurve, params: SurvivalParams, tenor: float,
 
 def kernels_at(curve: RiskfreeCurve, params: SurvivalParams, tenors: Sequence[float],
                grid_step: float = DEFAULT_GRID_STEP) -> list[RiskyKernels]:
-    """:func:`kernels` at each of several tenors of one curve, bit for bit,
-    read off one grid to the longest of them."""
+    """:func:`kernels` at each of several tenors of one curve, read off
+    one grid to the longest of them: the same up to rounding."""
     if len(tenors) == 0:
         return []
     return KernelReadout.of(curve, tenors, grid_step).kernel_grid(params).kernels()
@@ -686,9 +681,12 @@ def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
     quotes = [q.item() for q in _quotes([spec], curve, recovery)]
     # the tenor's read-out does not move with the factor
     readout = KernelReadout.of(curve, [spec.tenor])
+    # every factor's grid: the root is a factor that the solve has priced
+    grids = {}
 
     def gap(factor: float) -> float:
-        pi, xi, rhat, _ = readout.kernel_grid(base.scaled(factor)).at_many()
+        grids[factor] = kg = readout.kernel_grid(base.scaled(factor))
+        pi, xi, rhat, _ = kg.at_many()
         return float(_dp(float(pi[0]), float(xi[0]), float(rhat[0]), 0.0, *quotes))
 
     # dP falls for both kinds as hazards scale up
@@ -696,8 +694,7 @@ def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
                            lambda hi: None if hi * 4.0 > 1e14 else hi * 4.0, 80,
                            "no positive-hazard curve reprices the instrument "
                            "(price outside the attainable range)", xtol=1e-13, rtol=8.9e-16)
-    fitted = base.scaled(factor)
-    k = readout.kernel_grid(fitted).kernels()[0]
+    k = grids[factor].kernels()[0]
     if abs(float(_dp(k.pi, k.xi, k.rhat, 0.0, *quotes))) > 1e-8:
         raise ArithmeticError("exact fit did not converge to |dP| <= 1e-8")
-    return fitted, k
+    return grids[factor].params, k

@@ -31,7 +31,12 @@ from creditcurve.valuation import (
     bond_model_price,
     kernels,
 )
-from kernel_reference import parent_dp, parent_jet_kernels
+from kernel_reference import (
+    assert_kernels_close,
+    linear_map_kernels,
+    parent_dp,
+    parent_jet_kernels,
+)
 
 CURVE = cc.RiskfreeCurve.flat(0.02)
 TRUE = SurvivalParams(0.01, 0.05, 0.1)
@@ -960,8 +965,11 @@ def test_grouped_price_gap_is_bit_identical_to_the_parent_formulation():
     sov = np.array([i.sovereign_spread for i in instruments])
     expected, expected_jac = np.empty(len(instruments)), np.empty((len(instruments), 4))
     for r, idx in side.groups.items():
-        pi, xi, rhat = parent_jet_kernels(CURVE, by_group[r], 30.0, side.tenors[idx],
-                                          DEFAULT_GRID_STEP)
+        # each group's read-out stops at its own longest tenor, the parent's grid at 30y
+        pi, xi, rhat, _ = linear_map_kernels(CURVE, by_group[r], side.tenors[idx],
+                                             DEFAULT_GRID_STEP, jet=True)
+        assert_kernels_close((pi, xi, rhat), parent_jet_kernels(
+            CURVE, by_group[r], 30.0, side.tenors[idx], DEFAULT_GRID_STEP))
         rows = _dp(pi, xi, rhat, 0.4 * sov[idx], *(q[idx] for q in quotes))
         expected[idx] = rows[0]
         expected_jac[idx, :3] = rows[1:].T
@@ -989,8 +997,10 @@ def test_price_gap_of_interleaved_ratings_is_the_per_group_parent_formulation(or
     groups = {r: np.array([j for j, inst in enumerate(instruments) if inst.rating == r])
               for r in sorted({inst.rating for inst in instruments})}
     for r, idx in groups.items():
-        pi, xi, rhat = parent_jet_kernels(CURVE, by_group[r], 30.0, side.tenors[idx],
-                                          DEFAULT_GRID_STEP)
+        pi, xi, rhat, _ = linear_map_kernels(CURVE, by_group[r], side.tenors[idx],
+                                             DEFAULT_GRID_STEP, jet=True)
+        assert_kernels_close((pi, xi, rhat), parent_jet_kernels(
+            CURVE, by_group[r], 30.0, side.tenors[idx], DEFAULT_GRID_STEP))
         rows = parent_dp(pi, xi, rhat, alpha * sov[idx], *(q[idx] for q in quotes))
         expected[idx] = rows[0]
         expected_jac[idx, :3] = rows[1:].T

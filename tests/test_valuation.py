@@ -41,7 +41,12 @@ from creditcurve.valuation import (
     yield_from_price,
     z_spread,
 )
-from kernel_reference import parent_jet_kernels
+from kernel_reference import (
+    assert_kernels_close,
+    linear_map_kernels,
+    long_double_kernels,
+    parent_jet_kernels,
+)
 
 FLAT2 = RiskfreeCurve.flat(0.02)
 FLAT0 = RiskfreeCurve.flat(0.0)
@@ -133,13 +138,30 @@ def test_kernel_grid_matches_one_shot():
 
 
 def test_kernels_at_is_one_shot_kernels_bit_for_bit():
-    # one grid to the longest tenor reads every tenor as its own one-shot grid
-    # does: on a node (7.25), on a short last step (12.3), inside the first
-    # step (0.05), repeated, and unsorted
+    # one grid to the longest tenor reads every tenor as the linear map of its
+    # read-out does, bit for bit: on a node (7.25), on a short last step
+    # (12.3), inside the first step (0.05), repeated, and unsorted.  A row's
+    # sum order follows its length, so a tenor's kernels depend on the
+    # read-out they share at rounding level only: each one-shot grid reads
+    # its own tenor bit for bit, and the shared read-out stays within the
+    # accuracy oracle's bounds of it, with the same B(T)Q(T)
     curve = RiskfreeCurve(pillars=((0.5, 0.012), (2.0, 0.018), (7.0, 0.026), (20.0, 0.031)))
     params = SurvivalParams(0.01, 0.06, 0.12)
     tenors = [12.3, 0.05, 7.25, 30.0, 7.25, 2.0]
-    assert kernels_at(curve, params, tenors) == [kernels(curve, params, T) for T in tenors]
+    shared = kernels_at(curve, params, tenors)
+    one_shot = [kernels(curve, params, T) for T in tenors]
+
+    def columns(ks):
+        return [np.array([getattr(k, name) for k in ks]) for name in ("pi", "xi", "rhat", "bq_T")]
+
+    for got, want in zip(columns(shared), linear_map_kernels(curve, params, tenors, H)):
+        assert np.array_equal(got, want)
+    for k, T in zip(one_shot, tenors):
+        for got, want in zip(columns([k]), linear_map_kernels(curve, params, [T], H)):
+            assert np.array_equal(got, want)
+    assert_kernels_close(columns(shared)[:3], columns(one_shot)[:3])
+    assert np.array_equal(columns(shared)[3], columns(one_shot)[3])
+    assert [k.tenor for k in shared] == tenors
     assert kernels_at(curve, params, []) == []
 
 
@@ -173,15 +195,17 @@ def tenor_sets(draw, t_max=20.0):
        c=st.floats(0.02, 0.5))
 @settings(max_examples=40, deadline=None)
 def test_folded_readout_is_the_parent_jet_kernels(tenors, a, b, c):
+    # the read-out's W is the product form M @ S bit for bit, on a jet grid
+    # and a plain one, and within the accuracy oracle's bounds of the parent
+    # form's three running sums, which stop at 20y, not at the longest tenor
     params = SurvivalParams(a, b, c)
-    # the read-out stops at its own longest tenor, the reference at 20y
     ro = KernelReadout.of(GOLDEN_CURVE, tenors)
-    expected = parent_jet_kernels(GOLDEN_CURVE, params, 20.0, tenors, H)
     jet = ro.kernel_grid(params, jet=True).at_many()
     plain = ro.kernel_grid(params).at_many()
-    for got, want, value in zip(jet, expected, plain):
-        assert np.array_equal(got, want)
-        assert np.array_equal(value, want[0])
+    for got, want in ((jet, linear_map_kernels(GOLDEN_CURVE, params, tenors, H, jet=True)),
+                      (plain, linear_map_kernels(GOLDEN_CURVE, params, tenors, H))):
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    assert_kernels_close(jet[:3], parent_jet_kernels(GOLDEN_CURVE, params, 20.0, tenors, H))
 
 
 def test_jet_grid_value_rows_are_the_plain_kernels():
@@ -233,6 +257,32 @@ def test_kernels_match_quadrature_on_sloped_curves():
     assert k.pi == pytest.approx(pi_ref, rel=2e-5)
     assert k.xi == pytest.approx(xi_ref, rel=2e-5)
     assert k.rhat == pytest.approx(rp_ref / pi_ref, rel=2e-4)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is no wider than float64 here")
+def test_kernels_are_as_accurate_as_the_parent_form():
+    # against trapezium sums in long double, over hazards from 1e-6 to 0.5 at
+    # either end of the curve, three shapes and tenors from 0.05y to 30y on
+    # and off the grid: each kernel's worst error (Pi and Xi absolute, as Q's
+    # rounding near 1 alone costs a tiny Xi 9 digits, rhat relative) is at most
+    # twice the parent form's on the same grid
+    tenors = np.array([0.05, 0.3, 1.0, 5.0, 7.25, 12.3, 30.0])
+    hazards = (1e-6, 1e-4, 1e-2, 0.1, 0.5)
+    worst = np.zeros((2, 3))
+    for a in hazards:
+        for b in hazards:
+            for c in (0.02, 0.2, 0.5):
+                params = SurvivalParams(a, b, c)
+                truth = long_double_kernels(GOLDEN_CURVE, params, tenors, H)
+                got = KernelReadout.of(GOLDEN_CURVE, tenors).kernel_grid(params).at_many()
+                parent = [x[0] for x in parent_jet_kernels(GOLDEN_CURVE, params, 30.0,
+                                                           tenors, H)]
+                for row, form in enumerate((got, parent)):
+                    errors = (form[0] - truth[0], form[1] - truth[1],
+                              (form[2] - truth[2]) / truth[2])
+                    worst[row] = np.maximum(worst[row], [np.abs(e).max() for e in errors])
+    assert (worst[0] <= 2.0 * worst[1]).all(), worst
 
 
 def test_grid_refinement_is_second_order():
@@ -698,8 +748,9 @@ def test_exact_fit_equals_parent_formulation():
 
 
 def test_root_solves_evaluate_no_point_twice(tmp_path, gen, monkeypatch):
-    # the bracket evaluates only an end that moved, and Brent starts from the
-    # end values the bracket has: no trial point is priced twice
+    # the bracket evaluates only an end that moved, Brent starts from the end
+    # values the bracket has, and the exact fit returns the kernels it priced
+    # at the root: no trial point is priced twice
     points = []
     scaled, price, pv = SurvivalParams.scaled, valuation.price_from_yield, valuation._schedule_pv
     monkeypatch.setattr(SurvivalParams, "scaled",
@@ -709,12 +760,10 @@ def test_root_solves_evaluate_no_point_twice(tmp_path, gen, monkeypatch):
     monkeypatch.setattr(valuation, "_schedule_pv",
                         lambda *args: points.append(args[-1]) or pv(*args))
 
-    def distinct(solve, final_read=False):
+    def distinct(solve):
         points.clear()
         solve()
-        # the exact fit reads its kernels once more at the root it returns
-        seen = points[:-1] if final_read else points
-        assert len(seen) == len(set(seen)), sorted(seen)
+        assert len(points) == len(set(points)), sorted(points)
 
     instruments = [(BondSpec(coupon=c, tenor=t, price=p), FLAT2)
                    for c, t, p in ((0.05, 5.0, 99.0), (0.0, 30.0, 20.0), (0.12, 1.0, 130.0),
@@ -730,8 +779,7 @@ def test_root_solves_evaluate_no_point_twice(tmp_path, gen, monkeypatch):
                 distinct(lambda: yield_from_price(inst.coupon, inst.tenor, inst.price, m))
                 distinct(lambda: z_spread(inst, curve, m))
         try:
-            distinct(lambda: exact_fit_to_instrument(inst, SurvivalParams.flat(0.02), curve),
-                     final_read=True)
+            distinct(lambda: exact_fit_to_instrument(inst, SurvivalParams.flat(0.02), curve))
         except ArithmeticError:
             pass
 
