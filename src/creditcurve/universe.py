@@ -29,7 +29,7 @@ from pathlib import Path
 
 from .ratecurve import RiskfreeCurve
 from .survival import RATING_SYMBOLS, RecoverySchedule
-from .valuation import MAX_TENOR, BondSpec, CdsSpec
+from .valuation import MAX_TENOR, BondSpec, CdsSpec, Instrument
 
 __all__ = [
     "UniverseError",
@@ -67,7 +67,7 @@ class UniverseSnapshot:
     riskfree: RiskfreeCurve
 
     @property
-    def instruments(self) -> tuple[BondSpec | CdsSpec, ...]:
+    def instruments(self) -> tuple[Instrument, ...]:
         return self.bonds + self.cds
 
 
@@ -279,7 +279,8 @@ def load_universe(riskfree_path: str | Path,
 
 
 def load_config(path: str | Path) -> dict[str, str]:
-    """Flat key=value run configuration; '#' starts a comment."""
+    """Flat key=value run configuration; '#' starts a comment.  A key
+    given twice is an input error."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -291,6 +292,8 @@ def load_config(path: str | Path) -> dict[str, str]:
             continue
         if "=" not in line:
             raise UniverseError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise UniverseError(f"{path}:{lineno}: {key} is set twice")
+        out[key] = val
     return out

@@ -29,6 +29,11 @@ one call and takes one product with W.  A product's sum order follows
 the row length, so a tenor read off a shared read-out can differ from
 its one-shot kernels at rounding level.
 
+Instruments are one record, :class:`Instrument`: a bond
+(:class:`BondSpec`) and a CDS quote (:class:`CdsSpec`) share its coupon,
+tenor and keyword-only issuer facts with their checks, and each adds its
+own quote.
+
 The root solves (yield, Z-spread, exact fit) share :func:`_falling_root`,
 which widens a bracket until the value changes sign, evaluating each end
 once, and hands both end values to :func:`_brentq`, a port of scipy's
@@ -41,8 +46,8 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import KW_ONLY, dataclass
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -56,6 +61,7 @@ __all__ = [
     "KernelGrid",
     "kernels",
     "kernels_at",
+    "Instrument",
     "BondSpec",
     "CdsSpec",
     "AssetSwapInputs",
@@ -119,7 +125,6 @@ class KernelReadout:
     t: np.ndarray          # the grid, up to the last node at or before the longest tenor
     points: np.ndarray     # t followed by the tenors
     tenors: np.ndarray
-    k: np.ndarray          # each tenor's last grid node
     W: np.ndarray          # (3 * tenors, points): the tenors' Pi rows, then Xi's, then rhat * Pi's
     B_T: np.ndarray        # B at the tenors
 
@@ -161,7 +166,7 @@ class KernelReadout:
         rows = np.arange(m)
         W[:, rows, k] = into[:, k] + [half_dt * B_k, last_mean, last_drop]
         W[:, rows, n + rows] = [half_dt * B_T, -last_mean, last_drop]
-        return cls(curve=curve, h=h, t=t, points=points, tenors=tenors, k=k,
+        return cls(curve=curve, h=h, t=t, points=points, tenors=tenors,
                    W=W.reshape(3 * m, n + m), B_T=B_T)
 
     def kernel_grid(self, params: SurvivalParams, jet: bool = False) -> "KernelGrid":
@@ -250,37 +255,36 @@ def kernels_at(curve: RiskfreeCurve, params: SurvivalParams, tenors: Sequence[fl
 # -- instruments -----------------------------------------------------
 
 
-def _require_finite(spec, *names: str) -> None:
-    for name in names:
-        x = getattr(spec, name)
-        if x is not None and not math.isfinite(x):
-            raise ValueError(f"{name} must be finite, got {x!r}")
-
-
 @dataclass(frozen=True)
-class BondSpec:
-    """A fixed-coupon bond.  ``price`` is the full value per 100 face."""
+class Instrument:
+    """What a bond and a CDS share: the ``coupon``, the ``tenor`` in
+    years and, keyword-only, the issuer facts that a fit weights
+    (``issue_size``) and groups (:attr:`effective_rating`) by, with the
+    sovereign spread of an EM issuer.  The checks on these are here once;
+    each subclass adds its quote, checked finite with them, and the rest
+    of its own checks."""
 
     coupon: float
     tenor: float
-    price: float
-    recovery: float = 0.4
-    issue_size: float = 1000.0     # USD millions outstanding
+    _: KW_ONLY
+    issue_size: float = 1000.0     # USD millions outstanding ($1Bn for a liquid CDS)
     rating: int | None = None
     internal_rating: int | None = None
     sovereign_spread: float | None = None  # par sov spread at this tenor
     identifier: str = ""
 
+    # the subclass's quote, checked finite with the shared numbers
+    _QUOTE: ClassVar[str]
+
     def __post_init__(self) -> None:
-        _require_finite(self, "coupon", "tenor", "price", "issue_size", "sovereign_spread")
+        for name in ("coupon", "tenor", self._QUOTE, "issue_size", "sovereign_spread"):
+            x = getattr(self, name)
+            if x is not None and not math.isfinite(x):
+                raise ValueError(f"{name} must be finite, got {x!r}")
         if self.coupon < 0:
             raise ValueError("coupon must be >= 0")
         if self.tenor <= 0:
             raise ValueError("tenor must be > 0")
-        if self.price <= 0:
-            raise ValueError("price must be > 0")
-        if not 0.0 <= self.recovery < 1.0:
-            raise ValueError("recovery must be in [0, 1)")
         if self.issue_size <= 0:
             raise ValueError("issue_size must be > 0")
 
@@ -290,29 +294,37 @@ class BondSpec:
 
 
 @dataclass(frozen=True)
-class CdsSpec:
+class BondSpec(Instrument):
+    """A fixed-coupon bond.  ``price`` is the full value per 100 face."""
+
+    price: float
+    recovery: float = 0.4
+
+    _QUOTE = "price"
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.price <= 0:
+            raise ValueError("price must be > 0")
+        if not 0.0 <= self.recovery < 1.0:
+            raise ValueError("recovery must be in [0, 1)")
+
+
+@dataclass(frozen=True)
+class CdsSpec(Instrument):
     """A CDS quote: running ``coupon`` plus either a traded spread or an
     upfront per unit notional (positive upfront paid by the protection
     buyer)."""
 
-    coupon: float
-    tenor: float
     quote_type: str                 # "spread" | "upfront"
     quote: float
     quoting_recovery: float = 0.4   # SNAC flat-hazard conversion only
-    issue_size: float = 1000.0      # $1Bn default for liquid CDS
-    rating: int | None = None
-    internal_rating: int | None = None
-    sovereign_spread: float | None = None
     model_recovery: float | None = None  # valuation recovery, if pre-resolved
-    identifier: str = ""
+
+    _QUOTE = "quote"
 
     def __post_init__(self) -> None:
-        _require_finite(self, "coupon", "tenor", "quote", "issue_size", "sovereign_spread")
-        if self.coupon < 0:
-            raise ValueError("coupon must be >= 0")
-        if self.tenor <= 0:
-            raise ValueError("tenor must be > 0")
+        super().__post_init__()
         if self.quote_type not in ("spread", "upfront"):
             raise ValueError("quote_type must be 'spread' or 'upfront'")
         if self.quote_type == "spread" and self.quote < 0:
@@ -321,16 +333,10 @@ class CdsSpec:
             raise ValueError("quoting recovery must be in [0, 1)")
         if self.model_recovery is not None and not 0.0 <= self.model_recovery < 1.0:
             raise ValueError("recovery must be in [0, 1)")
-        if self.issue_size <= 0:
-            raise ValueError("issue_size must be > 0")
         if self.coupon not in SNAC_COUPONS:
             warnings.warn(
                 f"CDS coupon {self.coupon} is not a standard 1%/5% running coupon",
                 stacklevel=2)
-
-    @property
-    def effective_rating(self) -> int | None:
-        return self.internal_rating if self.internal_rating is not None else self.rating
 
     @property
     def recovery(self) -> float:
@@ -580,8 +586,6 @@ def cds_traded_spread_to_upfront(q: CdsSpec, curve: RiskfreeCurve) -> float:
     if q.quote_type != "spread":
         raise ValueError("quote is already an upfront")
     s = q.quote
-    if s < 0:
-        raise ValueError("traded spread must be >= 0")
     lam = s / (1.0 - q.quoting_recovery)
     pi_tilde = kernels(curve, SurvivalParams.flat(lam), q.tenor).pi
     return (s - q.coupon) * pi_tilde
@@ -600,7 +604,7 @@ def par_adjusted_spread_cds(q: CdsSpec, k: RiskyKernels, curve: RiskfreeCurve) -
     return q.coupon + u / k.pi
 
 
-def market_price(inst: BondSpec | CdsSpec, curve: RiskfreeCurve) -> float:
+def market_price(inst: Instrument, curve: RiskfreeCurve) -> float:
     """Market value per 100 face: a bond's full price, 100 * (1 - upfront)
     for a CDS."""
     if isinstance(inst, BondSpec):
@@ -608,7 +612,7 @@ def market_price(inst: BondSpec | CdsSpec, curve: RiskfreeCurve) -> float:
     return 100.0 * (1.0 - cds_upfront(inst, curve))
 
 
-def par_adjusted_spread(inst: BondSpec | CdsSpec, k: RiskyKernels,
+def par_adjusted_spread(inst: Instrument, k: RiskyKernels,
                         curve: RiskfreeCurve) -> tuple[float, float]:
     """(sbar, c') of a bond or a CDS at the kernels ``k`` of its tenor.
 
@@ -624,7 +628,7 @@ def par_adjusted_spread(inst: BondSpec | CdsSpec, k: RiskyKernels,
 # -- the price gap -----------------------------------------------------
 
 
-def _quotes(instruments: Sequence[BondSpec | CdsSpec], curve: RiskfreeCurve,
+def _quotes(instruments: Sequence[Instrument], curve: RiskfreeCurve,
             recovery: float | None) -> tuple:
     """The price gap's inputs that do not move with the curve, as arrays:
     recoveries (``recovery``, else each instrument's own), coupons, bond
@@ -665,7 +669,7 @@ def _dp(pi, xi, rhat, s_extra, recs, coupons, prices, upfronts, is_bond) -> np.n
     return out
 
 
-def exact_fit_to_instrument(spec: BondSpec | CdsSpec, base: SurvivalParams,
+def exact_fit_to_instrument(spec: Instrument, base: SurvivalParams,
                             curve: RiskfreeCurve,
                             recovery: float | None = None
                             ) -> tuple[SurvivalParams, RiskyKernels]:

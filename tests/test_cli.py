@@ -406,6 +406,21 @@ def test_bad_setting_is_named_with_its_source(tmp_path, runner, config, flags, n
     assert "Traceback" not in result.output
 
 
+def test_config_key_given_twice_is_an_input_error(tmp_path, runner, colom_dir):
+    # the last value used to win without a word: this fitted squared loss
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text((colom_dir / "config.txt").read_text() + "loss = robust\nloss = squared\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["fit", "--riskfree", str(colom_dir / "riskfree.csv"),
+                                  "--bonds", str(colom_dir / "bonds.csv"),
+                                  "--config", str(cfg), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    lineno = len(cfg.read_text().splitlines())
+    assert f"error: {cfg}:{lineno}: loss is set twice" in result.output, result.output
+    assert "Traceback" not in result.output and not out.exists()
+
+
 @pytest.mark.parametrize("verb", ["value", "fit", "analytics", "history"])
 @pytest.mark.parametrize("unusable", ["file", "under-file"])
 def test_unusable_out_is_an_input_error(tmp_path, runner, monkeypatch, verb, unusable):

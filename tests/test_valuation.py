@@ -551,6 +551,24 @@ def test_bond_cds_spec_validation():
         CdsSpec(coupon=0.05, tenor=5.0, quote_type="bogus", quote=0.0)
     with pytest.raises(ValueError, match="coupon must be >= 0"):
         CdsSpec(coupon=-0.05, tenor=5.0, quote_type="upfront", quote=0.02)
+    with pytest.raises(ValueError, match="traded spread must be >= 0"):
+        CdsSpec(coupon=0.01, tenor=5.0, quote_type="spread", quote=-0.001)
+    # the checks that both kinds share, on each kind
+    bond = dict(coupon=0.05, tenor=5.0, price=100.0)
+    cds = dict(coupon=0.01, tenor=5.0, quote_type="upfront", quote=0.02)
+    for fault, message in ((dict(coupon=-0.01), "coupon must be >= 0"),
+                           (dict(tenor=0.0), "tenor must be > 0"),
+                           (dict(tenor=-1.0), "tenor must be > 0"),
+                           (dict(issue_size=0.0), "issue_size must be > 0"),
+                           (dict(issue_size=-100.0), "issue_size must be > 0")):
+        for kind, valid in ((BondSpec, bond), (CdsSpec, cds)):
+            with pytest.raises(ValueError, match=message):
+                kind(**dict(valid, **fault))
+    # the shared issuer facts are keyword-only
+    with pytest.raises(TypeError):
+        BondSpec(0.05, 5.0, 100.0, 0.4, 500.0)
+    with pytest.raises(TypeError):
+        CdsSpec(0.01, 5.0, "upfront", 0.02, 0.4, 0.4, 500.0)
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
