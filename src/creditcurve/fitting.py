@@ -36,12 +36,16 @@ rhat*Pi) and the kernels are linear in Q, so each evaluation runs the
 kernel sums once over the survival jet [Q, dQ/da, dQ/db, dQ/dc] and gets
 the residuals together with their derivatives in (a, b, c); alpha enters
 as -100 * sov * Pi.  Each rating group's kernel pass runs on its own
-grid, ending at the group's longest tenor, with Q at the group's tenors
-taken in the same jet call.  The instruments are laid out group by group
-once per fit, so each group's kernel rows and its chain into x are one
-slice; the groups' kernel rows go through one price-gap pass per
-evaluation, and the residuals and their Jacobian are put back in
-instrument order at the end.
+grid, ending at the group's longest tenor.  Every group's read-out points
+(its grid, then its tenors) are laid out side by side once per fit, and
+one jet call per evaluation covers them all, each point with its own
+group's (a, b) and the shared c; each group's pass is then its product
+with W on its slice of that jet.  The instruments are laid out group by
+group once per fit, so each group's kernel rows and its chain into x are
+one slice; the groups' kernel rows go through one quotient rule for rhat
+and one price-gap pass per evaluation, and the residuals and their
+Jacobian are put back in instrument order at the end.  A single-name fit
+is the one-group case of the same pass.
 
 Each fit has one chart: a map from the fit coordinates x to the curve,
 alpha and, for each rating group, the group's (a, b, c) together with
@@ -68,12 +72,14 @@ from .survival import (
     RatingGrid,
     SurvivalParams,
     anchor_log_weights,
+    survival_jet,
 )
 from .valuation import (
     Instrument,
     KernelReadout,
     _dp,
     _quotes,
+    _rhat,
     kernels,
 )
 
@@ -195,6 +201,12 @@ def _weights(instruments: Sequence[Instrument], mode: str) -> np.ndarray:
 # -- market side of the objective --------------------------------------
 
 
+def _slices(sizes: list[int]) -> list[slice]:
+    # consecutive slices of the given sizes
+    bounds = np.cumsum([0] + sizes).tolist()
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
 class _MarketSide:
     """Precomputed instrument arrays and the vectorised loss core.
 
@@ -202,13 +214,16 @@ class _MarketSide:
     prices, SNAC upfronts, weights, recoveries, grid indices) is
     computed once; per candidate only the survival values move.  Each
     rating group has its own read-out, on a grid that ends at the
-    group's longest tenor.  Per candidate the work runs in the grouped
-    layout, group after group (``slices``), and its results are put back
-    in instrument order.  The layout stays because it is cheaper where
-    ratings interleave: kernel rows kept in instrument order cost about
-    11% more CPU per evaluation on a shuffled five-rating sector, and
-    nothing on rows listed rating by rating, where the put-back is the
-    identity.
+    group's longest tenor.  Per candidate one jet call (:meth:`jet`)
+    covers every group's read-out points, laid out group after group
+    (``_point_slices``), and each group's :class:`KernelGrid` is its
+    product with W on its slice.  The rest of the work runs in the
+    grouped layout of the instruments, group after group (``slices``),
+    and its results are put back in instrument order.  The layout stays
+    because it is cheaper where ratings interleave: kernel rows kept in
+    instrument order cost about 11% more CPU per evaluation on a
+    shuffled five-rating sector, and nothing on rows listed rating by
+    rating, where the put-back is the identity.
     """
 
     def __init__(self, instruments: Sequence[Instrument], curve: RiskfreeCurve,
@@ -243,24 +258,41 @@ class _MarketSide:
         self._readouts = {key: KernelReadout.of(curve, self.tenors[idx])
                           for key, idx in self.groups.items()}
         # the grouped layout: group after group, each in instrument order,
-        # so that every group's rows are one slice
+        # so that every group's rows are one slice, and likewise every
+        # group's read-out points in the one jet call
         order = np.concatenate(list(self.groups.values()))
-        bounds = np.cumsum([0] + [len(idx) for idx in self.groups.values()]).tolist()
-        self.slices = {key: slice(lo, hi)
-                       for key, lo, hi in zip(self.groups, bounds, bounds[1:])}
+        self.slices = dict(zip(self.groups, _slices([len(idx) for idx in self.groups.values()])))
         self._back = np.argsort(order)
         self._grouped_quotes = tuple(q[order] for q in self._quotes)
         self._grouped_sov = self.sov[order]
+        sizes = [len(ro.points) for ro in self._readouts.values()]
+        self._points = np.concatenate([ro.points for ro in self._readouts.values()])
+        self._point_slices = dict(zip(self.groups, _slices(sizes)))
+        self._point_group = np.repeat(np.arange(len(sizes)), sizes)
+
+    def jet(self, params: dict) -> np.ndarray:
+        """The survival jet of each group's curve (``params``: {group:
+        SurvivalParams}) at the group's read-out points, every group in
+        one call: the points group after group (``_point_slices``), each
+        with its group's b, (b - a)/c and c."""
+        b, power, c = np.array([(params[key].b, params[key].power, params[key].c)
+                                for key in self.groups]).T.take(self._point_group, axis=1)
+        return survival_jet(self._points, b, power, c)
 
     def residuals(self, groups: dict, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """Price residuals in points and their derivatives in the fit
         coordinates x, in instrument order, from the chart's {group:
         (params, d(a, b, c, alpha)/dx)}; fresh arrays on every call."""
+        params = {key: groups[key][0] for key in self.groups}
+        jet = self.jet(params)
         # every group's kernel rows side by side, for one pass of the price gap
-        pi, xi, rhat = (np.empty((4, len(self.instruments))) for _ in range(3))
+        wq = np.empty((3, 4, len(self.instruments)))
         for key, rows in self.slices.items():
-            kg = self._readouts[key].kernel_grid(groups[key][0], jet=True)
-            pi[:, rows], xi[:, rows], rhat[:, rows], _ = kg.at_many()
+            kg = self._readouts[key].kernel_grid(params[key], jet=True,
+                                                 q=jet[:, self._point_slices[key]])
+            wq[:, :, rows] = kg.wq
+        pi, xi, rp = wq
+        rhat = _rhat(pi, rp)
         sov = self._grouped_sov
         gap = _dp(pi, xi, rhat, alpha * sov, *self._grouped_quotes)
         d_params = np.empty((len(self.instruments), 4))
@@ -479,13 +511,14 @@ def _strictly_feasible(x: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndar
     return np.where(x <= lb, np.nextafter(lb, ub), np.where(x >= ub, np.nextafter(ub, lb), x))
 
 
-def _cl_scaling(x: np.ndarray, g: np.ndarray, lb: np.ndarray,
-                ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _cl_scaling(x: np.ndarray, g: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+                finite_lb: np.ndarray, finite_ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Coleman-Li scaling vector v and its derivative dv/dx: the
     distance to the bound the descent direction -g points at, or 1 where
-    that bound is infinite."""
-    to_upper = (g < 0) & np.isfinite(ub)
-    to_lower = (g > 0) & np.isfinite(lb)
+    that bound is infinite (``finite_lb`` and ``finite_ub`` mark the
+    finite bounds)."""
+    to_upper = (g < 0) & finite_ub
+    to_lower = (g > 0) & finite_lb
     v = np.where(to_upper, ub - x, np.where(to_lower, x - lb, 1.0))
     return v, to_lower - to_upper.astype(float)
 
@@ -643,15 +676,19 @@ def _trust_region(fun, x0: np.ndarray, lb: np.ndarray, ub: np.ndarray, loss, fto
     cost = 0.5 * rho[0].sum()
     f_s, J = scaled(f, J, rho)
     g = J.T.dot(f_s)
-    v, _ = _cl_scaling(x, g, lb, ub)
+    box = (lb, ub, np.isfinite(lb), np.isfinite(ub))
+    v, _ = _cl_scaling(x, g, *box)
     Delta = float(np.linalg.norm(x0 / v ** 0.5)) or 1.0
     f_augmented = np.zeros(m + n)
-    J_augmented = np.empty((m + n, n))
+    # the scaled Jacobian over the scaling's curvature rows, which are
+    # diagonal: their off-diagonal zeros are written once, here
+    J_augmented = np.zeros((m + n, n))
+    curvature = J_augmented[m:].reshape(-1)[::n + 1]
     alpha = 0.0
     status = None
 
     while True:
-        v, dv = _cl_scaling(x, g, lb, ub)
+        v, dv = _cl_scaling(x, g, *box)
         g_norm = np.abs(g * v).max()
         if g_norm < gtol:
             status = 1
@@ -664,7 +701,7 @@ def _trust_region(fun, x0: np.ndarray, lb: np.ndarray, ub: np.ndarray, loss, fto
         f_augmented[:m] = f_s
         J_augmented[:m] = J * d
         J_h = J_augmented[:m]
-        J_augmented[m:] = np.diag(diag_h ** 0.5)
+        curvature[:] = diag_h ** 0.5
         U, s, Vt = np.linalg.svd(J_augmented, full_matrices=False)
         V = Vt.T
         uf = U.T.dot(f_augmented)

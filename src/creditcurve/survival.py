@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "SurvivalParams",
+    "survival_jet",
     "RatingGrid",
     "RecoverySchedule",
     "RATING_SYMBOLS",
@@ -80,43 +82,63 @@ class SurvivalParams:
             raise ValueError("scale factor must be >= 0")
         return SurvivalParams(a=self.a * factor, b=self.b * factor, c=self.c)
 
-    def _log_q(self, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # (T, ln(1 + cT), ln Q(T)) for tenors T >= 0
-        t_arr = np.asarray(t, dtype=float)
-        if (t_arr < 0.0).any():
-            raise ValueError("tenor must be >= 0")
-        log1p_ct = np.log1p(self.c * t_arr)
-        return t_arr, log1p_ct, ((self.b - self.a) / self.c) * log1p_ct - self.b * t_arr
+    @property
+    def power(self) -> float:
+        """(b - a)/c, the power of (1 + cT) in Q."""
+        return (self.b - self.a) / self.c
 
     def survival_probability(self, t) -> np.ndarray | float:
         """Q(T); strictly decreasing, Q(0) = 1."""
-        t_arr, _, log_q = self._log_q(t)
-        q = np.exp(log_q)
+        t_arr = _tenors(t)
+        q = np.exp(_log_q(t_arr, self.b, self.power, self.c)[1])
         return q if t_arr.ndim else float(q)
 
     def jet(self, t) -> np.ndarray:
-        """Rows [Q, dQ/da, dQ/db, dQ/dc] at the tenors ``t``.
-
-        Row 0 is :meth:`survival_probability` bit for bit.  With
-        L = ln(1 + cT): d ln Q/da = -L/c, d ln Q/db = L/c - T and
-        d ln Q/dc = ((b - a)/c) * (T/(1 + cT) - L/c).
-        """
-        t_arr, log1p_ct, log_q = self._log_q(t)
-        # the rows written in place: out[i, ...] is a view for scalar t too
-        out = np.empty((4,) + t_arr.shape)
-        q = np.exp(log_q, out=out[0, ...])
-        l_c = log1p_ct / self.c
-        d_c = ((self.b - self.a) / self.c) * (t_arr / (1.0 + self.c * t_arr) - l_c)
-        np.multiply(-q, l_c, out=out[1, ...])
-        np.multiply(q, l_c - t_arr, out=out[2, ...])
-        np.multiply(q, d_c, out=out[3, ...])
-        return out
+        """Rows [Q, dQ/da, dQ/db, dQ/dc] at the tenors ``t``
+        (:func:`survival_jet`); row 0 is :meth:`survival_probability`
+        bit for bit."""
+        return survival_jet(_tenors(t), self.b, self.power, self.c)
 
     def forward_hazard(self, t) -> np.ndarray | float:
         """-d ln Q / dT = (a + bcT)/(1 + cT)."""
         t_arr = np.asarray(t, dtype=float)
         h = (self.a + self.b * self.c * t_arr) / (1.0 + self.c * t_arr)
         return h if t_arr.ndim else float(h)
+
+
+def _tenors(t) -> np.ndarray:
+    t_arr = np.asarray(t, dtype=float)
+    if (t_arr < 0.0).any():
+        raise ValueError("tenor must be >= 0")
+    return t_arr
+
+
+def _log_q(t: np.ndarray, b, power, c) -> tuple[np.ndarray, np.ndarray]:
+    # (ln(1 + ct), ln Q(t)) with power = (b - a)/c
+    log1p_ct = np.log1p(c * t)
+    return log1p_ct, power * log1p_ct - b * t
+
+
+def survival_jet(t: np.ndarray, b, power, c) -> np.ndarray:
+    """Rows [Q, dQ/da, dQ/db, dQ/dc] at the tenors ``t`` >= 0 of the curve
+    with long-end hazard ``b``, ``power`` = (b - a)/c and shape ``c``.
+
+    Each of ``b``, ``power`` and ``c`` is a scalar or one value per
+    tenor, so one call covers the points of several curves, each point
+    with its own curve's values; the arithmetic per point is the same
+    either way.  With L = ln(1 + cT): d ln Q/da = -L/c,
+    d ln Q/db = L/c - T and d ln Q/dc = power * (T/(1 + cT) - L/c).
+    """
+    log1p_ct, log_q = _log_q(t, b, power, c)
+    # the rows written in place: out[i, ...] is a view for scalar t too
+    out = np.empty((4,) + t.shape)
+    q = np.exp(log_q, out=out[0, ...])
+    l_c = log1p_ct / c
+    d_c = power * (t / (1.0 + c * t) - l_c)
+    np.multiply(-q, l_c, out=out[1, ...])
+    np.multiply(q, l_c - t, out=out[2, ...])
+    np.multiply(q, d_c, out=out[3, ...])
+    return out
 
 
 def _anchor_segment(r: float) -> tuple[int, float]:
@@ -127,9 +149,9 @@ def _anchor_segment(r: float) -> tuple[int, float]:
     return 1, (r - r2) / (r3 - r2)
 
 
-def _log_interp(r: float, anchors: tuple[float, float, float]) -> float:
-    # linear in rating index through (3, 9, 15); linear extrapolation outside
-    la = [math.log(x) for x in anchors]
+def _log_interp(r: float, la: tuple[float, float, float]) -> float:
+    # linear in rating index through the anchors' logs ``la`` at (3, 9, 15);
+    # linear extrapolation outside
     j, t = _anchor_segment(r)
     return math.exp(la[j] + t * (la[j + 1] - la[j]))
 
@@ -168,14 +190,21 @@ class RatingGrid:
         if not (self.c > 0 and math.isfinite(self.c)):
             raise ValueError("shape parameter c must be finite and > 0")
 
+    @cached_property
+    def _anchor_logs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        # ln of the a and the b anchors, taken once for every rating
+        return (tuple(math.log(x) for x in self.anchors_a),
+                tuple(math.log(x) for x in self.anchors_b))
+
+    def __getstate__(self) -> dict:
+        # the logs are a cache: a pickle holds the fields alone
+        return {k: v for k, v in self.__dict__.items() if k != "_anchor_logs"}
+
     def params_for_rating(self, r: int) -> SurvivalParams:
         """Log-linear interpolation of the anchors at rating ``r``."""
         r = validate_rating(r)
-        return SurvivalParams(
-            a=_log_interp(r, self.anchors_a),
-            b=_log_interp(r, self.anchors_b),
-            c=self.c,
-        )
+        la, lb = self._anchor_logs
+        return SurvivalParams(a=_log_interp(r, la), b=_log_interp(r, lb), c=self.c)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,11 @@ curve (one per rating group in a fit): the grid up to the last node at
 or before its longest tenor, B there and at the tenors from one curve
 call, and those weights as one matrix W.  A :class:`KernelGrid` is
 built for one read-out: it evaluates Q at the grid and the tenors in
-one call and takes one product with W.  A product's sum order follows
-the row length, so a tenor read off a shared read-out can differ from
-its one-shot kernels at rounding level.
+one call and takes one product with W.  A fit hands each group's grid
+its slice of one jet call that covers every rating group's points, so
+there each build is only its product with W.  A product's sum order
+follows the row length, so a tenor read off a shared read-out can differ
+from its one-shot kernels at rounding level.
 
 Instruments are one record, :class:`Instrument`: a bond
 (:class:`BondSpec`) and a CDS quote (:class:`CdsSpec`) share its coupon,
@@ -125,6 +127,7 @@ class KernelReadout:
     t: np.ndarray          # the grid, up to the last node at or before the longest tenor
     points: np.ndarray     # t followed by the tenors
     tenors: np.ndarray
+    t_max: float           # the longest tenor
     W: np.ndarray          # (3 * tenors, points): the tenors' Pi rows, then Xi's, then rhat * Pi's
     B_T: np.ndarray        # B at the tenors
 
@@ -167,11 +170,11 @@ class KernelReadout:
         W[:, rows, k] = into[:, k] + [half_dt * B_k, last_mean, last_drop]
         W[:, rows, n + rows] = [half_dt * B_T, -last_mean, last_drop]
         return cls(curve=curve, h=h, t=t, points=points, tenors=tenors,
-                   W=W.reshape(3 * m, n + m), B_T=B_T)
+                   t_max=float(tenors.max()), W=W.reshape(3 * m, n + m), B_T=B_T)
 
-    def kernel_grid(self, params: SurvivalParams, jet: bool = False) -> "KernelGrid":
-        return KernelGrid(self.curve, params, float(self.tenors.max()), self.h,
-                          _cache=self, jet=jet)
+    def kernel_grid(self, params: SurvivalParams, jet: bool = False,
+                    q: np.ndarray | None = None) -> "KernelGrid":
+        return KernelGrid(self.curve, params, self.t_max, self.h, _cache=self, jet=jet, q=q)
 
 
 class KernelGrid:
@@ -180,54 +183,53 @@ class KernelGrid:
     Built for one :class:`KernelReadout` (``_cache``; by default the
     read-out of ``t_max`` alone, :meth:`KernelReadout.of`).  Q is
     evaluated once, at the read-out's points, and Pi, Xi and rhat * Pi
-    at every tenor are one product with the read-out's W.  The product
-    is an ``einsum``, which makes no BLAS call and sums each row in the
-    same order for a plain and a jet grid.
+    at every tenor are one product with the read-out's W (``wq``).  The
+    product is an ``einsum``, which makes no BLAS call and sums each row
+    in the same order for a plain and a jet grid.
 
     With ``jet=True`` Q is the survival jet [Q, dQ/da, dQ/db, dQ/dc]
     (:meth:`SurvivalParams.jet`).  The kernels are linear in Q, so the
     same product gives each kernel's derivatives as rows 1-3 below its
-    value.
+    value.  ``q``, when given, is that Q (or jet) at the read-out's
+    points, computed by the caller: a fit evaluates every rating group's
+    jet in one call, and each group's build is then its product with W.
     """
 
     def __init__(self, curve: RiskfreeCurve, params: SurvivalParams,
                  t_max: float, grid_step: float = DEFAULT_GRID_STEP,
-                 _cache: KernelReadout | None = None, jet: bool = False):
+                 _cache: KernelReadout | None = None, jet: bool = False,
+                 q: np.ndarray | None = None):
         if _cache is None:
             _cache = KernelReadout.of(curve, [t_max], grid_step)
         self.params = params
         self._ro = ro = _cache
         m = len(ro.tenors)
+        if q is None:
+            q = params.jet(ro.points) if jet else np.asarray(params.survival_probability(ro.points))
         if jet:
-            Q = params.jet(ro.points)
             # (4, 3 * tenors) -> (3, 4, tenors): each kernel's value row over its derivative rows
-            self._kernels = np.einsum("kp,jp->jk", ro.W, Q).reshape(4, 3, m).transpose(1, 0, 2)
+            self.wq = np.einsum("kp,jp->jk", ro.W, q).reshape(4, 3, m).transpose(1, 0, 2)
         else:
-            Q = np.asarray(params.survival_probability(ro.points))
-            self._kernels = np.einsum("kp,p->k", ro.W, Q).reshape(3, m)
-        self._bq_T = ro.B_T * Q[..., -m:]
+            self.wq = np.einsum("kp,p->k", ro.W, q).reshape(3, m)
+        # Q at the tenors, for B(T)Q(T)
+        self._Q_T = q[..., -m:]
 
     def at(self, tenor: float) -> RiskyKernels:
         """Kernels at one tenor in (0, longest read-out tenor], as
         :func:`kernels` gives them."""
-        longest = float(self._ro.tenors.max())
+        longest = self._ro.t_max
         if not tenor <= longest:
             raise ValueError(f"tenor must be in (0, {longest:g}], got {tenor!r}")
         return kernels_at(self._ro.curve, self.params, [tenor], self._ro.h)[0]
 
     def at_many(self) -> tuple[np.ndarray, ...]:
         """Vectorised kernels (pi, xi, rhat, bq_T) at the read-out tenors,
-        rhat as rhat * pi over pi.  On a jet grid each kernel comes with
-        its derivative rows; rhat's follow the quotient rule from those
-        of rhat * pi.
+        from the rows ``wq`` = W·Q: Pi, Xi and rhat * pi, with
+        :func:`_rhat` taking rhat out of rhat * pi.  On a jet grid
+        each kernel comes with its derivative rows.
         """
-        pi, xi, rp = self._kernels
-        if rp.ndim == 1:
-            return pi, xi, rp / pi, self._bq_T
-        rhat = np.empty_like(rp)
-        np.divide(rp[0], pi[0], out=rhat[0])
-        np.divide(rp[1:] - rhat[0] * pi[1:], pi[0], out=rhat[1:])
-        return pi, xi, rhat, self._bq_T
+        pi, xi, rp = self.wq
+        return pi, xi, _rhat(pi, rp), self._ro.B_T * self._Q_T
 
     def kernels(self) -> list[RiskyKernels]:
         """:meth:`at_many` of a plain grid as one :class:`RiskyKernels`
@@ -235,6 +237,18 @@ class KernelGrid:
         return [RiskyKernels(pi=float(p), xi=float(x), rhat=float(r), bq_T=float(q),
                              tenor=float(t))
                 for p, x, r, q, t in zip(*self.at_many(), self._ro.tenors)]
+
+
+def _rhat(pi: np.ndarray, rp: np.ndarray) -> np.ndarray:
+    """rhat from the rows of Pi and rhat * Pi: their quotient, and on jet
+    rows (value row over derivative rows) the derivatives of rhat below
+    it, by the quotient rule."""
+    if rp.ndim == 1:
+        return rp / pi
+    rhat = np.empty_like(rp)
+    np.divide(rp[0], pi[0], out=rhat[0])
+    np.divide(rp[1:] - rhat[0] * pi[1:], pi[0], out=rhat[1:])
+    return rhat
 
 
 def kernels(curve: RiskfreeCurve, params: SurvivalParams, tenor: float,

@@ -1,5 +1,6 @@
 import dataclasses
 import datetime as dt
+from collections import Counter
 import math
 import sys
 import tempfile
@@ -27,6 +28,7 @@ from creditcurve.valuation import (
     DEFAULT_GRID_STEP,
     BondSpec,
     CdsSpec,
+    KernelGrid,
     _dp,
     bond_model_price,
     kernels,
@@ -1037,6 +1039,53 @@ def test_price_gap_of_interleaved_ratings_is_the_per_group_parent_formulation(or
         expected_du[idx] = jac[idx] @ chains[r]
     _, du = side.residuals({r: (by_group[r], chains[r]) for r in groups}, alpha)
     assert np.array_equal(du, expected_du)
+
+
+HAZARD_LEVEL = st.floats(1e-4, 0.3)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ab=st.lists(st.tuples(HAZARD_LEVEL, HAZARD_LEVEL), min_size=5, max_size=5),
+       c=st.floats(*C_BOUNDS))
+def test_one_jet_call_is_each_groups_own_jet(ab, c):
+    # the fit's one jet call over every group's points is each group's own
+    # jet, bit for bit, and a grid built from its slice is one that
+    # evaluates its own
+    side = ft._MarketSide(STAGGERED, CURVE, None, FitConfig(), group_by_rating=True)
+    params = {r: SurvivalParams(a, b, c) for r, (a, b) in zip(side.groups, ab)}
+    jet = side.jet(params)
+    assert jet.shape == (4, sum(len(ro.points) for ro in side._readouts.values()))
+    for r, p in params.items():
+        ro = side._readouts[r]
+        own = jet[:, side._point_slices[r]]
+        assert np.array_equal(own, p.jet(ro.points))
+        supplied, evaluated = ro.kernel_grid(p, jet=True, q=own), ro.kernel_grid(p, jet=True)
+        assert np.array_equal(supplied.wq, evaluated.wq)
+        for x, y in zip(supplied.at_many(), evaluated.at_many()):
+            assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_a_fit_builds_one_kernel_grid_per_group_per_evaluation(monkeypatch, grid):
+    instruments = make_grid_universe() if grid else make_bonds()
+    # the read-out of every KernelGrid the fit builds, which perfbench reads
+    # from _cache by keyword
+    builds = []
+    init = KernelGrid.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(kwargs["_cache"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(KernelGrid, "__init__", counted)
+    fit = fit_rating_grid if grid else fit_single_name
+    res = fit(instruments, CURVE, 0.4, FitConfig(multistart_count=2))
+    evaluations = res.diagnostics["evaluations"]
+    groups = len({i.rating for i in instruments})
+    assert groups == (5 if grid else 1)
+    assert len(builds) == groups * evaluations
+    # each group's read-out, once per evaluation
+    assert sorted(Counter(map(id, builds)).values()) == [evaluations] * groups
 
 
 def test_each_group_grid_ends_at_its_longest_tenor():
