@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ratecurve import RiskfreeCurve
-from .survival import RatingGrid, RecoverySchedule, SurvivalParams
-from .valuation import kernels_at, par_cds_spread
+from .survival import RatingGrid, RecoverySchedule, validate_rating
+from .valuation import KernelReadout, RiskyKernels, par_cds_spread
 
 __all__ = [
     "VARIANT_STANDARD",
@@ -90,21 +90,21 @@ class ReturnDecomposition:
     convergence_fraction: float = 1.0
 
 
-def decompose_return(c_prime: float, s_bar: float, tenor: float, horizon: float,
-                     curve: RiskfreeCurve, params: SurvivalParams, recovery: float,
-                     variant: str = VARIANT_STANDARD,
+def decompose_return(c_prime: float, s_bar: float, k_T: RiskyKernels, k_Tm: RiskyKernels,
+                     recovery: float, variant: str = VARIANT_STANDARD,
                      convergence_fraction: float = 1.0) -> ReturnDecomposition:
-    """Full decomposition against a model curve.
+    """Full decomposition on one curve's kernels at T (``k_T``) and at
+    T - dt (``k_Tm``); the horizon dt is the gap between their tenors.
 
     Model par spreads shat are the par CDS spreads of the curve at the
     two tenor points.  total = carry + rolldown + rv; with convergence
     fraction 1 it equals the closed-form total in both variants.
     """
+    tenor, horizon = k_T.tenor, k_T.tenor - k_Tm.tenor
     if not 0.0 < horizon < tenor:
         raise ValueError("horizon must lie strictly inside (0, tenor)")
     if not 0.0 <= convergence_fraction <= 1.0:
         raise ValueError("convergence_fraction must be in [0, 1]")
-    k_T, k_Tm = kernels_at(curve, params, [tenor, tenor - horizon])
     s_hat_T = par_cds_spread(k_T, recovery)
     s_hat_Tm = par_cds_spread(k_Tm, recovery)
     carry_spread = s_bar if variant == VARIANT_STANDARD else s_hat_T
@@ -138,7 +138,7 @@ class TransitionInputs:
     @classmethod
     def stay(cls, rating: int) -> "TransitionInputs":
         p = [0.0] * 19
-        p[rating - 1] = 1.0
+        p[validate_rating(rating) - 1] = 1.0
         return cls(probabilities=tuple(p))
 
     @property
@@ -156,7 +156,8 @@ def expected_return_with_transitions(
     Each non-default destination reprices the instrument wholly on that
     rating's curve at T - dt, at the recovery :class:`RecoverySchedule`
     gives that rating (standard decomposition, RV scaled by the
-    convergence fraction).  Default contributes the recovery-versus-price
+    convergence fraction); every rating's kernels at T and T - dt are
+    read off one read-out.  Default contributes the recovery-versus-price
     loss plus half a period of accrual, the unbiased convention for an
     unknown default time within the horizon.
     """
@@ -164,13 +165,13 @@ def expected_return_with_transitions(
         raise ValueError("horizon must lie strictly inside (0, tenor)")
     if not 0.0 <= convergence_fraction <= 1.0:
         raise ValueError("convergence_fraction must be in [0, 1]")
+    readout = KernelReadout.of(curve, [tenor, tenor - horizon])
     out = 0.0
     for rating, p in enumerate(trans.probabilities[:-1], start=1):
         if p == 0.0:
             continue
         dest = decompose_return(
-            c_prime, s_bar, tenor, horizon, curve,
-            grid.params_for_rating(rating),
+            c_prime, s_bar, *readout.kernel_grid(grid.params_for_rating(rating)).kernels(),
             RecoverySchedule().recovery_for_rating(rating),
             variant=VARIANT_STANDARD,
             convergence_fraction=convergence_fraction)

@@ -424,11 +424,12 @@ def analytics_cmd(allow_underdetermined, variant, **kw):
         params = _fit(st, snap, False, allow_underdetermined).params
     rows = []
     held = [inst for inst in snap.instruments if st.horizon < inst.tenor]
-    at_tenor = vl.kernels_at(snap.riskfree, params, [inst.tenor for inst in held])
-    for inst, k in zip(held, at_tenor):
-        sbar, c_prime = vl.par_adjusted_spread(inst, k, snap.riskfree)
-        dec = an.decompose_return(c_prime, sbar, inst.tenor, st.horizon,
-                                  snap.riskfree, params, inst.recovery, variant=variant,
+    # every held instrument's kernels at T, then at T - horizon, off one read-out
+    tenors = [inst.tenor for inst in held]
+    ks = vl.kernels_at(snap.riskfree, params, tenors + [t - st.horizon for t in tenors])
+    for inst, k_T, k_Tm in zip(held, ks, ks[len(held):]):
+        sbar, c_prime = vl.par_adjusted_spread(inst, k_T, snap.riskfree)
+        dec = an.decompose_return(c_prime, sbar, k_T, k_Tm, inst.recovery, variant=variant,
                                   convergence_fraction=st.convergence_fraction)
         # total as the sum of the printed parts, so the row adds up exactly
         parts = [_bp(dec.carry), _bp(dec.rolldown), _bp(dec.rv)]

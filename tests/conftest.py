@@ -24,3 +24,15 @@ def gen(monkeypatch):
     from perfbench import gen
 
     return gen
+
+
+@pytest.fixture
+def readout_calls(monkeypatch):
+    """The arguments of every ``KernelReadout.of`` call made in the test."""
+    import creditcurve.valuation as vl
+
+    calls = []
+    of = vl.KernelReadout.of.__func__
+    monkeypatch.setattr(vl.KernelReadout, "of",
+                        classmethod(lambda cls, *a, **kw: calls.append(a) or of(cls, *a, **kw)))
+    return calls

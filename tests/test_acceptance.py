@@ -27,6 +27,7 @@ from creditcurve.valuation import (
     KernelGrid,
     bond_model_price,
     kernels,
+    kernels_at,
     par_adjusted_spread_bond,
     par_cds_spread,
     yield_from_price,
@@ -373,7 +374,8 @@ def test_criterion_8_return_decompositions():
         tot = total_return(c_prime, sbar, par_cds_spread(k_m, rec),
                            k_T.pi, k_m.pi, dt)
         for variant in (VARIANT_STANDARD, VARIANT_MODEL_CARRY):
-            dec = decompose_return(c_prime, sbar, T, dt, curve, params, rec, variant)
+            dec = decompose_return(c_prime, sbar, *kernels_at(curve, params, [T, T - dt]),
+                                   rec, variant)
             worst_split = max(worst_split, abs(dec.total - tot))
     assert worst_split <= 1e-12
 

@@ -16,7 +16,7 @@ from creditcurve.analytics import (
     total_return,
 )
 from creditcurve.survival import RatingGrid, RecoverySchedule, SurvivalParams
-from creditcurve.valuation import KernelGrid, kernels, par_cds_spread
+from creditcurve.valuation import KernelGrid, kernels, kernels_at, par_cds_spread
 
 CURVE = cc.RiskfreeCurve.flat(0.02)
 
@@ -53,12 +53,15 @@ def test_carry_rejects_bad_horizon():
 
 
 def test_rolldown_signs():
-    flat = decompose_return(0.05, 0.03, 5.0, 0.25, CURVE, SurvivalParams.flat(0.03), 0.4)
+    flat = decompose_return(0.05, 0.03,
+                            *kernels_at(CURVE, SurvivalParams.flat(0.03), [5.0, 4.75]), 0.4)
     assert flat.rolldown == pytest.approx(0.0, abs=1e-9)
-    up = decompose_return(0.05, 0.03, 5.0, 0.25, CURVE, SurvivalParams(0.01, 0.08, 0.1), 0.4)
+    up = decompose_return(0.05, 0.03,
+                          *kernels_at(CURVE, SurvivalParams(0.01, 0.08, 0.1), [5.0, 4.75]), 0.4)
     assert up.rolldown > 0
-    inverted = decompose_return(0.05, 0.03, 5.0, 0.25, CURVE,
-                                SurvivalParams(0.08, 0.01, 0.1), 0.4)
+    inverted = decompose_return(0.05, 0.03,
+                                *kernels_at(CURVE, SurvivalParams(0.08, 0.01, 0.1), [5.0, 4.75]),
+                                0.4)
     assert inverted.rolldown < 0
 
 
@@ -88,7 +91,8 @@ def test_decompositions_sum_to_total_both_variants():
         s_hat_m = par_cds_spread(k_m, rec)
         tot = total_return(c_prime, sbar, s_hat_m, k_T.pi, k_m.pi, dt)
         for variant in (VARIANT_STANDARD, VARIANT_MODEL_CARRY):
-            dec = decompose_return(c_prime, sbar, T, dt, CURVE, params, rec, variant)
+            dec = decompose_return(c_prime, sbar, *kernels_at(CURVE, params, [T, T - dt]),
+                                   rec, variant)
             assert dec.carry + dec.rolldown + dec.rv == pytest.approx(dec.total, abs=1e-15)
             assert dec.total == pytest.approx(tot, abs=1e-12)
 
@@ -97,7 +101,7 @@ def test_on_curve_flat_total_is_carry():
     params = SurvivalParams.flat(0.03)
     k = kernels(CURVE, params, 5.0)
     sbar = par_cds_spread(k, 0.4)
-    dec = decompose_return(0.05, sbar, 5.0, 0.25, CURVE, params, 0.4)
+    dec = decompose_return(0.05, sbar, *kernels_at(CURVE, params, [5.0, 4.75]), 0.4)
     assert dec.rolldown == pytest.approx(0.0, abs=1e-9)
     assert dec.rv == pytest.approx(0.0, abs=1e-9)
     assert dec.total == pytest.approx(dec.carry, abs=1e-9)
@@ -160,7 +164,7 @@ def test_transitions_identity_row_matches_total():
     sched = RecoverySchedule()
     params = GRID.params_for_rating(9)
     rec = sched.recovery_for_rating(9)
-    dec = decompose_return(0.04, 0.025, 7.0, 0.5, CURVE, params, rec)
+    dec = decompose_return(0.04, 0.025, *kernels_at(CURVE, params, [7.0, 6.5]), rec)
     got = expected_return_with_transitions(
         0.04, 0.025, 101.0, rec, 7.0, 0.5, CURVE, GRID, TransitionInputs.stay(9))
     assert got == pytest.approx(dec.total, abs=1e-14)
@@ -196,13 +200,13 @@ def test_transitions_downgrade_hurts():
 
 def test_partial_convergence_scales_rv_and_splits_variants():
     params = GRID.params_for_rating(9)
-    full = decompose_return(0.04, 0.05, 7.0, 0.5, CURVE, params, 0.43)
-    half = decompose_return(0.04, 0.05, 7.0, 0.5, CURVE, params, 0.43,
-                            convergence_fraction=0.5)
+    k_T, k_Tm = kernels_at(CURVE, params, [7.0, 6.5])
+    full = decompose_return(0.04, 0.05, k_T, k_Tm, 0.43)
+    half = decompose_return(0.04, 0.05, k_T, k_Tm, 0.43, convergence_fraction=0.5)
     assert half.rv == pytest.approx(full.rv / 2, rel=1e-12)
     assert half.carry == full.carry and half.rolldown == full.rolldown
     # with partial convergence the two splits no longer share a total
-    half_model = decompose_return(0.04, 0.05, 7.0, 0.5, CURVE, params, 0.43,
+    half_model = decompose_return(0.04, 0.05, k_T, k_Tm, 0.43,
                                   variant=VARIANT_MODEL_CARRY, convergence_fraction=0.5)
     assert half.total != pytest.approx(half_model.total, abs=1e-9)
 
@@ -231,7 +235,35 @@ def test_transition_inputs_reject_non_finite(entry, where):
 
 def test_decompose_validates_horizon():
     with pytest.raises(ValueError):
-        decompose_return(0.04, 0.03, 5.0, 5.0, CURVE, SurvivalParams.flat(0.02), 0.4)
+        decompose_return(0.04, 0.03, *kernels_at(CURVE, SurvivalParams.flat(0.02), [5.0, 0.0]),
+                         0.4)
     with pytest.raises(ValueError):
-        decompose_return(0.04, 0.03, 5.0, 0.5, CURVE, SurvivalParams.flat(0.02), 0.4,
-                         convergence_fraction=1.5)
+        decompose_return(0.04, 0.03, *kernels_at(CURVE, SurvivalParams.flat(0.02), [5.0, 4.5]),
+                         0.4, convergence_fraction=1.5)
+
+
+def test_decompose_needs_k_Tm_at_a_shorter_tenor():
+    k_T, k_Tm = kernels_at(CURVE, SurvivalParams(0.02, 0.06, 0.1), [5.0, 4.5])
+    assert decompose_return(0.04, 0.03, k_T, k_Tm, 0.4).horizon == 0.5
+    for later, earlier in ((k_Tm, k_T), (k_T, k_T)):
+        with pytest.raises(ValueError, match="horizon must lie strictly inside"):
+            decompose_return(0.04, 0.03, later, earlier, 0.4)
+
+
+@pytest.mark.parametrize("rating", [0, 19, -5, True, 9.0, "9"])
+def test_transition_stay_rejects_a_rating_off_the_scale(rating):
+    # 0 and 19 gave a certain-default row, -5 rating 14 and True rating 1
+    with pytest.raises(ValueError, match="rating"):
+        TransitionInputs.stay(rating)
+
+
+def test_transition_stay_takes_numpy_integers():
+    assert TransitionInputs.stay(np.int64(9)) == TransitionInputs.stay(9)
+
+
+def test_transitions_read_every_destination_off_one_readout(readout_calls):
+    p = [0.0] * 19
+    p[8], p[11], p[14], p[18] = 0.6, 0.2, 0.1, 0.1
+    expected_return_with_transitions(0.04, 0.025, 101.0, 0.43, 7.0, 0.5, CURVE, GRID,
+                                     TransitionInputs(tuple(p)))
+    assert len(readout_calls) == 1

@@ -244,6 +244,21 @@ def test_analytics_components_sum(tmp_path, runner):
         assert total == pytest.approx(float(rec["total_bp"]), abs=1e-6)
 
 
+def test_analytics_reads_the_kernels_off_one_readout(tmp_path, runner, colom_dir,
+                                                     readout_calls):
+    # one read-out for the fit's one rating group, and one for every held
+    # instrument's kernels at T and at T - horizon
+    result = runner.invoke(main, [
+        "analytics", "--riskfree", str(colom_dir / "riskfree.csv"),
+        "--bonds", str(colom_dir / "bonds.csv"), "--config", str(colom_dir / "config.txt"),
+        "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    held = len((tmp_path / "out" / "analytics.csv").read_text().splitlines()) - 1
+    assert held > 1
+    assert len(readout_calls) == 2
+    assert len(readout_calls[-1][1]) == 2 * held
+
+
 def make_history_dir(tmp_path, hazards):
     root = tmp_path / "snaps"
     for i, lam in enumerate(hazards):
