@@ -47,13 +47,17 @@ and one price-gap pass per evaluation, and the residuals and their
 Jacobian are put back in instrument order at the end.  A single-name fit
 is the one-group case of the same pass.
 
-Each fit has one chart: a map from the fit coordinates x to the curve,
-alpha and, for each rating group, the group's (a, b, c) together with
-d(a, b, c, alpha)/dx through the coordinate maps (exp of the logs, the
+Each fit has one chart: a map from the fit coordinates x to arrays, not
+curve objects: the hazard levels a and b with one entry per rating
+group, the shared c and alpha, and d(a, b, c, alpha)/dx as one (groups,
+4, coordinates) array, through the coordinate maps (exp of the logs, the
 cumulative anchor increments, log-linear rating interpolation; c and
 alpha enter as themselves).  One call per solver point evaluates the
 chart once and returns the residuals together with their derivatives
-chained into x, so a Jacobian costs no extra evaluation.
+chained into x, so a Jacobian costs no extra evaluation.  The fitted
+curve, a SurvivalParams or a RatingGrid, is built once, at the winning
+point, for the result; a grid chart's levels are that grid's
+``params_for_rating`` levels bit for bit.
 """
 
 from __future__ import annotations
@@ -61,6 +65,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
+from operator import mul
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -71,7 +77,8 @@ from .survival import (
     C_BOUNDS,
     RatingGrid,
     SurvivalParams,
-    anchor_log_weights,
+    anchor_segment,
+    log_interp,
     survival_jet,
 )
 from .valuation import (
@@ -139,10 +146,11 @@ class FitConfig:
         n = self.multistart_count
         if not (n >= 1 and math.isfinite(n)):
             raise ValueError(f"multistart_count must be finite and >= 1, got {n!r}")
-        if not isinstance(n, numbers.Integral):
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool):
             raise ValueError(f"multistart_count must be an integer, got {n!r}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        seed = self.seed
+        if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -212,12 +220,15 @@ class _MarketSide:
 
     Everything that does not depend on the candidate curve (market
     prices, SNAC upfronts, weights, recoveries, grid indices) is
-    computed once; per candidate only the survival values move.  Each
-    rating group has its own read-out, on a grid that ends at the
-    group's longest tenor.  Per candidate one jet call (:meth:`jet`)
-    covers every group's read-out points, laid out group after group
-    (``_point_slices``), and each group's :class:`KernelGrid` is its
-    product with W on its slice.  The rest of the work runs in the
+    computed once; per candidate only the survival values move.  A
+    candidate is the chart's arrays, not curve objects: each group's
+    hazard levels a and b, the shared c and alpha, and each group's
+    chain into the fit coordinates.  Each rating group has its own
+    read-out, on a grid that ends at the group's longest tenor.  Per
+    candidate one jet call (:meth:`jet`) covers every group's read-out
+    points, laid out group after group (``_point_slices``), and each
+    group's :class:`KernelGrid` is its product with W on its slice, with
+    no SurvivalParams.  The rest of the work runs in the
     grouped layout of the instruments, group after group (``slices``),
     and its results are put back in instrument order.  The layout stays
     because it is cheaper where ratings interleave: kernel rows kept in
@@ -270,25 +281,31 @@ class _MarketSide:
         self._point_slices = dict(zip(self.groups, _slices(sizes)))
         self._point_group = np.repeat(np.arange(len(sizes)), sizes)
 
-    def jet(self, params: dict) -> np.ndarray:
-        """The survival jet of each group's curve (``params``: {group:
-        SurvivalParams}) at the group's read-out points, every group in
-        one call: the points group after group (``_point_slices``), each
-        with its group's b, (b - a)/c and c."""
-        b, power, c = np.array([(params[key].b, params[key].power, params[key].c)
-                                for key in self.groups]).T.take(self._point_group, axis=1)
-        return survival_jet(self._points, b, power, c)
+    def jet(self, a: np.ndarray, b: np.ndarray, c: float) -> np.ndarray:
+        """The survival jet of each group's curve at the group's read-out
+        points, every group in one call: the points group after group
+        (``_point_slices``), each with its group's b and (b - a)/c, where
+        ``a`` and ``b`` hold one hazard level per group and ``c`` is
+        shared."""
+        # (b - a)/c overflows to -inf at an extreme point, which the
+        # residuals' finiteness test turns into a fallback
+        with np.errstate(over="ignore"):
+            power = (b - a) / c
+        return survival_jet(self._points, b.take(self._point_group),
+                            power.take(self._point_group), c)
 
-    def residuals(self, groups: dict, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    def residuals(self, a: np.ndarray, b: np.ndarray, c: float, alpha: float,
+                  chain: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Price residuals in points and their derivatives in the fit
-        coordinates x, in instrument order, from the chart's {group:
-        (params, d(a, b, c, alpha)/dx)}; fresh arrays on every call."""
-        params = {key: groups[key][0] for key in self.groups}
-        jet = self.jet(params)
+        coordinates x, in instrument order, from the chart's hazard levels
+        ``a`` and ``b`` (one per group), shared ``c`` and ``alpha``, and
+        ``chain`` = d(a, b, c, alpha)/dx, one (4, coordinates) block per
+        group; fresh arrays on every call."""
+        jet = self.jet(a, b, c)
         # every group's kernel rows side by side, for one pass of the price gap
         wq = np.empty((3, 4, len(self.instruments)))
         for key, rows in self.slices.items():
-            kg = self._readouts[key].kernel_grid(params[key], jet=True,
+            kg = self._readouts[key].kernel_grid(None, jet=True,
                                                  q=jet[:, self._point_slices[key]])
             wq[:, :, rows] = kg.wq
         pi, xi, rp = wq
@@ -299,8 +316,8 @@ class _MarketSide:
         d_params[:, :3] = gap[1:].T
         # alpha widens the model spread by alpha * sov, which moves dP by -100 * Pi
         d_params[:, 3] = -100.0 * sov * pi[0]
-        jac = np.concatenate([d_params[rows] @ groups[key][1]
-                              for key, rows in self.slices.items()])
+        jac = np.concatenate([d_params[rows] @ chain[g]
+                              for g, rows in enumerate(self.slices.values())])
         return gap[0].take(self._back), jac.take(self._back, axis=0)
 
     def objective(self, dp: np.ndarray) -> float:
@@ -371,25 +388,27 @@ class _ShapeAlpha:
             boxes["alpha"] = (0.0, 1.0)
         return boxes
 
-    def chart(self, x: np.ndarray) -> tuple[float, float, np.ndarray]:
-        """c, alpha and d(a, b, c, alpha)/dx with rows c and alpha filled;
-        rows a and b are zero, for the hazard part of the chart to fill."""
-        chain = np.zeros((4, len(x)))
+    def chart(self, x: np.ndarray, groups: int = 1) -> tuple[float, float, np.ndarray]:
+        """c, alpha and each of ``groups`` groups' d(a, b, c, alpha)/dx with
+        rows c and alpha filled; rows a and b are zero, for the hazard part
+        of the chart to fill."""
+        chain = np.zeros((groups, 4, len(x)))
         c, alpha = self.fixed_c, self.fixed_alpha
         if self.i_c is not None:
             c = float(x[self.i_c])
-            chain[2, self.i_c] = 1.0
+            chain[:, 2, self.i_c] = 1.0
         if self.i_alpha is not None:
             alpha = float(x[self.i_alpha])
-            chain[3, self.i_alpha] = 1.0
+            chain[:, 3, self.i_alpha] = 1.0
         return c, alpha, chain
 
 
 class _CountedResiduals:
     """Residual vector of the fit coordinates x, with its Jacobian.
 
-    ``chart(x)`` gives (curve, alpha, {group: (SurvivalParams,
-    d(a, b, c, alpha)/dx)}).  Each call evaluates the chart once and
+    ``chart(x)`` gives the arguments of :meth:`_MarketSide.residuals`:
+    (a, b, c, alpha, d(a, b, c, alpha)/dx), with a and b one hazard level
+    per rating group.  Each call evaluates the chart once and
     returns the residuals dP together with d dP/dx, as fresh arrays that
     the solver may rescale in place.  Counts every call and records each
     improvement of the objective as (eval#, f).  A point whose parameters
@@ -409,8 +428,7 @@ class _CountedResiduals:
     def __call__(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self.evals += 1
         try:
-            _, alpha, groups = self.chart(x)
-            dp, jac = self.side.residuals(groups, alpha)
+            dp, jac = self.side.residuals(*self.chart(x))
         except (OverflowError, ValueError):
             dp = jac = None
         if dp is None or not (np.isfinite(dp).all() and np.isfinite(jac).all()):
@@ -773,7 +791,7 @@ def _stationary(res: _TrustRegionResult, objective: float) -> bool:
             and _projected_grad_norm(res) <= STATIONARY_GRAD * (1.0 + objective))
 
 
-def _solve(side: _MarketSide, chart, coordinates: dict[str, tuple[float, float]],
+def _solve(side: _MarketSide, chart, params_of, coordinates: dict[str, tuple[float, float]],
            u0: list[float], scale: float, config: FitConfig, underdetermined: bool,
            tie_ab: bool | None, fix_c: float | None) -> FitResult:
     """Multistart bounded trust-region least squares of the residuals over
@@ -789,7 +807,8 @@ def _solve(side: _MarketSide, chart, coordinates: dict[str, tuple[float, float]]
     module's tolerances (machine eps in the objective, XTOL, GTOL) or
     after MAX_NFEV evaluations.  Every fit's diagnostics have the same
     keys, in the same order; ``at_bound`` names the coordinates on an
-    active bound at the winning point."""
+    active bound at the winning point, and ``params_of`` builds the
+    fitted curve there."""
     residuals = _CountedResiduals(side, chart)
     lb, ub = (np.array(edge, dtype=float) for edge in zip(*coordinates.values()))
     rng = np.random.default_rng(config.seed)
@@ -811,7 +830,6 @@ def _solve(side: _MarketSide, chart, coordinates: dict[str, tuple[float, float]]
     objectives = tuple(f for f, _ in runs)
     fun, best = runs[objectives.index(min(objectives))]
 
-    curve, alpha, _ = chart(best.x)
     info = dict(evaluations=residuals.evals, jacobian_evals=sum(res.njev for _, res in runs),
                 fallback_evals=residuals.fallback_evals,
                 converged=_stationary(best, fun), status=int(best.status),
@@ -821,7 +839,7 @@ def _solve(side: _MarketSide, chart, coordinates: dict[str, tuple[float, float]]
                 underdetermined=underdetermined, tie_ab=tie_ab, fix_c=fix_c,
                 degenerate_single_rating=None, seed=config.seed,
                 at_bound=tuple(name for name, on in zip(coordinates, best.active) if on))
-    return FitResult(params=curve, alpha=alpha if side.em_on else None,
+    return FitResult(params=params_of(best.x), alpha=chart(best.x)[3] if side.em_on else None,
                      residuals=tuple(float(r) for r in best.fun),
                      objective=fun, diagnostics=info)
 
@@ -845,7 +863,6 @@ def _fit_single(side: _MarketSide) -> FitResult:
     """The single-name fit on a market side of one group: one curve for
     every instrument."""
     config = side.config
-    (group,) = side.groups
     underdetermined = False
     tie_ab = False
     fix_c = config.fix_c
@@ -861,14 +878,17 @@ def _fit_single(side: _MarketSide) -> FitResult:
 
     def chart(x: np.ndarray):
         c, alpha, chain = tail.chart(x)
-        params = SurvivalParams(math.exp(x[0]), math.exp(x[i_b]), c)
-        chain[0, 0], chain[1, i_b] = params.a, params.b
-        return params, alpha, {group: (params, chain)}
+        a, b = math.exp(x[0]), math.exp(x[i_b])
+        chain[0, 0, 0], chain[0, 1, i_b] = a, b
+        return np.array([a]), np.array([b]), c, alpha, chain
+
+    def params_of(x: np.ndarray) -> SurvivalParams:
+        return SurvivalParams(math.exp(x[0]), math.exp(x[i_b]), tail.chart(x)[0])
 
     hazard = {"ln_a": free} if tie_ab else {"ln_a": free, "ln_b": free}
     coordinates = {**hazard, **tail.coordinates()}
     u0 = [math.log(0.01), math.log(0.05)][:i_b + 1] + [0.0] * len(tail.coordinates())
-    return _solve(side, chart, coordinates, u0, 0.8, config,
+    return _solve(side, chart, params_of, coordinates, u0, 0.8, config,
                   underdetermined=underdetermined, tie_ab=tie_ab, fix_c=fix_c)
 
 
@@ -907,27 +927,36 @@ def fit_rating_grid(instruments: Sequence[Instrument], curve: RiskfreeCurve,
     # x = (ln a_AA, ln a_BBB - ln a_AA, ln a_B - ln a_BBB, the same three
     #      for b, c, alpha), the increments boxed at >= 0
     tail = _ShapeAlpha.after(6, config.fix_c, side)
-    # d ln x(r)/d ln(anchor k): the log-interpolation weights of anchors k and above
-    tail_weights = {r: np.cumsum(anchor_log_weights(r)[::-1])[::-1] for r in side.groups}
+    # each group's segment of the anchors and its fraction along it
+    segment = anchor_segment(list(side.groups))
+    # d ln x(r)/d ln(anchor k): the log-interpolation weights of anchors k and
+    # above, one row per group
+    tail_weights = np.cumsum(log_interp(segment, np.eye(3))[::-1], axis=0)[::-1].T
+
+    def anchors(x: np.ndarray) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        # the a and the b anchors at AA, BBB and B: e^(ln AA anchor), then
+        # each anchor the one below it times e^(its increment)
+        return tuple(tuple(accumulate(map(math.exp, x[i:i + 3].tolist()), mul)) for i in (0, 3))
 
     def chart(x: np.ndarray):
-        a1 = math.exp(x[0])
-        a2 = a1 * math.exp(x[1])
-        a3 = a2 * math.exp(x[2])
-        b1 = math.exp(x[3])
-        b2 = b1 * math.exp(x[4])
-        b3 = b2 * math.exp(x[5])
-        c, alpha, shape = tail.chart(x)
-        grid = RatingGrid(anchors_a=(a1, a2, a3), anchors_b=(b1, b2, b3), c=c)
+        levels = anchors(x)
+        # a point where RatingGrid would reject an anchor falls back: an
+        # anchor at inf raises here, one at 0 in math.log
+        if not (math.isfinite(levels[0][2]) and math.isfinite(levels[1][2])):
+            raise OverflowError("rating anchor overflows")
+        # every group's ln a and ln b in one interpolation, then each level
+        # by the scalar exp, as RatingGrid.params_for_rating takes it
+        logs = log_interp(segment, [[math.log(v) for v in row] for row in levels])
+        a, b = (np.array([math.exp(v) for v in row]) for row in logs.tolist())
+        c, alpha, chain = tail.chart(x, len(side.groups))
         # d ln(anchor j)/dx_k is 1 for k <= j
-        groups = {}
-        for r, weights in tail_weights.items():
-            params = grid.params_for_rating(r)
-            chain = shape.copy()
-            chain[0, 0:3] = params.a * weights
-            chain[1, 3:6] = params.b * weights
-            groups[r] = (params, chain)
-        return grid, alpha, groups
+        chain[:, 0, 0:3] = a[:, np.newaxis] * tail_weights
+        chain[:, 1, 3:6] = b[:, np.newaxis] * tail_weights
+        return a, b, c, alpha, chain
+
+    def params_of(x: np.ndarray) -> RatingGrid:
+        a, b = anchors(x)
+        return RatingGrid(anchors_a=a, anchors_b=b, c=tail.chart(x)[0])
 
     free, increment = (-math.inf, math.inf), (0.0, math.inf)
     coordinates = {"ln_a_AA": free, "d_a1": increment, "d_a2": increment,
@@ -935,5 +964,5 @@ def fit_rating_grid(instruments: Sequence[Instrument], curve: RiskfreeCurve,
                    **tail.coordinates()}
     u0 = [math.log(0.003), -1.0, -1.0, math.log(0.02), -1.0, -1.0] + [0.0] * len(
         tail.coordinates())
-    return _solve(side, chart, coordinates, u0, 0.6, config,
+    return _solve(side, chart, params_of, coordinates, u0, 0.6, config,
                   underdetermined=False, tie_ab=None, fix_c=config.fix_c)

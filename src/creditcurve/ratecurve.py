@@ -62,7 +62,8 @@ class RiskfreeCurve:
             raise ValueError("curve needs at least one pillar")
         if not all(math.isfinite(t) and math.isfinite(z) for t, z in pillars):
             raise ValueError("pillar tenors and rates must be finite")
-        if not isinstance(self.compounding, int) or self.compounding < 0:
+        m = self.compounding
+        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
             raise ValueError("compounding must be a non-negative integer")
         tenors = [t for t, _ in pillars]
         if any(t <= 0 for t in tenors):
@@ -70,7 +71,7 @@ class RiskfreeCurve:
         if any(t1 >= t2 for t1, t2 in zip(tenors, tenors[1:])):
             raise ValueError("pillar tenors must be strictly increasing")
         knot_t = np.array([0.0] + tenors)
-        rates_cc = [_to_continuous(z, self.compounding) for _, z in pillars]
+        rates_cc = [_to_continuous(z, m) for _, z in pillars]
         knot_y = np.array([0.0] + [r * t for t, r in zip(tenors, rates_cc)])
         object.__setattr__(self, "_knot_t", knot_t)
         object.__setattr__(self, "_knot_y", knot_y)

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +30,8 @@ __all__ = [
     "RATING_SYMBOLS",
     "ANCHOR_RATINGS",
     "anchor_log_weights",
+    "anchor_segment",
+    "log_interp",
     "validate_rating",
 ]
 
@@ -141,28 +142,32 @@ def survival_jet(t: np.ndarray, b, power, c) -> np.ndarray:
     return out
 
 
-def _anchor_segment(r: float) -> tuple[int, float]:
-    # the first anchor of r's segment and r's fraction along it (< 0 or > 1 outside)
+def anchor_segment(r) -> tuple[np.ndarray, np.ndarray]:
+    """The first anchor of the segment of each rating ``r`` (one rating or
+    an array of them): 0 up to BBB, 1 above it, and r's fraction along
+    that segment (< 0 or > 1 outside the anchors)."""
+    r = np.asarray(r)
     r1, r2, r3 = ANCHOR_RATINGS
-    if r <= r2:
-        return 0, (r - r1) / (r2 - r1)
-    return 1, (r - r2) / (r3 - r2)
+    upper = r > r2
+    return upper.astype(int), np.where(upper, (r - r2) / (r3 - r2), (r - r1) / (r2 - r1))
 
 
-def _log_interp(r: float, la: tuple[float, float, float]) -> float:
-    # linear in rating index through the anchors' logs ``la`` at (3, 9, 15);
-    # linear extrapolation outside
-    j, t = _anchor_segment(r)
-    return math.exp(la[j] + t * (la[j + 1] - la[j]))
+def log_interp(segment: tuple[np.ndarray, np.ndarray], logs) -> np.ndarray:
+    """ln x of the log-linear rating interpolation at the ratings whose
+    :func:`anchor_segment` is ``segment``: linear in the rating index
+    through the anchor logs ``logs`` (last axis: AA, BBB, B), and
+    extrapolated linearly outside the anchors.  ``logs`` of shape
+    (..., 3) gives (...) + the ratings' shape."""
+    j, t = segment
+    logs = np.asarray(logs, dtype=float)
+    lo = logs[..., j]
+    return lo + t * (logs[..., j + 1] - lo)
 
 
 def anchor_log_weights(r: int) -> np.ndarray:
     """d ln x(r) / d ln (AA, BBB, B anchors) of the log-linear rating
     interpolation; the weights sum to one."""
-    j, t = _anchor_segment(validate_rating(r))
-    w = np.zeros(3)
-    w[j], w[j + 1] = 1.0 - t, t
-    return w
+    return log_interp(anchor_segment(validate_rating(r)), np.eye(3))
 
 
 @dataclass(frozen=True)
@@ -190,21 +195,11 @@ class RatingGrid:
         if not (self.c > 0 and math.isfinite(self.c)):
             raise ValueError("shape parameter c must be finite and > 0")
 
-    @cached_property
-    def _anchor_logs(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        # ln of the a and the b anchors, taken once for every rating
-        return (tuple(math.log(x) for x in self.anchors_a),
-                tuple(math.log(x) for x in self.anchors_b))
-
-    def __getstate__(self) -> dict:
-        # the logs are a cache: a pickle holds the fields alone
-        return {k: v for k, v in self.__dict__.items() if k != "_anchor_logs"}
-
     def params_for_rating(self, r: int) -> SurvivalParams:
         """Log-linear interpolation of the anchors at rating ``r``."""
-        r = validate_rating(r)
-        la, lb = self._anchor_logs
-        return SurvivalParams(a=_log_interp(r, la), b=_log_interp(r, lb), c=self.c)
+        logs = [[math.log(x) for x in anchors] for anchors in (self.anchors_a, self.anchors_b)]
+        a, b = (math.exp(v) for v in log_interp(anchor_segment(validate_rating(r)), logs))
+        return SurvivalParams(a=a, b=b, c=self.c)
 
 
 @dataclass(frozen=True)

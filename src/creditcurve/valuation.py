@@ -172,7 +172,7 @@ class KernelReadout:
         return cls(curve=curve, h=h, t=t, points=points, tenors=tenors,
                    t_max=float(tenors.max()), W=W.reshape(3 * m, n + m), B_T=B_T)
 
-    def kernel_grid(self, params: SurvivalParams, jet: bool = False,
+    def kernel_grid(self, params: SurvivalParams | None, jet: bool = False,
                     q: np.ndarray | None = None) -> "KernelGrid":
         return KernelGrid(self.curve, params, self.t_max, self.h, _cache=self, jet=jet, q=q)
 
@@ -193,9 +193,11 @@ class KernelGrid:
     value.  ``q``, when given, is that Q (or jet) at the read-out's
     points, computed by the caller: a fit evaluates every rating group's
     jet in one call, and each group's build is then its product with W.
+    With ``q`` given, ``params`` is read only by :meth:`at`, and a fit
+    passes None.
     """
 
-    def __init__(self, curve: RiskfreeCurve, params: SurvivalParams,
+    def __init__(self, curve: RiskfreeCurve, params: SurvivalParams | None,
                  t_max: float, grid_step: float = DEFAULT_GRID_STEP,
                  _cache: KernelReadout | None = None, jet: bool = False,
                  q: np.ndarray | None = None):

@@ -1,7 +1,9 @@
 import dataclasses
 import datetime as dt
 from collections import Counter
+import functools
 import math
+import pickle
 import sys
 import tempfile
 from pathlib import Path
@@ -439,13 +441,21 @@ def test_evaluations_count_every_residual_call(monkeypatch):
     assert res.diagnostics["evaluations"] == len(calls)
 
 
+def levels(params):
+    """The chart's hazard levels a and b, one per group, and the shared c,
+    from one SurvivalParams per group in group order."""
+    params = list(params)
+    (c,) = {p.c for p in params}
+    return np.array([p.a for p in params]), np.array([p.b for p in params]), c
+
+
 def test_fallback_evaluations_are_counted():
     side = ft._MarketSide(make_bonds(), CURVE, 0.4, FitConfig())
 
     def chart(u):
         if u[0] > 0:
             raise OverflowError
-        return TRUE, 0.0, {None: (TRUE, np.zeros((4, 1)))}
+        return *levels([TRUE]), 0.0, np.zeros((1, 4, 1))
 
     residuals = ft._CountedResiduals(side, chart)
     assert np.all(residuals(np.array([1.0]))[0] == ft.FALLBACK_DP)
@@ -456,7 +466,7 @@ def test_fallback_evaluations_are_counted():
 def test_fit_at_a_fallback_point_is_not_converged(tmp_path, monkeypatch):
     # every evaluation falls back: the residuals are constant, so the
     # gradient is exactly 0 and the solver stops at once
-    def overflow(self, groups, alpha):
+    def overflow(self, *chart):
         raise OverflowError("math range error")
 
     monkeypatch.setattr(ft._MarketSide, "residuals", overflow)
@@ -507,6 +517,14 @@ def test_fitconfig_validation():
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             FitConfig(seed=seed)
     assert FitConfig(seed=np.int64(7)).seed == 7
+
+
+@pytest.mark.parametrize("name", ["multistart_count", "seed"])
+def test_integer_settings_reject_bool(name):
+    # multistart_count=True ran one start, and seed=True went into the diagnostics
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            FitConfig(**{name: flag})
 
 
 # -- rating-grid fit -----------------------------------------------------
@@ -750,9 +768,11 @@ def test_every_start_lies_strictly_inside_the_box(monkeypatch):
         assert np.all((lb < x) & (x < ub))
 
 
-def test_diagnostics_have_one_schema():
+@pytest.fixture(scope="module")
+def fits():
+    """One fit of each kind."""
     sov = lambda T: 0.015 + 0.001 * min(T, 10.0)
-    fits = {
+    return {
         "single-name": fit_single_name(make_bonds(), CURVE, 0.4, FitConfig()),
         "grid": fit_rating_grid(make_grid_universe(), CURVE, None, FitConfig()),
         "degenerate-grid": fit_rating_grid([b for b in make_grid_universe() if b.rating == 9],
@@ -760,6 +780,18 @@ def test_diagnostics_have_one_schema():
         "em": fit_rating_grid(make_grid_universe(alpha=0.45, sov=sov), CURVE, None,
                               FitConfig(em_mode="fit", multistart_count=2)),
     }
+
+
+def test_pickles_hold_fields_only(fits):
+    grid = fits["grid"].params
+    before = pickle.dumps(grid)
+    grid.params_for_rating(9)
+    assert pickle.dumps(grid) == before
+    for res in fits.values():
+        assert pickle.loads(pickle.dumps(res)) == res
+
+
+def test_diagnostics_have_one_schema(fits):
     keys = [list(res.diagnostics) for res in fits.values()]
     assert all(k == keys[0] for k in keys)
     assert keys[0] == ["evaluations", "jacobian_evals", "fallback_evals", "converged", "status",
@@ -886,7 +918,7 @@ def test_fallback_point_has_zero_jacobian(monkeypatch):
     side = ft._MarketSide(make_bonds(), CURVE, 0.4, FitConfig())
     # finite parameters whose residuals are not: (b - a)/c overflows
     huge = SurvivalParams(1e308, 0.05, 0.1)
-    nan_dp = ft._CountedResiduals(side, lambda u: (huge, 0.0, {None: (huge, np.ones((4, 1)))}))
+    nan_dp = ft._CountedResiduals(side, lambda u: (*levels([huge]), 0.0, np.ones((1, 4, 1))))
     with np.errstate(invalid="ignore"):
         dp, jac = nan_dp(np.zeros(1))
     assert np.all(dp == ft.FALLBACK_DP)
@@ -894,8 +926,8 @@ def test_fallback_point_has_zero_jacobian(monkeypatch):
     assert (nan_dp.evals, nan_dp.fallback_evals) == (1, 1)
 
     # finite residuals whose chain into u overflows
-    steep_chain = np.full((4, 1), 1e308)
-    steep = ft._CountedResiduals(side, lambda u: (TRUE, 0.0, {None: (TRUE, steep_chain)}))
+    steep_chain = np.full((1, 4, 1), 1e308)
+    steep = ft._CountedResiduals(side, lambda u: (*levels([TRUE]), 0.0, steep_chain))
     with np.errstate(over="ignore", invalid="ignore"):
         dp, jac = steep(np.zeros(1))
     assert np.all(dp == ft.FALLBACK_DP)
@@ -906,8 +938,8 @@ def test_fallback_point_has_zero_jacobian(monkeypatch):
 def scaled_true_chart(u):
     # one coordinate, ln of a factor on both hazard levels of TRUE
     params = TRUE.scaled(math.exp(u[0]))
-    chain = np.array([[params.a], [params.b], [0.0], [0.0]])
-    return params, 0.0, {None: (params, chain)}
+    chain = np.array([[[params.a], [params.b], [0.0], [0.0]]])
+    return *levels([params]), 0.0, chain
 
 
 def test_jacobian_requests_get_their_own_arrays():
@@ -923,20 +955,70 @@ def test_jacobian_requests_get_their_own_arrays():
     assert residuals.evals == 3
 
 
-def test_grid_fit_builds_each_rating_once_per_evaluation(monkeypatch):
-    bonds = make_grid_universe()
+def counted_calls(monkeypatch, cls, name):
+    """The calls of ``cls.name`` from here on, one entry each."""
     calls = []
-    params_for_rating = RatingGrid.params_for_rating
+    method = getattr(cls, name)
 
-    def counted(self, r):
-        calls.append(r)
-        return params_for_rating(self, r)
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
 
-    monkeypatch.setattr(RatingGrid, "params_for_rating", counted)
-    res = fit_rating_grid(bonds, CURVE, None, FitConfig(multistart_count=2))
-    groups = len({b.rating for b in bonds})
-    # one chart per evaluation plus one at the fitted point; Jacobians reuse them
-    assert len(calls) == groups * (res.diagnostics["evaluations"] + 1)
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("grid", [False, True])
+def test_a_fit_builds_its_curve_objects_once(monkeypatch, grid):
+    # the chart gives arrays; the fitted curve is built once, for the result
+    instruments = make_grid_universe() if grid else make_bonds()
+    by_rating = counted_calls(monkeypatch, RatingGrid, "params_for_rating")
+    grids = counted_calls(monkeypatch, RatingGrid, "__post_init__")
+    survival_params = counted_calls(monkeypatch, SurvivalParams, "__post_init__")
+    fit = fit_rating_grid if grid else fit_single_name
+    res = fit(instruments, CURVE, 0.4, FitConfig(multistart_count=2))
+    assert res.diagnostics["evaluations"] > 2
+    assert len(by_rating) == 0
+    assert (len(grids), len(survival_params)) == ((1, 0) if grid else (0, 1))
+
+
+@functools.cache
+def extrapolating_grid_chart():
+    """The chart and params_of a grid fit hands _solve, and its group
+    ratings, on ratings where the interpolation extrapolates (1, 2, 16, 17,
+    18) and one inside the anchors (9)."""
+    seen = []
+
+    def spy(side, chart, params_of, *args, **kwargs):
+        seen.append((chart, params_of, list(side.groups)))
+        raise _Captured
+
+    bonds = [BondSpec(coupon=0.04, tenor=T, price=100.0, recovery=0.4, rating=r)
+             for r in (1, 2, 9, 16, 17, 18) for T in (3.0, 10.0)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ft, "_solve", spy)
+        with pytest.raises(_Captured):
+            fit_rating_grid(bonds, CURVE, None, FitConfig())
+    return seen[0]
+
+
+INCREMENT = st.floats(0.0, 3.0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(x=st.tuples(st.floats(-12.0, -1.0), INCREMENT, INCREMENT,
+                   st.floats(-10.0, -1.0), INCREMENT, INCREMENT, st.floats(*C_BOUNDS)))
+def test_chart_levels_are_the_fitted_curves(x):
+    # the levels a fit prices with are those fit_report.csv writes through
+    # params_for_rating, bit for bit
+    chart, params_of, ratings = extrapolating_grid_chart()
+    x = np.array(x)
+    a, b, c, _, _ = chart(x)
+    grid = params_of(x)
+    assert ratings == [1, 2, 9, 16, 17, 18]
+    for g, r in enumerate(ratings):
+        p = grid.params_for_rating(r)
+        assert (a[g], b[g], c) == (p.a, p.b, p.c)
 
 
 @pytest.mark.parametrize("grouped", [False, True])
@@ -949,7 +1031,8 @@ def test_jet_residuals_are_bit_identical_to_the_plain_path(grouped):
     side = ft._MarketSide(instruments, CURVE, None, FitConfig(em_mode="fixed"),
                           group_by_rating=grouped)
     by_group = {key: GRID_TRUE.params_for_rating(key or 9).scaled(1.3) for key in side.groups}
-    dp, _ = side.residuals({key: (p, np.eye(4)) for key, p in by_group.items()}, 0.4)
+    dp, _ = side.residuals(*levels(by_group.values()), 0.4,
+                           np.stack([np.eye(4)] * len(by_group)))
     expected = np.empty(len(instruments))
     for key, idx in side.groups.items():
         kg = side._readouts[key].kernel_grid(by_group[key])
@@ -983,7 +1066,8 @@ def test_grouped_price_gap_is_bit_identical_to_the_parent_formulation():
     config = FitConfig(em_mode="fixed")
     side = ft._MarketSide(instruments, CURVE, None, config, group_by_rating=True)
     by_group = {r: GRID_TRUE.params_for_rating(r).scaled(1.3) for r in side.groups}
-    dp, jac = side.residuals({r: (p, np.eye(4)) for r, p in by_group.items()}, 0.4)
+    dp, jac = side.residuals(*levels(by_group.values()), 0.4,
+                             np.stack([np.eye(4)] * len(by_group)))
 
     quotes = ft._quotes(instruments, CURVE, None)
     sov = np.array([i.sovereign_spread for i in instruments])
@@ -1013,7 +1097,8 @@ def test_price_gap_of_interleaved_ratings_is_the_per_group_parent_formulation(or
     config = FitConfig(em_mode="fixed")
     side = ft._MarketSide(instruments, CURVE, None, config, group_by_rating=True)
     by_group = {r: GRID_TRUE.params_for_rating(r).scaled(0.7 + 0.05 * r) for r in side.groups}
-    dp, jac = side.residuals({r: (p, np.eye(4)) for r, p in by_group.items()}, alpha)
+    dp, jac = side.residuals(*levels(by_group.values()), alpha,
+                             np.stack([np.eye(4)] * len(by_group)))
 
     quotes = ft._quotes(instruments, CURVE, None)
     sov = np.array([i.sovereign_spread for i in instruments])
@@ -1037,7 +1122,8 @@ def test_price_gap_of_interleaved_ratings_is_the_per_group_parent_formulation(or
     expected_du = np.empty((len(instruments), 7))
     for r, idx in groups.items():
         expected_du[idx] = jac[idx] @ chains[r]
-    _, du = side.residuals({r: (by_group[r], chains[r]) for r in groups}, alpha)
+    _, du = side.residuals(*levels(by_group.values()), alpha,
+                           np.stack([chains[r] for r in groups]))
     assert np.array_equal(du, expected_du)
 
 
@@ -1053,7 +1139,7 @@ def test_one_jet_call_is_each_groups_own_jet(ab, c):
     # evaluates its own
     side = ft._MarketSide(STAGGERED, CURVE, None, FitConfig(), group_by_rating=True)
     params = {r: SurvivalParams(a, b, c) for r, (a, b) in zip(side.groups, ab)}
-    jet = side.jet(params)
+    jet = side.jet(*levels(params.values()))
     assert jet.shape == (4, sum(len(ro.points) for ro in side._readouts.values()))
     for r, p in params.items():
         ro = side._readouts[r]

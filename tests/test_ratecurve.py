@@ -130,6 +130,10 @@ def test_validation_errors():
         RiskfreeCurve(pillars=((0.0, 0.02),))
     with pytest.raises(ValueError):
         RiskfreeCurve(pillars=((1.0, 0.02),), compounding=-1)
+    # True would otherwise convert the pillar rates as annually compounded
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="compounding must be a non-negative integer"):
+            RiskfreeCurve(pillars=((1.0, 0.02),), compounding=flag)
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             RiskfreeCurve.flat(x)

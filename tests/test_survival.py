@@ -12,6 +12,8 @@ from creditcurve.survival import (
     RecoverySchedule,
     SurvivalParams,
     anchor_log_weights,
+    anchor_segment,
+    log_interp,
     validate_rating,
 )
 
@@ -74,6 +76,19 @@ def test_anchor_log_weights_reproduce_the_interpolation():
         assert math.log(got.b) == pytest.approx(w @ np.log(grid.anchors_b), rel=1e-13)
     # outside AA..B the weights extrapolate
     assert anchor_log_weights(1)[0] > 1.0 and anchor_log_weights(18)[1] < 0.0
+
+
+@settings(max_examples=25, deadline=None)
+@given(logs=st.lists(st.floats(-20.0, 0.0), min_size=6, max_size=6))
+def test_log_interp_of_an_array_is_each_ratings_own(logs):
+    logs = np.reshape(logs, (2, 3))
+    ratings = np.arange(1, 19)
+    together = log_interp(anchor_segment(ratings), logs)
+    assert together.shape == (2, 18)
+    for i, r in enumerate(ratings):
+        alone = anchor_segment(int(r))
+        assert np.array_equal(together[:, i], log_interp(alone, logs))
+        assert np.array_equal(together[:, i], [log_interp(alone, row) for row in logs])
 
 
 def test_negative_tenor_rejected():
