@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 input error, 3 non-convergence.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import datetime as dt
 import math
@@ -19,7 +20,6 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
-import click
 import numpy as np
 
 from . import analytics as an
@@ -160,53 +160,82 @@ def _write(path: Path, header: list[str], rows: list[list[str]]) -> None:
         _fail(f"cannot write {path}: {exc.strerror or exc}", EXIT_INPUT)
 
 
-# every shared flag, declared once; a verb takes its flags by name
+# every flag, declared once as argparse keywords; a verb takes its flags by name
 OPTIONS = {
-    "riskfree": click.option("--riskfree", required=True, type=click.Path(), help="curve file"),
-    "bonds": click.option("--bonds", type=click.Path(), help="bond quote file"),
-    "cds": click.option("--cds", type=click.Path(), help="CDS quote file"),
-    "sovereign": click.option("--sovereign", type=click.Path(),
-                              help="sovereign par-spread pillars"),
-    "config": click.option("--config", "config_path", type=click.Path(),
-                           help="run-config file (key = value)"),
-    "as-of": click.option("--as-of", help="snapshot date YYYY-MM-DD"),
-    "compounding": click.option("--compounding", type=int,
-                                help="quoting frequency of curve input rates (0 = continuous)"),
-    "recovery": click.option("--recovery", help="fixed[:v] | schedule"),
-    "out": click.option("--out", help="output directory"),
-    "fix-c": click.option("--fix-c", type=float, help="fix the shape parameter"),
-    "em-alpha": click.option("--em-alpha", help="fit | fixed:v | off"),
-    "seed": click.option("--seed", type=int, help="seed of the multistart jitters"),
-    "multistart": click.option("--multistart", type=int, help="cap on solver starts"),
-    "weight-mode": click.option("--weight-mode", help="issue_size | equal | issue_size_duration"),
-    "loss": click.option("--loss", help="robust | squared"),
-    "allow-underdetermined": click.option("--allow-underdetermined", is_flag=True),
+    "riskfree": dict(required=True, help="curve file"),
+    "bonds": dict(help="bond quote file"),
+    "cds": dict(help="CDS quote file"),
+    "sovereign": dict(help="sovereign par-spread pillars"),
+    "config": dict(dest="config_path", help="run-config file (key = value)"),
+    "as-of": dict(help="snapshot date YYYY-MM-DD"),
+    "compounding": dict(type=int, help="quoting frequency of curve input rates (0 = continuous)"),
+    "recovery": dict(help="fixed[:v] | schedule"),
+    "out": dict(help="output directory"),
+    "fix-c": dict(type=float, help="fix the shape parameter"),
+    "em-alpha": dict(help="fit | fixed:v | off"),
+    "seed": dict(type=int, help="seed of the multistart jitters"),
+    "multistart": dict(type=int, help="cap on solver starts"),
+    "weight-mode": dict(help="issue_size | equal | issue_size_duration"),
+    "loss": dict(help="robust | squared"),
+    "allow-underdetermined": dict(action="store_true"),
+    "a": dict(type=float, required=True, help="short-end hazard"),
+    "b": dict(type=float, required=True, help="long-end hazard"),
+    "c": dict(type=float, required=True, help="shape parameter"),
+    "yield-compounding": dict(type=int, help="compounding m for yield and Z-spread (default 2)"),
+    "horizon": dict(type=float, help="horizon in years"),
+    "convergence-fraction": dict(type=float),
+    "variant": dict(choices=["standard", "model_carry"], default="standard"),
+    "snapshots": dict(required=True, help="directory of YYYY-MM-DD subdirectories with "
+                                          "riskfree.csv / bonds.csv [/ cds.csv / sovereign.csv]"),
+    "mode": dict(choices=["single-name", "rating-grid"], default="single-name"),
+    "tenor-points": dict(default="5,10", help="comma list of tenor points, years"),
 }
+_COMMON = ("riskfree", "bonds", "cds", "sovereign", "config", "as-of", "compounding",
+           "recovery", "out")
+_FIT_OPTS = ("fix-c", "em-alpha", "seed", "multistart", "weight-mode", "loss",
+             "allow-underdetermined")
 
 
-def _options(*names: str):
-    """A decorator that declares the named flags of :data:`OPTIONS`, in
-    this order in ``--help``."""
-    def apply(fn):
-        for name in reversed(names):
-            fn = OPTIONS[name](fn)
+class _Parser(argparse.ArgumentParser):
+    """A parser whose flags are exactly those declared: ``--help`` without
+    ``-h``, and no flag abbreviations.  The verbs' parsers are of this class
+    too."""
+
+    def __init__(self, **kw):
+        super().__init__(add_help=False, allow_abbrev=False, **kw)
+        self.add_argument("--help", action="help", help="show this message and exit")
+
+
+# built once, at import; each verb adds its own parser
+_PARSER = _Parser(prog="creditcurve", description="Survival-curve credit analytics.")
+_VERBS = _PARSER.add_subparsers(dest="verb", required=True)
+
+
+def _verb(name: str, *flags: str):
+    """A decorator that registers a function as the verb ``name``, taking the
+    named flags of :data:`OPTIONS` in this order in ``--help``."""
+    def register(fn):
+        sub = _VERBS.add_parser(name, help=fn.__doc__.partition("\n")[0], description=fn.__doc__)
+        for flag in flags:
+            sub.add_argument("--" + flag, **OPTIONS[flag])
+        # under its own key: the subparsers' dest holds the verb's name
+        sub.set_defaults(run=fn)
         return fn
-    return apply
+    return register
 
 
-_common = _options("riskfree", "bonds", "cds", "sovereign", "config", "as-of", "compounding",
-                   "recovery", "out")
-_fit_opts = _options("fix-c", "em-alpha", "seed", "multistart", "weight-mode", "loss",
-                     "allow-underdetermined")
-
-
-@click.group()
-def main() -> None:
-    """Survival-curve credit analytics."""
+def main(args: list[str] | None = None, standalone_mode: bool = True) -> None:
+    """Survival-curve credit analytics: run the verb that ``args`` (by
+    default the command line) names.  Usage errors exit 2."""
+    # standalone_mode changes nothing; it is kept because perfbench/ops.py and
+    # perfbench/launcher.py pass it
+    kw = vars(_PARSER.parse_args(args))
+    del kw["verb"]
+    kw.pop("run")(**kw)
 
 
 def _fail(msg: str, code: int) -> None:
-    click.echo(f"error: {msg}", err=True)
+    print(f"error: {msg}", file=sys.stderr)
     sys.exit(code)
 
 
@@ -257,11 +286,7 @@ def _fit(st: Settings, snap: UniverseSnapshot, grid: bool,
 # -- value -------------------------------------------------------------
 
 
-@main.command()
-@_common
-@click.option("--a", "a", type=float, required=True, help="short-end hazard")
-@click.option("--b", "b", type=float, required=True, help="long-end hazard")
-@click.option("--c", "c", type=float, required=True, help="shape parameter")
+@_verb("value", *_COMMON, "a", "b", "c")
 def value(a, b, c, **kw):
     """Model prices for the instruments off an explicit hazard curve."""
     with _exits():
@@ -280,16 +305,13 @@ def value(a, b, c, **kw):
                      _fmt(market + delta), _fmt(delta)])
     _write(st.out / "value.csv",
            ["id", "tenor_years", "market_price_pts", "model_price_pts", "delta_pts"], rows)
-    click.echo(f"wrote {st.out / 'value.csv'} ({len(rows)} instruments)")
+    print(f"wrote {st.out / 'value.csv'} ({len(rows)} instruments)")
 
 
 # -- spread ------------------------------------------------------------
 
 
-@main.command()
-@_common
-@click.option("--yield-compounding", "yield_compounding", type=int, default=None,
-              help="compounding m for yield and Z-spread (default 2)")
+@_verb("spread", *_COMMON, "yield-compounding")
 def spread(**kw):
     """Yield, Z-spread and par-adjusted spread per instrument.
 
@@ -322,9 +344,9 @@ def spread(**kw):
     _write(st.out / "spreads.csv",
            ["id", "tenor_years", "price_pts", "yield_bp", "z_spread_bp",
             "par_adjusted_spread_bp", "implied_flat_hazard"], rows)
-    click.echo(f"wrote {st.out / 'spreads.csv'} ({len(rows)} instruments)")
+    print(f"wrote {st.out / 'spreads.csv'} ({len(rows)} instruments)")
     for f in failures:
-        click.echo(f"error: {f}", err=True)
+        print(f"error: {f}", file=sys.stderr)
     if failures:
         sys.exit(EXIT_NOCONV)
 
@@ -387,21 +409,17 @@ def _fit_verb(grid: bool, allow_underdetermined: bool, kw: dict) -> None:
         st, snap = _load(kw, grid)
         result = _fit(st, snap, grid, allow_underdetermined, emit=True)
     fitted = " ".join(f"{name}={val}" for name, val in _param_rows(result))
-    click.echo(f"fitted {fitted} objective={_fmt(result.objective)}")
-    click.echo(f"wrote {st.out / 'fit_params.csv'} and {st.out / 'fit_report.csv'}")
+    print(f"fitted {fitted} objective={_fmt(result.objective)}")
+    print(f"wrote {st.out / 'fit_params.csv'} and {st.out / 'fit_report.csv'}")
 
 
-@main.command()
-@_common
-@_fit_opts
+@_verb("fit", *_COMMON, *_FIT_OPTS)
 def fit(allow_underdetermined, **kw):
     """Single-name three-parameter fit."""
     _fit_verb(False, allow_underdetermined, kw)
 
 
-@main.command("fit-grid")
-@_common
-@_fit_opts
+@_verb("fit-grid", *_COMMON, *_FIT_OPTS)
 def fit_grid(allow_underdetermined, **kw):
     """Seven-parameter multi-rating fit (plus alpha in EM mode)."""
     _fit_verb(True, allow_underdetermined, kw)
@@ -410,13 +428,7 @@ def fit_grid(allow_underdetermined, **kw):
 # -- analytics ---------------------------------------------------------
 
 
-@main.command("analytics")
-@_common
-@_fit_opts
-@click.option("--horizon", type=float, default=None, help="horizon in years")
-@click.option("--convergence-fraction", type=float, default=None)
-@click.option("--variant", type=click.Choice(["standard", "model_carry"]),
-              default="standard")
+@_verb("analytics", *_COMMON, *_FIT_OPTS, "horizon", "convergence-fraction", "variant")
 def analytics_cmd(allow_underdetermined, variant, **kw):
     """Carry / rolldown / RV / total over a horizon, off a fitted curve."""
     with _exits():
@@ -438,22 +450,15 @@ def analytics_cmd(allow_underdetermined, variant, **kw):
     _write(st.out / "analytics.csv",
            ["id", "tenor_years", "par_adjusted_spread_bp", "carry_bp",
             "rolldown_bp", "rv_bp", "total_bp"], rows)
-    click.echo(f"wrote {st.out / 'analytics.csv'} ({len(rows)} instruments, "
-               f"horizon {st.horizon}y, variant {variant})")
+    print(f"wrote {st.out / 'analytics.csv'} ({len(rows)} instruments, "
+          f"horizon {st.horizon}y, variant {variant})")
 
 
 # -- history -----------------------------------------------------------
 
 
-@main.command()
-@click.option("--snapshots", required=True, type=click.Path(),
-              help="directory of YYYY-MM-DD subdirectories with "
-                   "riskfree.csv / bonds.csv [/ cds.csv / sovereign.csv]")
-@click.option("--mode", type=click.Choice(["single-name", "rating-grid"]),
-              default="single-name")
-@click.option("--tenor-points", default="5,10", help="comma list of tenor points, years")
-@_options("config", "recovery", "compounding", "fix-c", "em-alpha", "seed", "multistart",
-          "out")
+@_verb("history", "snapshots", "mode", "tenor-points", "config", "recovery", "compounding",
+       "fix-c", "em-alpha", "seed", "multistart", "out")
 def history(snapshots, mode, tenor_points, config_path, **kw):
     """Per-date fits over a snapshot series; long-format rows for plotting."""
     grid = mode == "rating-grid"
@@ -489,10 +494,10 @@ def history(snapshots, mode, tenor_points, config_path, **kw):
         except (UniverseError, ValueError, ArithmeticError) as exc:
             failures.append(f"{d.name}: {exc}")
     _write(st.out / "history.csv", ["date", "series", "value"], rows)
-    click.echo(f"wrote {st.out / 'history.csv'} "
-               f"({len(dates) - len(failures)}/{len(dates)} dates)")
+    print(f"wrote {st.out / 'history.csv'} "
+          f"({len(dates) - len(failures)}/{len(dates)} dates)")
     for f in failures:
-        click.echo(f"skipped {f}", err=True)
+        print(f"skipped {f}", file=sys.stderr)
     if failures and len(failures) == len(dates):
         _fail("all dates failed", EXIT_NOCONV)
 

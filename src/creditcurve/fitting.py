@@ -133,6 +133,9 @@ class FitConfig:
     em_alpha_fixed: float = 0.5
 
     def __post_init__(self) -> None:
+        for name in ("fix_c", "em_alpha_fixed"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.fix_c is not None and not (self.fix_c > 0 and math.isfinite(self.fix_c)):
             raise ValueError(f"fix_c must be finite and > 0, got {self.fix_c!r}")
         if self.weight_mode not in ("issue_size", "equal", "issue_size_duration"):

@@ -66,6 +66,8 @@ class SurvivalParams:
     c: float
 
     def __post_init__(self) -> None:
+        if any(isinstance(v, bool) for v in (self.a, self.b, self.c)):
+            raise ValueError("parameters a, b, c must be numbers, not bool")
         if not (math.isfinite(self.a) and math.isfinite(self.b) and math.isfinite(self.c)):
             raise ValueError("parameters a, b, c must be finite")
         if self.a < 0 or self.b < 0:

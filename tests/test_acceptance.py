@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from scipy.optimize import brentq, minimize_scalar
 
 import creditcurve as cc
@@ -34,7 +33,7 @@ from creditcurve.valuation import (
     z_spread,
 )
 
-from conftest import SAMPLE_DIR
+from conftest import SAMPLE_DIR, CliRunner
 
 
 def report(n, text):

@@ -2,6 +2,7 @@ import datetime as dt
 import json
 import math
 import os
+import re
 import shutil
 import string
 import subprocess
@@ -11,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +22,8 @@ from creditcurve.fitting import price_residual
 from creditcurve.survival import RATING_SYMBOLS, RatingGrid, RecoverySchedule, SurvivalParams
 from creditcurve.universe import load_universe
 from creditcurve.valuation import MAX_TENOR, BondSpec, CdsSpec, bond_model_price, kernels
+
+from conftest import CliRunner
 
 RISKFREE = "tenor_years,zero_rate\n1,0.015\n10,0.015\n30,0.015\n"
 
@@ -678,18 +680,19 @@ cli.main(["value", "--a", "0.01", "--b", "0.03", "--c", "0.1"] + files, standalo
 cli.main(["spread"] + files, standalone_mode=False)
 cold = "scipy" in sys.modules
 cli.main(["fit", "--multistart", "1"] + files, standalone_mode=False)
-print(json.dumps({"cold": cold, "fit": "scipy" in sys.modules}))
+print(json.dumps({"cold": cold, "fit": "scipy" in sys.modules, "click": "click" in sys.modules}))
 """
 
 
 def test_cold_verbs_run_without_scipy(tmp_path, colom_dir):
-    # a fresh interpreter: no verb imports scipy, a fit included
+    # a fresh interpreter: no verb imports scipy, a fit included, and none imports click
     env = dict(os.environ, PYTHONPATH=str(Path(cc.__file__).resolve().parent.parent))
     proc = subprocess.run([sys.executable, "-c", COLD_VERBS_SCRIPT, str(colom_dir),
                            str(tmp_path / "out")], capture_output=True, text=True, env=env,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"cold": False, "fit": False}
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"cold": False, "fit": False,
+                                                        "click": False}
     assert (tmp_path / "out" / "value.csv").exists()
     assert (tmp_path / "out" / "spreads.csv").exists()
 
@@ -852,3 +855,51 @@ def test_fit_params_rows_stay_numeric(tmp_path, runner, colom_dir):
     for key, val in rows.items():
         if key not in ("converged", "underdetermined"):
             assert math.isfinite(float(val)), key
+
+
+# -- usage layer ----------------------------------------------------------
+
+COMMON_FLAGS = {"--riskfree", "--bonds", "--cds", "--sovereign", "--config", "--as-of",
+                "--compounding", "--recovery", "--out"}
+FIT_FLAGS = {"--fix-c", "--em-alpha", "--seed", "--multistart", "--weight-mode", "--loss",
+             "--allow-underdetermined"}
+VERB_FLAGS = {
+    "value": COMMON_FLAGS | {"--a", "--b", "--c"},
+    "spread": COMMON_FLAGS | {"--yield-compounding"},
+    "fit": COMMON_FLAGS | FIT_FLAGS,
+    "fit-grid": COMMON_FLAGS | FIT_FLAGS,
+    "analytics": COMMON_FLAGS | FIT_FLAGS | {"--horizon", "--convergence-fraction", "--variant"},
+    "history": {"--snapshots", "--mode", "--tenor-points", "--config", "--recovery",
+                "--compounding", "--fix-c", "--em-alpha", "--seed", "--multistart", "--out"},
+}
+
+
+@pytest.mark.parametrize("args", [
+    [], ["bogus"], ["fit", "--bogus", "1", "FILES"], ["fit", "--multi", "3", "FILES"],
+    ["value", "--a", "0.01", "--b", "0.02", "--c", "0.1", "--bonds", "BONDS", "--out", "OUT"],
+    ["value", "--a", "nope", "--b", "0.02", "--c", "0.1", "FILES"],
+], ids=["no-verb", "unknown-verb", "unknown-flag", "flag-prefix", "missing-riskfree",
+        "not-a-float"])
+def test_usage_errors_exit_2_and_write_nothing(tmp_path, runner, colom_dir, args):
+    out = tmp_path / "out"
+    paths = {"BONDS": str(colom_dir / "bonds.csv"), "OUT": str(out)}
+    files = ["--riskfree", str(colom_dir / "riskfree.csv"), "--bonds", paths["BONDS"],
+             "--out", paths["OUT"]]
+    args = [a for arg in args for a in (files if arg == "FILES" else [paths.get(arg, arg)])]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    # the usage message goes to stderr, and nothing is written
+    assert result.output == result.stderr and result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("verb", [None, *VERB_FLAGS])
+def test_help_names_every_verb_and_flag(runner, verb):
+    result = runner.invoke(main, [verb, "--help"] if verb else ["--help"])
+    assert result.exit_code == 0, result.output
+    if verb is None:
+        assert all(name in result.output for name in VERB_FLAGS)
+    else:
+        assert set(re.findall(r"--[a-z][a-z-]*", result.output)) == VERB_FLAGS[verb] | {"--help"}

@@ -9,7 +9,6 @@ library and through what the ``spread`` verb writes.  ``fit`` and
 par-adjusted spreads, and its relative value is ``fit``'s price residual
 carried to the horizon.
 """
-from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +22,8 @@ from creditcurve.valuation import (
     par_adjusted_spread,
     par_cds_spread,
 )
+
+from conftest import CliRunner
 
 EXACT_PTS = 1e-8        # an exact fit reprices to |dP| <= 1e-8 points per 100 face
 # 100 * Pi * (sbar - s_par) is dP rearranged, up to some 70 ulps of a 100-point price

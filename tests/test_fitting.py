@@ -10,7 +10,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +34,7 @@ from creditcurve.valuation import (
     bond_model_price,
     kernels,
 )
+from conftest import CliRunner
 from kernel_reference import (
     assert_kernels_close,
     linear_map_kernels,
@@ -525,6 +525,21 @@ def test_integer_settings_reject_bool(name):
     for flag in (True, False):
         with pytest.raises(ValueError, match=f"{name} must be"):
             FitConfig(**{name: flag})
+
+
+@pytest.mark.parametrize("name", ["fix_c", "em_alpha_fixed"])
+def test_float_settings_reject_bool(name):
+    # fix_c=True fitted at c = 1, five times C_BOUNDS' upper edge
+    for flag in (True, False):
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            FitConfig(**{name: flag})
+
+
+@pytest.mark.parametrize("field", ["a", "b", "c"])
+def test_survival_params_reject_bool(field):
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="must be numbers, not bool"):
+            SurvivalParams(**dict({"a": 0.01, "b": 0.02, "c": 0.1}, **{field: flag}))
 
 
 # -- rating-grid fit -----------------------------------------------------
