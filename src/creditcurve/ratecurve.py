@@ -40,6 +40,11 @@ def _from_continuous(rate_cc: float, m: int) -> float:
     return m * math.expm1(rate_cc / m)
 
 
+def _check_compounding(m: int) -> None:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        raise ValueError("compounding must be a non-negative integer")
+
+
 @dataclass(frozen=True)
 class RiskfreeCurve:
     """Riskfree curve built from (tenor_years, zero_rate) pillars.
@@ -63,8 +68,7 @@ class RiskfreeCurve:
         if not all(math.isfinite(t) and math.isfinite(z) for t, z in pillars):
             raise ValueError("pillar tenors and rates must be finite")
         m = self.compounding
-        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-            raise ValueError("compounding must be a non-negative integer")
+        _check_compounding(m)
         tenors = [t for t, _ in pillars]
         if any(t <= 0 for t in tenors):
             raise ValueError("pillar tenors must be > 0")
@@ -119,5 +123,6 @@ class RiskfreeCurve:
             raise ValueError("zero rate needs tenor > 0")
         if m is None:
             m = self.compounding
+        _check_compounding(m)
         rate_cc = self.log_discount(t) / t
         return _from_continuous(rate_cc, m)

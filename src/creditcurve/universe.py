@@ -24,6 +24,7 @@ import csv
 import datetime as dt
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,57 +72,83 @@ class UniverseSnapshot:
         return self.bonds + self.cds
 
 
-def _read_rows(path: Path) -> tuple[list[str], list[tuple[int, dict[str, str]]]]:
+def _read_lines(path: str | Path) -> list[str]:
     try:
-        text = path.read_text()
+        return Path(path).read_text().splitlines()
     except OSError as exc:
         raise UniverseError(f"cannot read {path}: {exc}") from exc
-    reader = csv.DictReader(text.splitlines())
-    if reader.fieldnames is None:
+
+
+class _located:
+    """A ValueError raised in the body is an input error at ``path:line``."""
+
+    __slots__ = ("path", "line")
+
+    def __init__(self, path: str | Path, line: int):
+        self.path, self.line = path, line
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if isinstance(exc, ValueError):
+            raise UniverseError(f"{self.path}:{self.line}: {exc}") from exc
+
+
+def _read_rows(path: Path, header: tuple[str, ...] = ()) -> Iterator[tuple[int, dict[str, str]]]:
+    """Each row that holds a value, with its line in the file (the line it
+    ends on) and its stripped cells keyed by the stripped header names.
+
+    The header must name every column in ``header`` and no column twice.
+    An empty cell past the header's columns is ignored; any other is an
+    input error.
+    """
+    reader = csv.reader(_read_lines(path))
+    names = next(reader, None)
+    if names is None:
         raise UniverseError(f"{path}: empty file, header line required")
-    fields = [f.strip() for f in reader.fieldnames]
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        clean = {(k or "").strip(): (v or "").strip() for k, v in row.items()}
-        if any(clean.values()):
-            rows.append((lineno, clean))
-    return fields, rows
+    fields = [name.strip() for name in names]
+    if not set(header).issubset(fields):
+        raise UniverseError(f"{path}: header must contain {','.join(header)!r}")
+    twice = next((name for i, name in enumerate(fields) if name and name in fields[:i]), None)
+    if twice:
+        with _located(path, reader.line_num):
+            raise ValueError(f"column {twice!r} is named twice")
+    width = len(fields)
+    for cells in reader:
+        if len(cells) > width and any(map(str.strip, cells[width:])):
+            with _located(path, reader.line_num):
+                raise ValueError(f"{len(cells)} cells for {width} columns")
+        row = dict(zip(fields, map(str.strip, cells)))
+        if any(row.values()):
+            yield reader.line_num, row
 
 
-def _need(row: dict[str, str], col: str, path: Path, lineno: int) -> str:
+def _need(row: dict[str, str], col: str) -> str:
     val = row.get(col, "")
     if not val:
-        raise UniverseError(f"{path}:{lineno}: missing required column {col!r}")
+        raise ValueError(f"missing required column {col!r}")
     return val
 
 
-def _float(val: str, col: str, path: Path, lineno: int) -> float:
+def _number(row: dict[str, str], col: str, default: str | None = None) -> float:
+    """A finite number from ``col``; required unless it has a default."""
+    val = (row.get(col) or default) if default else _need(row, col)
     try:
         x = float(val)
     except ValueError:
         x = math.nan
     if not math.isfinite(x):
-        raise UniverseError(f"{path}:{lineno}: column {col!r} is not a finite number: {val!r}")
+        raise ValueError(f"column {col!r} is not a finite number: {val!r}")
     return x
-
-
-def _number(row: dict[str, str], col: str, path: Path, lineno: int,
-            default: str | None = None) -> float:
-    """A finite number from ``col``; required unless it has a default."""
-    val = (row.get(col) or default) if default else _need(row, col, path, lineno)
-    return _float(val, col, path, lineno)
 
 
 def load_riskfree_curve(path: str | Path, compounding: int = 0) -> RiskfreeCurve:
     path = Path(path)
-    fields, rows = _read_rows(path)
-    for col in ("tenor_years", "zero_rate"):
-        if col not in fields:
-            raise UniverseError(f"{path}: header must contain 'tenor_years,zero_rate'")
     pillars = []
-    for lineno, row in rows:
-        pillars.append((_number(row, "tenor_years", path, lineno),
-                        _number(row, "zero_rate", path, lineno)))
+    for line, row in _read_rows(path, ("tenor_years", "zero_rate")):
+        with _located(path, line):
+            pillars.append((_number(row, "tenor_years"), _number(row, "zero_rate")))
     if not pillars:
         raise UniverseError(f"{path}: no curve pillars")
     try:
@@ -130,34 +157,27 @@ def load_riskfree_curve(path: str | Path, compounding: int = 0) -> RiskfreeCurve
         raise UniverseError(f"{path}: {exc}") from exc
 
 
-def _tenor_from_row(row: dict[str, str], as_of: dt.date, path: Path, lineno: int) -> float:
+def _tenor_from_row(row: dict[str, str], as_of: dt.date) -> float:
     if row.get("tenor_years"):
-        tenor = _float(row["tenor_years"], "tenor_years", path, lineno)
+        tenor = _number(row, "tenor_years")
     elif row.get("maturity"):
         try:
             maturity = dt.date.fromisoformat(row["maturity"])
         except ValueError as exc:
-            raise UniverseError(
-                f"{path}:{lineno}: maturity {row['maturity']!r} is not an ISO date") from exc
+            raise ValueError(f"maturity {row['maturity']!r} is not an ISO date") from exc
         tenor = (maturity - as_of).days / DAYS_PER_YEAR
     else:
-        raise UniverseError(f"{path}:{lineno}: need a 'maturity' date or 'tenor_years'")
+        raise ValueError("need a 'maturity' date or 'tenor_years'")
     if tenor <= 0.0:
-        raise UniverseError(f"{path}:{lineno}: instrument has matured (tenor {tenor:.4f} <= 0)")
+        raise ValueError(f"instrument has matured (tenor {tenor:.4f} <= 0)")
     if tenor > MAX_TENOR:
-        raise UniverseError(f"{path}:{lineno}: tenor {tenor:g} years is beyond the "
-                            f"{MAX_TENOR:g}-year limit")
+        raise ValueError(f"tenor {tenor:g} years is beyond the {MAX_TENOR:g}-year limit")
     return tenor
 
 
-def _rating_from(row: dict[str, str], col: str, path: Path, lineno: int) -> int | None:
-    val = row.get(col, "")
-    if not val:
-        return None
-    try:
-        return parse_rating(val)
-    except UniverseError as exc:
-        raise UniverseError(f"{path}:{lineno}: {exc}") from exc
+def _rating_from(row: dict[str, str], col: str) -> int | None:
+    val = row.get(col)
+    return parse_rating(val) if val else None
 
 
 def interp_sovereign(pillars: tuple[tuple[float, float], ...], tenor: float) -> float:
@@ -178,34 +198,29 @@ def interp_sovereign(pillars: tuple[tuple[float, float], ...], tenor: float) -> 
     return ss[-1]
 
 
-def _resolve_recovery(row: dict[str, str], rating: int | None, mode: str, fixed: float,
-                      path: Path, lineno: int) -> float:
+def _resolve_recovery(row: dict[str, str], rating: int | None, mode: str, fixed: float) -> float:
     if row.get("recovery"):
-        return _float(row["recovery"], "recovery", path, lineno)
+        return _number(row, "recovery")
     if mode == "schedule":
         if rating is None:
-            raise UniverseError(
-                f"{path}:{lineno}: recovery schedule requested but the row has no rating")
+            raise ValueError("recovery schedule requested but the row has no rating")
         return RecoverySchedule().recovery_for_rating(rating)
     return fixed
 
 
 def load_sovereign_curves(path: str | Path) -> dict[str, tuple[tuple[float, float], ...]]:
     path = Path(path)
-    fields, rows = _read_rows(path)
-    for col in ("country", "tenor_years", "par_spread"):
-        if col not in fields:
-            raise UniverseError(f"{path}: header must contain 'country,tenor_years,par_spread'")
     curves: dict[str, dict[float, float]] = {}
-    for lineno, row in rows:
-        country = _need(row, "country", path, lineno).upper()
-        tenor = _number(row, "tenor_years", path, lineno)
-        if tenor <= 0.0:
-            raise UniverseError(f"{path}:{lineno}: sovereign tenor {tenor:g} must be > 0")
-        pillars = curves.setdefault(country, {})
-        if tenor in pillars:
-            raise UniverseError(f"{path}:{lineno}: repeated {country} pillar at tenor {tenor:g}")
-        pillars[tenor] = _number(row, "par_spread", path, lineno)
+    for line, row in _read_rows(path, ("country", "tenor_years", "par_spread")):
+        with _located(path, line):
+            country = _need(row, "country").upper()
+            tenor = _number(row, "tenor_years")
+            if tenor <= 0.0:
+                raise ValueError(f"sovereign tenor {tenor:g} must be > 0")
+            pillars = curves.setdefault(country, {})
+            if tenor in pillars:
+                raise ValueError(f"repeated {country} pillar at tenor {tenor:g}")
+            pillars[tenor] = _number(row, "par_spread")
     return {k: tuple(sorted(v.items())) for k, v in curves.items()}
 
 
@@ -233,43 +248,37 @@ def load_universe(riskfree_path: str | Path,
         if kind_path is None:
             continue
         path = Path(kind_path)
-        _, rows = _read_rows(path)
-        for lineno, row in rows:
-            ident = _need(row, "id", path, lineno)
-            if ident in seen:
-                raise UniverseError(f"{path}:{lineno}: duplicate identifier {ident!r}")
-            seen.add(ident)
-            tenor = _tenor_from_row(row, as_of, path, lineno)
-            rating = _rating_from(row, "rating", path, lineno)
-            internal = _rating_from(row, "internal_rating", path, lineno)
-            effective = internal if internal is not None else rating
-            recovery = _resolve_recovery(row, effective, recovery_mode, recovery_fixed,
-                                         path, lineno)
-            country = row.get("country", "").upper()
-            sov = interp_sovereign(sovereign[country], tenor) if country in sovereign else None
-            fields = dict(
-                coupon=_number(row, "coupon", path, lineno), tenor=tenor,
-                issue_size=_number(row, "issue_size", path, lineno, "1000"),
-                rating=rating, internal_rating=internal, sovereign_spread=sov,
-                identifier=ident)
-            if kind is BondSpec:
-                fields.update(price=_number(row, "price", path, lineno), recovery=recovery)
-            else:
-                fields.update(quote_type=_need(row, "quote_type", path, lineno),
-                              quote=_number(row, "quote", path, lineno),
-                              quoting_recovery=_number(row, "quoting_recovery", path,
-                                                       lineno, "0.4"),
-                              model_recovery=recovery)
-            # parse errors already name the file and line; wrap only the range
-            # checks, and point the spec's warnings at the row
-            try:
+        for line, row in _read_rows(path):
+            with _located(path, line):
+                ident = _need(row, "id")
+                if ident in seen:
+                    raise ValueError(f"duplicate identifier {ident!r}")
+                seen.add(ident)
+                tenor = _tenor_from_row(row, as_of)
+                rating = _rating_from(row, "rating")
+                internal = _rating_from(row, "internal_rating")
+                effective = internal if internal is not None else rating
+                recovery = _resolve_recovery(row, effective, recovery_mode, recovery_fixed)
+                country = row.get("country", "").upper()
+                sov = interp_sovereign(sovereign[country], tenor) if country in sovereign else None
+                fields = dict(
+                    coupon=_number(row, "coupon"), tenor=tenor,
+                    issue_size=_number(row, "issue_size", "1000"),
+                    rating=rating, internal_rating=internal, sovereign_spread=sov,
+                    identifier=ident)
+                if kind is BondSpec:
+                    fields.update(price=_number(row, "price"), recovery=recovery)
+                else:
+                    fields.update(quote_type=_need(row, "quote_type"),
+                                  quote=_number(row, "quote"),
+                                  quoting_recovery=_number(row, "quoting_recovery", "0.4"),
+                                  model_recovery=recovery)
+                # the spec's warnings point at the row
                 with warnings.catch_warnings(record=True) as caught:
                     warnings.simplefilter("always")
                     parsed[kind].append(kind(**fields))
-            except ValueError as exc:
-                raise UniverseError(f"{path}:{lineno}: {exc}") from exc
             for w in caught:
-                warnings.warn_explicit(w.message, w.category, str(path), lineno)
+                warnings.warn_explicit(w.message, w.category, str(path), line)
     bonds, cds = parsed[BondSpec], parsed[CdsSpec]
 
     if not bonds and not cds:
@@ -281,19 +290,16 @@ def load_universe(riskfree_path: str | Path,
 def load_config(path: str | Path) -> dict[str, str]:
     """Flat key=value run configuration; '#' starts a comment.  A key
     given twice is an input error."""
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UniverseError(f"cannot read {path}: {exc}") from exc
     out: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
+    for line, text in enumerate(_read_lines(path), start=1):
+        text = text.split("#", 1)[0].strip()
+        if not text:
             continue
-        if "=" not in line:
-            raise UniverseError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key in out:
-            raise UniverseError(f"{path}:{lineno}: {key} is set twice")
+        with _located(path, line):
+            if "=" not in text:
+                raise ValueError(f"expected 'key = value', got {text!r}")
+            key, val = (part.strip() for part in text.split("=", 1))
+            if key in out:
+                raise ValueError(f"{key} is set twice")
         out[key] = val
     return out

@@ -489,7 +489,7 @@ def _annuity(y: float, tenor: float, m: int) -> float:
 
 def _check_m(m: int) -> None:
     # m is the coupon frequency of the schedule as well as the compounding
-    if not isinstance(m, numbers.Integral) or m < 1:
+    if not isinstance(m, numbers.Integral) or isinstance(m, bool) or m < 1:
         raise ValueError(f"compounding m must be a positive integer, got {m!r}")
 
 

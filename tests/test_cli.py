@@ -759,17 +759,23 @@ BAD_VALUES = {
 def malformed_row(draw):
     name = draw(st.sampled_from(sorted(ROWS)))
     column = draw(st.sampled_from(sorted(BAD_VALUES[name])))
-    return name, column, draw(st.one_of(_not_a_number, BAD_VALUES[name][column]))
+    # blank lines before the row count in its line number; empty cells past
+    # the header (a trailing comma) are ignored, and a non-empty one is the
+    # row's error
+    gap = draw(st.sampled_from(["", "\n", "\n\n"]))
+    tail = draw(st.sampled_from(["", ",", ", ,", ",x"]))
+    return name, column, draw(st.one_of(_not_a_number, BAD_VALUES[name][column])), gap, tail
 
 
 @settings(max_examples=40, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(bad=malformed_row())
 def test_malformed_row_exits_2_with_file_and_line(tmp_path, bad):
-    name, column, val = bad
+    name, column, val, gap, tail = bad
     row = dict(ROWS[name], **{column: val})
     quotes = tmp_path / name
-    quotes.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+    quotes.write_text(",".join(row) + "\n" + gap + ",".join(row.values()) + tail + "\n")
+    where = f"{name}:{2 + len(gap)}"
     riskfree = tmp_path / "riskfree.csv"
     riskfree.write_text(RISKFREE)
     files = ["--riskfree", str(riskfree), f"--{name[:-4]}", str(quotes),
@@ -779,7 +785,7 @@ def test_malformed_row_exits_2_with_file_and_line(tmp_path, bad):
         result = CliRunner().invoke(main, verb + files)
         assert result.exit_code == 2, (verb, bad, result.output)
         assert isinstance(result.exception, SystemExit)
-        assert result.output.count(f"{name}:2") == 1, (verb, bad, result.output)
+        assert result.output.count(where) == 1, (verb, bad, result.output)
         assert "Traceback" not in result.output
 
 
@@ -893,6 +899,21 @@ def test_usage_errors_exit_2_and_write_nothing(tmp_path, runner, colom_dir, args
     # the usage message goes to stderr, and nothing is written
     assert result.output == result.stderr and result.stderr
     assert not out.exists()
+
+
+def test_flag_value_beginning_with_a_dash_is_joined_with_equals(tmp_path, runner, colom_dir,
+                                                               monkeypatch):
+    # the README's form: written apart, the value reads as a flag
+    monkeypatch.chdir(tmp_path)
+    value = ["value", "--a", "0.01", "--b", "0.03", "--c", "0.1", "--riskfree",
+             str(colom_dir / "riskfree.csv"), "--bonds", str(colom_dir / "bonds.csv")]
+    result = runner.invoke(main, value + ["--out", "-x"])
+    assert result.exit_code == 2
+    assert "argument --out: expected one argument" in result.stderr
+    assert not (tmp_path / "-x").exists()
+    result = runner.invoke(main, value + ["--out=-x"])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "-x" / "value.csv").is_file()
 
 
 @pytest.mark.parametrize("verb", [None, *VERB_FLAGS])

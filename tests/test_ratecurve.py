@@ -134,6 +134,10 @@ def test_validation_errors():
     for flag in (True, False):
         with pytest.raises(ValueError, match="compounding must be a non-negative integer"):
             RiskfreeCurve(pillars=((1.0, 0.02),), compounding=flag)
+    # zero_rate's m follows the constructor's rule: m = -2 read a flat 3% at 5y as 2.978%
+    for m in (-2, 2.5, True, False):
+        with pytest.raises(ValueError, match="compounding must be a non-negative integer"):
+            RiskfreeCurve.flat(0.03).zero_rate(5.0, m)
     for x in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="finite"):
             RiskfreeCurve.flat(x)

@@ -1,4 +1,5 @@
 import datetime as dt
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +209,86 @@ def test_load_config(tmp_path):
                 "# comment\nas_of = 2016-04-08\nrecovery = fixed:0.4  # inline\n\n")
     conf = load_config(cfg)
     assert conf == {"as_of": "2016-04-08", "recovery": "fixed:0.4"}
-    bad = write(tmp_path, "bad.cfg", "just words\n")
-    with pytest.raises(UniverseError, match="key = value"):
+    bad = write(tmp_path, "bad.cfg", "as_of = 2016-04-08\n\njust words\n")
+    with pytest.raises(UniverseError, match=r"bad\.cfg:3: expected 'key = value', got 'just"):
         load_config(bad)
+
+
+# -- located input errors --------------------------------------------------
+
+@pytest.mark.parametrize("pillars, message", [
+    ("1,0.01\n5,abc\n", r"riskfree\.csv:3: column 'zero_rate' is not a finite number: 'abc'"),
+    ("1,0.01\n,0.015\n", r"riskfree\.csv:3: missing required column 'tenor_years'"),
+], ids=["non-number", "empty-cell"])
+def test_riskfree_row_errors_name_file_and_line(tmp_path, pillars, message):
+    p = write(tmp_path, "riskfree.csv", "tenor_years,zero_rate\n" + pillars)
+    with pytest.raises(UniverseError, match=message):
+        load_riskfree_curve(p)
+
+
+def test_missing_quote_file_cannot_be_read(tmp_path, riskfree_file):
+    with pytest.raises(UniverseError, match=r"cannot read .*missing\.csv"):
+        load_universe(riskfree_file, tmp_path / "missing.csv", as_of=AS_OF)
+
+
+def test_sovereign_file_requires_header(tmp_path, riskfree_file):
+    sov = write(tmp_path, "sovereign.csv", "CO,1,0.01\nCO,5,0.02\n")
+    bonds = write(tmp_path, "bonds.csv",
+                  "id,coupon,tenor_years,price,country\nb1,0.04,3.0,100,CO\n")
+    message = r"sovereign\.csv: header must contain 'country,tenor_years,par_spread'"
+    with pytest.raises(UniverseError, match=message):
+        load_universe(riskfree_file, bonds, sovereign_path=sov, as_of=AS_OF)
+
+
+# one valid data row per file; the file under test gets a cell past its header
+QUOTE_FILES = {
+    "riskfree.csv": "tenor_years,zero_rate\n1,0.01\n",
+    "bonds.csv": "id,coupon,tenor_years,price,country\nb1,0.04,7.88,100.10,CO\n",
+    "cds.csv": "id,coupon,tenor_years,quote_type,quote\nc1,0.01,5.0,spread,0.024\n",
+    "sovereign.csv": "country,tenor_years,par_spread\nCO,5,0.02\n",
+}
+
+
+def _load_all(tmp_path, name, tail):
+    paths = {n: write(tmp_path, n, text.rstrip("\n") + (tail if n == name else "") + "\n")
+             for n, text in QUOTE_FILES.items()}
+    return load_universe(paths["riskfree.csv"], paths["bonds.csv"], paths["cds.csv"],
+                         paths["sovereign.csv"], as_of=AS_OF)
+
+
+@pytest.mark.parametrize("name", sorted(QUOTE_FILES))
+def test_surplus_cell_is_an_input_error(tmp_path, name):
+    # a cell past the header's columns crashed every verb with an AttributeError
+    columns = QUOTE_FILES[name].count(",", 0, QUOTE_FILES[name].index("\n")) + 1
+    message = rf"{name}:2: {columns + 1} cells for {columns} columns"
+    with pytest.raises(UniverseError, match=message):
+        _load_all(tmp_path, name, ",x")
+    # empty surplus cells, as a trailing comma in an Excel export, are ignored
+    assert _load_all(tmp_path, name, ", ,") == _load_all(tmp_path, name, "")
+
+
+def test_column_named_twice_is_an_input_error(tmp_path, riskfree_file):
+    # the second 'price' column won without a word
+    bonds = write(tmp_path, "bonds.csv",
+                  "id,coupon,tenor_years,price, price\nb1,0.04,7.88,100.10,105.10\n")
+    with pytest.raises(UniverseError, match=r"bonds\.csv:1: column 'price' is named twice"):
+        load_universe(riskfree_file, bonds, as_of=AS_OF)
+    # header cells without a name may repeat, and their cells are not read
+    bonds = write(tmp_path, "bonds.csv",
+                  "id,coupon,tenor_years,price,,\nb1,0.04,7.88,100.10,note,\nb2,0.05,5,101,,7\n")
+    snap = load_universe(riskfree_file, bonds, as_of=AS_OF)
+    assert [b.price for b in snap.bonds] == [100.10, 101.0]
+
+
+def test_line_numbers_count_blank_lines(tmp_path, riskfree_file):
+    # a blank line moved every later error and warning one line up
+    bonds = write(tmp_path, "bonds.csv",
+                  "id,coupon,tenor_years,price\nb1,0.04,7.88,100.10\n\nb2,oops,5.0,99\n")
+    with pytest.raises(UniverseError, match=r"bonds\.csv:4: column 'coupon'"):
+        load_universe(riskfree_file, bonds, as_of=AS_OF)
+    cds = write(tmp_path, "cds.csv",
+                "id,coupon,tenor_years,quote_type,quote\n\n"
+                "c1,0.01,5.0,spread,0.024\n\nc2,0.02,5.0,spread,0.024\n")
+    with pytest.warns(UserWarning, match="not a standard") as caught:
+        load_universe(riskfree_file, cds_path=cds, as_of=AS_OF)
+    assert [(Path(w.filename).name, w.lineno) for w in caught] == [("cds.csv", 5)]

@@ -377,9 +377,10 @@ def test_price_from_yield_domain():
         price_from_yield(0.05, 5.0, -2.0, m=2)
 
 
-@pytest.mark.parametrize("m", [0, -1, 1.5])
+@pytest.mark.parametrize("m", [0, -1, 1.5, True])
 def test_compounding_m_must_be_a_positive_integer(m):
-    # m is also the coupon frequency, so it is checked before any arithmetic
+    # m is also the coupon frequency, so it is checked before any arithmetic;
+    # True priced at m = 1, annual coupons
     bond = BondSpec(coupon=0.05, tenor=5.0, price=99.0)
     calls = (lambda: price_from_yield(0.05, 5.0, 0.03, m),
              lambda: yield_from_price(0.05, 5.0, 99.0, m),
